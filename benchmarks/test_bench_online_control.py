@@ -11,10 +11,13 @@ that loop at fleet scale on the array engine and asserts that
   online scheduler),
 * the online replay (``online=OnlineControlConfig(...)``) covers >=100k VMs
   with mitigation enabled and sustains a sane event-loop throughput,
-* with mitigation disabled (threshold ``inf``) the online loop is
-  **byte-identical** to the static replay of the same policy (the
-  differential contract the test suite locks down at small scale holds at
-  benchmark scale too), and
+* with mitigation disabled (threshold ``inf``) -- an "off" switch, which
+  ``run`` drops before dispatch so the replay takes the static loops --
+  the replay is **byte-identical** to the static replay of the same policy
+  (the differential contract the test suite locks down at small scale
+  holds at benchmark scale too), and its cost relative to the static
+  replay is recorded as ``disabled_over_static`` (no floor; ROADMAP aim 2
+  wants it within 10% of 1.0), and
 * the emitted ``BENCH_online_control.json`` report carries the numbers,
   including the modelled mitigation-latency accounting.
 
@@ -107,7 +110,7 @@ def test_bench_online_control_loop_at_scale(trace_and_policy):
         start = time.perf_counter()
         online = simulator().run(trace, policy, online=online_config)
         online_times.append(time.perf_counter() - start)
-        # online replay, mitigation disabled (the differential contract)
+        # mitigation disabled: the "off" switch (the differential contract)
         start = time.perf_counter()
         disabled = simulator().run(trace, policy, online=disabled_config)
         disabled_times.append(time.perf_counter() - start)
@@ -147,7 +150,8 @@ def test_bench_online_control_loop_at_scale(trace_and_policy):
           f"{n_vms / static_seconds:>14,.0f}")
     print(f"{'online (enabled)':<18} {online_seconds:>9.2f} {vms_per_s:>14,.0f}")
     print(f"{'online (disabled)':<18} {disabled_seconds:>9.2f} "
-          f"{n_vms / disabled_seconds:>14,.0f}")
+          f"{n_vms / disabled_seconds:>14,.0f}  "
+          f"({disabled_seconds / static_seconds:.2f}x static)")
     print(f"mitigations: {stats.n_mitigations} "
           f"({stats.migrated_gb:,.0f} GB pool->local, "
           f"{stats.mean_mitigation_s:.2f} s modelled each, "
@@ -164,6 +168,7 @@ def test_bench_online_control_loop_at_scale(trace_and_policy):
         "static_seconds": static_seconds,
         "online_seconds": online_seconds,
         "disabled_seconds": disabled_seconds,
+        "disabled_over_static": disabled_seconds / static_seconds,
         "predictions_per_s": predictions_per_s,
         "predictions_per_s_floor": MIN_PREDICTIONS_PER_S,
         "vms_per_s": vms_per_s,

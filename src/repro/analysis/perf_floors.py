@@ -64,13 +64,32 @@ def check_perf_floors(report: dict, name: str = "report") -> list:
     benchmark's floor assertion fired, or one edited out of step with its
     measurement.
 
+    A benchmark that measured a metric but did not assert its floor (too
+    few CPUs, smoke scale) records ``<metric>_floor_skipped: "<reason>"``
+    instead of the floor.  The reason must be a non-empty string, and a
+    report may not carry both keys for one metric.
+
     Returns the list of ``(metric, value, floor)`` tuples checked (may be
     empty: not every report asserts a floor); raises ``ValueError`` naming
     the report and the offending field on a missing metric, a
-    non-numeric pair, or a floor violation.
+    non-numeric pair, a floor violation, or a malformed skip record.
     """
     checked = []
     for key in sorted(report):
+        if key.endswith("_floor_skipped"):
+            reason = report[key]
+            if not isinstance(reason, str) or not reason.strip():
+                raise ValueError(
+                    f"{name}: {key} must be a non-empty reason string, got "
+                    f"{reason!r}"
+                )
+            floor_key = key[: -len("_skipped")]
+            if floor_key in report:
+                raise ValueError(
+                    f"{name}: both {floor_key} and {key} present -- a floor "
+                    f"is either asserted or skipped"
+                )
+            continue
         if not key.endswith("_floor"):
             continue
         metric = key[: -len("_floor")]

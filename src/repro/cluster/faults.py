@@ -96,9 +96,11 @@ class FaultSchedule:
     ``1`` kills at the first failed attempt; the default leaves room for
     departures to free headroom first.
 
-    An **empty** schedule is valid and useful: it still routes the replay
-    through the fault-aware engine-method loop, which the differential
-    tests pin byte-identical to the static replay.
+    An **empty** schedule is valid: it is an "off" switch.  The replay
+    entry points drop it before dispatch, so the replay runs on the static
+    loops and reports a zeroed :class:`FaultImpactStats`.  Passed directly
+    to the fault-aware loops, it must reproduce the static replay byte for
+    byte (differential-tested).
     """
 
     def __init__(self, events: Iterable[FaultEvent] = (),

@@ -39,6 +39,7 @@ from __future__ import annotations
 import gc
 import heapq
 from bisect import bisect_left, bisect_right, insort
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,6 +51,8 @@ from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import (
     SimulationResult,
     TraceInput,
+    active_controls,
+    attach_control_stats,
     block_replay_columns,
     effective_server_config,
     iter_policy_blocks,
@@ -448,6 +451,11 @@ _KIND_SAMPLE = 2
 _KIND_HORIZON = 3
 _KIND_ARRIVAL = 4  # sentinel used only in pump limits; arrivals are not heaped
 
+#: Merged arrival rows the inlined loop converts to Python scalars at a
+#: time (see :func:`_merged_slices`).  Purely a memory knob: results do not
+#: depend on it.
+_ARRIVAL_SLICE_ROWS = 16384
+
 
 def replay_crossshard(
     inputs: Sequence[TraceInput],
@@ -495,12 +503,10 @@ def replay_crossshard(
     ``online`` activates the online QoS/mitigation stage (DESIGN.md section
     10): after each shard's grid sample a QoS tick migrates that shard's
     at-risk pool-exposed VMs to local DRAM, updating the shared ledger.
-    Online replays always run on the engine-method event loop -- mitigation
-    mutates per-VM state mid-replay, which the precomputed-order inlined
-    loop cannot express -- and attach a per-shard
-    :class:`~repro.core.control_plane.online.OnlineControlStats` to each
-    result.  With mitigation disabled the per-shard results are
-    byte-identical to the static replay (differential-tested).
+    Mitigation mutates per-VM state mid-replay, which the precomputed-order
+    inlined loop cannot express, so an enabled stage runs on the
+    engine-method event loop.  Each result gets a per-shard
+    :class:`~repro.core.control_plane.online.OnlineControlStats`.
 
     ``faults`` activates deterministic EMC fault injection (DESIGN.md
     section 11): :class:`~repro.cluster.faults.FaultSchedule` events (fleet
@@ -508,42 +514,62 @@ def replay_crossshard(
     samples at equal timestamps -- degrading the shared ledger and running
     the degradation ladder over affected VMs; per-shard evacuation-retry
     ticks fire after each shard's QoS tick (or directly after its grid
-    sample when ``online`` is off).  Like online replays, faulted replays
-    always run on the engine-method event loop; with an empty schedule the
-    per-shard results stay byte-identical to the static replay
-    (differential-tested).  Impact accounting lands on each result's
-    ``fault_stats`` (group-level counters on the group's home shard).
+    sample when ``online`` is off).  A schedule with events runs on the
+    engine-method event loop too.  Impact accounting lands on each
+    result's ``fault_stats`` (group-level counters on the group's home
+    shard).
+
+    Switched "off" -- mitigation disabled (threshold ``inf``) or a schedule
+    without events -- a stage is dropped before dispatch
+    (:func:`~repro.cluster.simulator.active_controls`), so the replay
+    dispatches like a static one and costs what a static one costs.  The
+    per-shard results are byte-identical to the static replay and still
+    carry zeroed ``online_stats`` / ``fault_stats`` (differential-tested
+    against the events loop run with the switches on it).
     """
     _validate_crossshard_args(
         inputs, policies, n_servers_per_shard, server_configs, topology)
-    if online is not None or faults is not None:
-        return _replay_crossshard_events(
+    run_online, run_faults = active_controls(online, faults)
+    if (run_online is None and run_faults is None
+            and _inlinable(inputs, server_configs)):
+        results, ledger = _replay_crossshard_inlined(
+            inputs, policies, n_servers_per_shard, server_configs, topology,
+            capacity, constrain_memory, sample_interval_s, record_placements)
+    else:
+        results, ledger = _replay_crossshard_events(
             inputs, policies, n_servers_per_shard, server_configs, topology,
             capacity, constrain_memory, sample_interval_s, record_placements,
-            online=online, faults=faults)
-    uniform_sku = len({
+            online=run_online, faults=run_faults)
+    attach_control_stats(results, online, faults)
+    return results, ledger
+
+
+def _inlinable(inputs: Sequence[TraceInput],
+               server_configs: Sequence[ServerConfig]) -> bool:
+    """Whether a static replay may take :func:`_replay_crossshard_inlined`.
+
+    Requires one server SKU fleet-wide and materialised traces whose
+    departures all fall strictly after their arrivals and whose VMs all
+    request at least one core.
+    """
+    if len({
         (cfg.sockets, cfg.cores_per_socket, cfg.dram_per_socket_gb)
         for cfg in server_configs
-    }) <= 1
+    }) > 1:
+        return False
     for trace in inputs:
-        if not uniform_sku or not isinstance(trace, ClusterTrace):
-            break
+        if not isinstance(trace, ClusterTrace):
+            return False
         columns = trace.columns()
         arrivals = columns.arrival_s
         if arrivals is None:
-            break
+            return False
         if arrivals.shape[0] and not (
             bool((columns.departure_s > arrivals).all())
             and int(columns.cores.min()) >= 1
         ):
-            break
-    else:
-        return _replay_crossshard_inlined(
-            inputs, policies, n_servers_per_shard, server_configs, topology,
-            capacity, constrain_memory, sample_interval_s, record_placements)
-    return _replay_crossshard_events(
-        inputs, policies, n_servers_per_shard, server_configs, topology,
-        capacity, constrain_memory, sample_interval_s, record_placements)
+            return False
+    return True
 
 
 def _validate_crossshard_args(inputs, policies, n_servers_per_shard,
@@ -872,6 +898,46 @@ def _replay_crossshard_events(
     return results, ledger
 
 
+def _shard_allocations(trace: ClusterTrace, policy) -> np.ndarray:
+    """One materialised shard's pool allocations, resolved exactly like
+    :func:`_shard_arrival_events` resolves them for the events loop."""
+    _block, records, allocations = next(iter(iter_policy_blocks(
+        trace, policy, None, True)))
+    if allocations is None:
+        if policy is None:
+            return np.zeros(len(records))
+        # min/max matches np.clip bit-for-bit for finite values
+        # (block_replay_columns' clamp), without the ufunc dispatch.
+        allocations = [
+            float(min(max(policy(r), 0.0), r.memory_gb)) for r in records
+        ]
+    return np.asarray(allocations, dtype=np.float64)
+
+
+def _presorted_departures(
+    departures: np.ndarray,
+) -> Tuple[List[int], List[float]]:
+    """(merged positions, times) of every departure, in drain order.
+
+    A stable argsort orders equal times by merged position.
+    """
+    drain = np.argsort(departures, kind="stable")
+    return drain.tolist(), departures[drain].tolist()
+
+
+def _merged_slices(order: np.ndarray,
+                   columns: Sequence[np.ndarray]) -> Iterator[Iterator[tuple]]:
+    """The rows of ``columns`` taken in ``order``, one ``zip`` per slice.
+
+    Each slice of ``_ARRIVAL_SLICE_ROWS`` rows is converted to Python
+    scalars only when the loop reaches it, so the merged arrival columns
+    never exist as whole lists.  ``tolist`` yields the same scalars either
+    way.
+    """
+    step = _ARRIVAL_SLICE_ROWS
+    for lo in range(0, order.shape[0], step):
+        rows = order[lo:lo + step]
+        yield zip(*[column[rows].tolist() for column in columns])
 
 
 def _replay_crossshard_inlined(
@@ -894,15 +960,16 @@ def _replay_crossshard_inlined(
     * **arrival merge**: a stable ``np.lexsort`` over ``(arrival, shard)``
       reproduces the k-way merge heap's order exactly (the heap holds one
       entry per shard at a time, so ties resolve by shard, then by per-shard
-      stream order);
+      stream order); the merged rows reach the loop in fixed-size slices
+      (:func:`_merged_slices`) instead of as whole Python lists;
     * **departures**: a stable argsort of the merged-order departure column
       is the heap's ``(time, seq)`` order -- the global placement sequence
       *is* the merged arrival position.  A placement stores its payload at
       its merged position; the drain walks the precomputed order through a
-      pointer, batched by one ``bisect_right`` per pump bound.  A payload
-      still ``None`` at drain time is a rejected VM (the dispatcher
-      guarantees ``departure > arrival``, so "not yet arrived" is
-      impossible);
+      pointer, batched by one ``bisect_right`` per pump bound, and clears
+      each slot it drains.  A payload still ``None`` at drain time is a
+      rejected VM (the dispatcher guarantees ``departure > arrival``, so
+      "not yet arrived" is impossible);
     * **flat fleet state**: every shard engine's per-server and per-NUMA-node
       lists are concatenated into fleet-wide locals (a shard's server ``i``
       becomes fleet index ``offset + i``), so the hot loop reads plain
@@ -997,66 +1064,44 @@ def _replay_crossshard_inlined(
     placed_srv: List[List[int]] = [[] for _ in range(n_shards)]
 
     # -- merged arrival order and global presorted departures ----------------
-    arr_parts = []
-    dep_parts = []
-    cores_parts = []
-    mem_parts = []
-    alloc_parts = []
-    shard_parts = []
-    pos_parts = []
-    vm_ids_by_shard: List[Sequence[str]] = []
-    horizons = [0.0] * n_shards
-    remaining = [0] * n_shards
-    for shard in range(n_shards):
-        trace = inputs[shard]
-        block, records, allocations = next(iter(iter_policy_blocks(
-            trace, policies[shard], None, True)))
-        columns = trace.columns()
-        n_s = columns.arrival_s.shape[0]
-        if allocations is None:
-            pol = policies[shard]
-            if pol is not None:
-                # min/max matches np.clip bit-for-bit for finite values
-                # (block_replay_columns' clamp), without the ufunc dispatch.
-                allocations = [
-                    float(min(max(pol(r), 0.0), r.memory_gb)) for r in records
-                ]
-            else:
-                allocations = [0.0] * n_s
-        arr_parts.append(columns.arrival_s)
-        dep_parts.append(columns.departure_s)
-        cores_parts.append(columns.cores)
-        mem_parts.append(columns.memory_gb)
-        alloc_parts.append(np.asarray(allocations, dtype=np.float64))
-        shard_parts.append(np.full(n_s, shard, dtype=np.int64))
-        pos_parts.append(np.arange(n_s, dtype=np.int64))
-        vm_ids_by_shard.append(columns.vm_ids)
-        horizons[shard] = float(columns.arrival_s[n_s - 1]) if n_s else 0.0
-        remaining[shard] = n_s
-
-    arrival_all = np.concatenate(arr_parts)
-    shard_all = np.concatenate(shard_parts)
+    # Only the merged columns outlive this block (the hot loop reads them
+    # in slices); per-shard temporaries die here, before the loop's peak.
+    columns = [trace.columns() for trace in inputs]
+    vm_ids_by_shard: List[Sequence[str]] = [c.vm_ids for c in columns]
+    remaining = [c.arrival_s.shape[0] for c in columns]
+    horizons = [
+        float(c.arrival_s[n_s - 1]) if n_s else 0.0
+        for c, n_s in zip(columns, remaining)
+    ]
+    alloc_all = np.concatenate([
+        _shard_allocations(inputs[shard], policies[shard])
+        for shard in range(n_shards)
+    ])
+    arrival_all = np.concatenate([c.arrival_s for c in columns])
+    shard_all = np.repeat(np.arange(n_shards, dtype=np.int64), remaining)
     # Stable sort by (arrival, shard): the merge heap holds one entry per
     # shard, so equal arrivals tie-break by shard and, within a shard, by
     # stream order -- which lexsort's stability preserves.
     order = np.lexsort((shard_all, arrival_all))
-    m_arr = arrival_all[order].tolist()
-    m_shard = shard_all[order].tolist()
-    m_cores = np.concatenate(cores_parts)[order].tolist()
-    m_mem = np.concatenate(mem_parts)[order].tolist()
-    m_alloc = np.concatenate(alloc_parts)[order].tolist()
-    m_pos = np.concatenate(pos_parts)[order].tolist() if record_placements else None
-    dep_merged = np.concatenate(dep_parts)[order]
+    cores_all = np.concatenate([c.cores for c in columns])
+    #: Columns of the merged arrival rows, read in ``order`` one slice at
+    #: a time by the hot loop.
+    merged_columns = (shard_all, arrival_all, cores_all,
+                      np.concatenate([c.memory_gb for c in columns]),
+                      alloc_all)
+    m_pos = (
+        np.concatenate([np.arange(n_s) for n_s in remaining])[order].tolist()
+        if record_placements else None
+    )
     # Ties in departure time resolve by merged position == global placement
     # sequence (rejected VMs leave a None payload and simply drain as
     # no-ops), exactly the events loop's (time, seq) heap prefix.
-    dep_sort = np.argsort(dep_merged, kind="stable")
-    dep_order = dep_sort.tolist()
-    dep_times = dep_merged[dep_sort].tolist()
-    n_total = len(m_arr)
+    dep_order, dep_times = _presorted_departures(
+        np.concatenate([c.departure_s for c in columns])[order])
+    n_total = order.shape[0]
     #: Reused walk ranges (one allocation per distinct core count, not
     #: one per placement); indices past the last bucket walk nothing.
-    max_cr = int(max(m_cores)) if n_total else 0
+    max_cr = int(cores_all.max()) if n_total else 0
     walk_ranges = [
         range(c, n_buckets) for c in range(max(n_buckets, max_cr + 1))
     ]
@@ -1100,8 +1145,8 @@ def _replay_crossshard_inlined(
         gc.disable()
     try:
         k = -1
-        for s, arrival_s, cores_r, memory_gb, vm_pool_gb in zip(
-            m_shard, m_arr, m_cores, m_mem, m_alloc
+        for s, arrival_s, cores_r, memory_gb, vm_pool_gb in chain.from_iterable(
+            _merged_slices(order, merged_columns)
         ):
             k += 1
             # -- pump: all heaped-order events strictly before this arrival --
@@ -1117,6 +1162,7 @@ def _replay_crossshard_inlined(
                         entry = payload[m]
                         if entry is None:
                             continue  # rejected VM: nothing placed
+                        payload[m] = None  # drained; never read again
                         # -- departure (ArrayPlacementEngine.remove) -----
                         ds, sidx, pos, d_cores, d_local, d_pool = entry
                         if d_pool:
@@ -1177,6 +1223,7 @@ def _replay_crossshard_inlined(
                                 entry = payload[m]
                                 if entry is None:
                                     continue  # rejected VM: nothing placed
+                                payload[m] = None
                                 # -- departure (ArrayPlacementEngine.remove) -----
                                 ds, sidx, pos, d_cores, d_local, d_pool = entry
                                 if d_pool:
@@ -1437,6 +1484,7 @@ def _replay_crossshard_inlined(
                     entry = payload[m]
                     if entry is None:
                         continue
+                    payload[m] = None
                     ds, sidx, pos, d_cores, d_local, d_pool = entry
                     if d_pool:
                         group = group_of[sidx]

@@ -60,6 +60,8 @@ __all__ = [
     "iter_policy_blocks",
     "block_replay_columns",
     "effective_server_config",
+    "active_controls",
+    "attach_control_stats",
 ]
 
 #: A policy maps a trace record to the GB of the VM's memory placed on the pool.
@@ -437,6 +439,43 @@ def block_replay_columns(block, records):
     )
 
 
+def active_controls(
+    online: Optional[OnlineControlConfig],
+    faults: Optional[FaultSchedule],
+) -> Tuple[Optional[OnlineControlConfig], Optional[FaultSchedule]]:
+    """The control stages a replay has to run, with the "off" ones dropped.
+
+    Disabled mitigation (threshold ``inf``) and a fault schedule without
+    events change nothing a replay computes, so both become ``None`` and
+    the replay dispatches like a static one -- onto the inlined loops when
+    its inputs allow.  Shared by :meth:`ClusterSimulator.run` and the
+    cross-shard fleet replay; pair it with :func:`attach_control_stats`.
+    """
+    if online is not None and not online.mitigation_enabled:
+        online = None
+    if faults is not None and not faults.events:
+        faults = None
+    return online, faults
+
+
+def attach_control_stats(
+    results: Sequence["SimulationResult"],
+    online: Optional[OnlineControlConfig],
+    faults: Optional[FaultSchedule],
+) -> None:
+    """Give each result the stats its caller's switches promise.
+
+    A replay whose switches :func:`active_controls` dropped still reports a
+    zeroed ``online_stats`` / ``fault_stats`` -- exactly what the control
+    loops attach when no tick or fault event does any work.
+    """
+    for result in results:
+        if online is not None and result.online_stats is None:
+            result.online_stats = OnlineControlStats()
+        if faults is not None and result.fault_stats is None:
+            result.fault_stats = FaultImpactStats()
+
+
 class ClusterSimulator:
     """Replays one cluster trace against a simulated cluster."""
 
@@ -553,25 +592,37 @@ class ClusterSimulator:
         only): after every grid sample a QoS tick scans live pool-exposed
         VMs whose estimated slowdown exceeds the configured threshold and
         migrates their pool share to local DRAM (see DESIGN.md section 10).
-        With mitigation disabled (``qos_threshold_percent=inf``) the result
-        is byte-identical to the static replay.
 
         ``faults`` activates deterministic EMC fault injection (array
         engine only): a :class:`~repro.cluster.faults.FaultSchedule` fires
         timed fail/repair events for pool groups inside the merged event
         stream, degrading the group ledger and running the degradation
-        ladder over affected VMs (DESIGN.md section 11).  With an empty
-        schedule the replay is byte-identical to the static replay
-        (differential-tested); impact accounting lands on
-        ``result.fault_stats``.
+        ladder over affected VMs (DESIGN.md section 11).  Impact accounting
+        lands on ``result.fault_stats``.
+
+        Either stage runs on the engine-method loop
+        (:meth:`_run_array_online`).  Switched "off" -- mitigation disabled
+        (``qos_threshold_percent=inf``) or a schedule without events -- a
+        stage is dropped before dispatch (:func:`active_controls`), so the
+        replay takes the static loops and costs what a static replay costs;
+        the result is byte-identical to the static replay and still carries
+        zeroed ``online_stats`` / ``fault_stats`` (differential-tested
+        against :meth:`_run_array_online`).
         """
         if online is not None or faults is not None:
             if self.engine != "array":
                 what = ("the online control loop" if online is not None
                         else "fault injection")
                 raise ValueError(f"{what} requires engine='array'")
-            return self._run_array_online(trace, policy, horizon_s, pool_gb,
-                                          online, faults)
+            run_online, run_faults = active_controls(online, faults)
+            if run_online is None and run_faults is None:
+                result = self._run_array(trace, policy, horizon_s, pool_gb)
+            else:
+                result = self._run_array_online(trace, policy, horizon_s,
+                                                pool_gb, run_online,
+                                                run_faults)
+            attach_control_stats([result], online, faults)
+            return result
         if self.engine == "array":
             return self._run_array(trace, policy, horizon_s, pool_gb)
         use_pool = bool(self.pool_size_sockets)
@@ -775,6 +826,11 @@ class ClusterSimulator:
                           faults: Optional[FaultSchedule] = None,
                           ) -> SimulationResult:
         """:meth:`run` with the online QoS/mitigation stage (array engine).
+
+        :meth:`run` routes here only when a stage is really on (mitigation
+        enabled, or a schedule with events); called directly with the
+        stages switched off it is the reference the static loops are
+        differentially pinned against.
 
         Same merged event stream and arithmetic as the static loops, driven
         through :class:`ArrayPlacementEngine` methods (the structure the
@@ -1689,8 +1745,9 @@ class ClusterSimulator:
           drain follows the precomputed order through a pointer.  A drained
           entry whose payload is still ``None`` is a rejected VM ("not yet
           arrived" is impossible: the dispatcher guarantees ``departure >
-          arrival``).  Departures drain in **batched slices** bounded by
-          one ``bisect_right`` on the presorted time list, and the
+          arrival``); a drained slot is cleared, so payload tuples live only
+          as long as their VMs.  Departures drain in **batched slices**
+          bounded by one ``bisect_right`` on the presorted time list, and the
           pump-entry test folds into a single ``next_event`` compare.
         * **full-server elision**: the best-fit walk starts at ``free >=
           cores >= 1``, so ``buckets[0]`` -- servers with no free cores --
@@ -1827,6 +1884,7 @@ class ClusterSimulator:
                                 entry = payload[m]
                                 if entry is None:
                                     continue  # rejected VM: nothing placed
+                                payload[m] = None  # drained; never read again
                                 # -- departure (ArrayPlacementEngine.remove) -
                                 sidx, pos, d_cores, d_local, d_pool = entry
                                 if pooled:
@@ -2041,6 +2099,7 @@ class ClusterSimulator:
                         entry = payload[m]
                         if entry is None:
                             continue
+                        payload[m] = None
                         (agg_used_cores, agg_used_gb, agg_stranded,
                          agg_running) = self._release_payload(
                             engine, entry, pooled,
@@ -2088,6 +2147,7 @@ class ClusterSimulator:
                 entry = payload[m]
                 if entry is None:
                     continue
+                payload[m] = None
                 agg_used_cores, agg_used_gb, agg_stranded, agg_running = (
                     self._release_payload(
                         engine, entry, pooled,

@@ -33,7 +33,7 @@ from repro.analysis.findings import (
     parse_suppressions,
     write_baseline,
 )
-from repro.analysis.perf_floors import check_reports
+from repro.analysis.perf_floors import check_perf_floors, check_reports
 from repro.analysis.pickle_safety import check_pickle_safety
 from repro.analysis import sanitizer
 from repro.cluster.engine import ArrayPlacementEngine
@@ -513,6 +513,29 @@ class TestPerfFloors:
                              emit=lambda _line: None) == 1
         assert check_reports([tmp_path], require=["demo"],
                              emit=lambda _line: None) == 0
+
+    def test_skipped_floor_with_reason_passes(self):
+        report = {"speedup": 1.2, "speedup_floor_skipped": "2 CPUs"}
+        assert check_perf_floors(report, "r") == []
+
+    @pytest.mark.parametrize("reason", ["", "   ", None, 1.5])
+    def test_skipped_floor_needs_reason_string(self, reason):
+        with pytest.raises(ValueError, match="non-empty reason"):
+            check_perf_floors(
+                {"speedup": 1.2, "speedup_floor_skipped": reason}, "r")
+
+    def test_floor_and_skip_together_rejected(self):
+        with pytest.raises(ValueError, match="either asserted or skipped"):
+            check_perf_floors({"speedup": 2.0, "speedup_floor": 1.5,
+                               "speedup_floor_skipped": "2 CPUs"}, "r")
+
+    def test_skipped_floor_report_on_disk(self, tmp_path):
+        self._report(tmp_path, speedup=1.2,
+                     speedup_floor_skipped="smoke mode")
+        assert check_reports([tmp_path], emit=lambda _line: None) == 0
+        self._report(tmp_path, name="both", speedup=1.2, speedup_floor=1.0,
+                     speedup_floor_skipped="smoke mode")
+        assert check_reports([tmp_path], emit=lambda _line: None) == 1
 
 
 class TestCLI:

@@ -2,10 +2,11 @@
 
 Lock-down for the ``faults=FaultSchedule(...)`` replay stage:
 
-* **Differential**: an empty schedule routes the replay through the
-  fault-aware loop but must stay byte-identical to the static replay --
-  on the single-cluster array engine, composed with the online control
-  loop, and through the cross-shard pump on both topologies.
+* **Differential**: an empty schedule is dropped before dispatch, so the
+  replay takes the static loops; the fault-aware loops, called directly
+  with it, must stay byte-identical to the static replay -- on the
+  single-cluster array engine, composed with the online control loop,
+  and through the cross-shard pump on both topologies.
 * **Determinism**: seeded schedules replay bit-identically across
   process-pool vs serial fleet fan-out (``as_dict`` canonical forms).
 * **Degradation ladder**: pool-to-local first, live migration second,
@@ -26,6 +27,7 @@ from repro.cluster import (
     ServerConfig,
     TraceGenConfig,
     TraceGenerator,
+    pool_topology,
 )
 from repro.cluster.faults import (
     FaultEvent,
@@ -37,7 +39,11 @@ from repro.cluster.fleet import (
     PoolTopology,
     static_policy_factory,
 )
-from repro.cluster.pool_topology import PoolGroupLedger, replay_crossshard
+from repro.cluster.pool_topology import (
+    PoolGroupLedger,
+    _replay_crossshard_events,
+    replay_crossshard,
+)
 from repro.core.control_plane.online import OnlineControlConfig
 from repro.core.policies import StaticFractionPolicy
 
@@ -271,22 +277,29 @@ class TestLedgerDegradation:
 
 
 class TestEmptyScheduleByteIdentity:
-    """An empty schedule activates the fault-aware loop; output must not move."""
+    """An empty schedule is an "off" switch: ``run``/``replay_crossshard``
+    drop it before dispatch, so the replay takes the static loops, stays
+    byte-identical and still reports zeroed ``fault_stats``.  The
+    ``*_reference_loop`` tests call the fault-aware loops directly and pin
+    them to the same output."""
 
-    def test_single_cluster(self, trace, policy):
+    def test_single_cluster(self, trace, policy, forbid):
         static = make_simulator().run(trace, policy)
+        forbid(ClusterSimulator, "_run_array_online")
         faulted = make_simulator().run(trace, policy, faults=FaultSchedule())
         assert_results_identical(static, faulted)
         assert static.fault_stats is None
+        assert faulted.online_stats is None
         stats = faulted.fault_stats
         assert stats is not None
         assert stats.n_fail_events == 0
         assert stats.vms_affected == 0
         assert stats.as_dict() == FaultImpactStats().as_dict()
 
-    def test_single_cluster_constrained(self, trace, policy):
+    def test_single_cluster_constrained(self, trace, policy, forbid):
         kwargs = dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)
         static = make_simulator(**kwargs).run(trace, policy)
+        forbid(ClusterSimulator, "_run_array_online")
         faulted = make_simulator(**kwargs).run(trace, policy,
                                                faults=FaultSchedule())
         assert_results_identical(static, faulted)
@@ -301,28 +314,101 @@ class TestEmptyScheduleByteIdentity:
             faulted.online_stats.n_mitigations
         assert plain.online_stats.mitigated_vm_ids == \
             faulted.online_stats.mitigated_vm_ids
+        assert faulted.fault_stats.as_dict() == FaultImpactStats().as_dict()
 
     @pytest.mark.parametrize("topology", ["per_shard", "spanning"])
-    def test_crossshard_topologies(self, policy, topology):
-        cfgs = [
-            TraceGenConfig(cluster_id=f"fb-{i}", n_servers=8,
-                           duration_days=0.6, mean_lifetime_hours=2.0,
-                           target_core_utilization=0.85, seed=21 + i)
-            for i in range(2)
-        ]
-        traces = [TraceGenerator(cfg).generate() for cfg in cfgs]
-        topo = getattr(PoolTopology, topology)([8, 8], 2, 8)
-        common = (traces, [policy, policy], [8, 8],
-                  [cfg.server_config for cfg in cfgs], topo,
-                  600.0, True, 3600.0)
+    def test_crossshard_topologies(self, policy, topology, crossshard_case,
+                                   forbid):
+        common = crossshard_case(policy, topology, 600.0, True)
         static_results, static_ledger = replay_crossshard(*common)
+        forbid(pool_topology, "_replay_crossshard_events")
         faulted_results, faulted_ledger = replay_crossshard(
             *common, faults=FaultSchedule())
         for static, faulted in zip(static_results, faulted_results):
             assert_results_identical(static, faulted)
-            assert faulted.fault_stats.n_fail_events == 0
+            assert faulted.fault_stats.as_dict() == \
+                FaultImpactStats().as_dict()
+            assert faulted.online_stats is None
+        # One stats object per shard, never shared.
+        assert faulted_results[0].fault_stats is not \
+            faulted_results[1].fault_stats
         assert static_ledger.peak_gb == faulted_ledger.peak_gb
         assert static_ledger.free_gb == faulted_ledger.free_gb
+
+    def test_fleet_run(self, forbid):
+        cfg = TraceGenConfig(cluster_id="route", n_servers=8,
+                             duration_days=0.4, mean_lifetime_hours=2.0,
+                             seed=5)
+        topo = PoolTopology.spanning([8, 8], 2, 8)
+        fleet = FleetSimulator.sharded(2, cfg, pool_topology=topo)
+        traces = fleet.generate_traces()
+        factory = static_policy_factory(fraction=0.3)
+        static = fleet.run(factory, traces=traces, compute_baseline=False)
+        forbid(pool_topology, "_replay_crossshard_events")
+        faulted = fleet.run(factory, traces=traces, compute_baseline=False,
+                            faults=FaultSchedule())
+        for a, b in zip(static.shards, faulted.shards):
+            assert_results_identical(a.result, b.result)
+            assert b.result.fault_stats is not None
+        assert faulted.fault_stats.as_dict() == FaultImpactStats().as_dict()
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)])
+    def test_single_cluster_reference_loop(self, trace, policy, kwargs):
+        static = make_simulator(**kwargs).run(trace, policy)
+        faulted = make_simulator(**kwargs)._run_array_online(
+            trace, policy, None, None, None, FaultSchedule())
+        assert_results_identical(static, faulted)
+        assert faulted.fault_stats.as_dict() == FaultImpactStats().as_dict()
+
+    @pytest.mark.parametrize("topology", ["per_shard", "spanning"])
+    def test_crossshard_reference_loop(self, policy, topology,
+                                       crossshard_case):
+        common = crossshard_case(policy, topology, 600.0, True)
+        static_results, static_ledger = replay_crossshard(*common)
+        faulted_results, faulted_ledger = _replay_crossshard_events(
+            *common, faults=FaultSchedule())
+        for static, faulted in zip(static_results, faulted_results):
+            assert_results_identical(static, faulted)
+        assert static_ledger.peak_gb == faulted_ledger.peak_gb
+        assert static_ledger.free_gb == faulted_ledger.free_gb
+        assert static_ledger.used_gb == faulted_ledger.used_gb
+
+    def test_online_reference_loop(self, trace, policy):
+        """Enabled mitigation next to an empty schedule: the fault-aware
+        online loop (token-indirected departures, injector hooks) must
+        match the online loop without faults."""
+        online = OnlineControlConfig(qos_threshold_percent=5.0)
+        plain = make_simulator().run(trace, policy, online=online)
+        faulted = make_simulator()._run_array_online(
+            trace, policy, None, None, online, FaultSchedule())
+        assert_results_identical(plain, faulted)
+        assert plain.online_stats.n_mitigations > 0
+        assert plain.online_stats == faulted.online_stats
+        assert faulted.fault_stats.as_dict() == FaultImpactStats().as_dict()
+
+    @pytest.mark.parametrize("topology", ["per_shard", "spanning"])
+    def test_crossshard_online_reference_loop(self, policy, topology,
+                                              crossshard_case):
+        online = OnlineControlConfig(qos_threshold_percent=5.0)
+        common = crossshard_case(policy, topology, 600.0, True)
+        plain, plain_ledger = replay_crossshard(*common, online=online)
+        public, public_ledger = replay_crossshard(*common, online=online,
+                                                  faults=FaultSchedule())
+        faulted, faulted_ledger = _replay_crossshard_events(
+            *common, online=online, faults=FaultSchedule())
+        for a, b, c in zip(plain, public, faulted):
+            assert_results_identical(a, b)
+            assert_results_identical(a, c)
+            assert a.online_stats == b.online_stats == c.online_stats
+            for result in (b, c):
+                assert result.fault_stats.as_dict() == \
+                    FaultImpactStats().as_dict()
+        assert sum(r.online_stats.n_mitigations for r in plain) > 0
+        for ledger in (public_ledger, faulted_ledger):
+            assert plain_ledger.peak_gb == ledger.peak_gb
+            assert plain_ledger.free_gb == ledger.free_gb
+            assert plain_ledger.used_gb == ledger.used_gb
 
 
 def tight_fault_run(retry_budget=1, events=None):
@@ -347,6 +433,19 @@ def tight_fault_run(retry_budget=1, events=None):
 
 
 class TestDegradationLadder:
+    def test_seeded_schedule_reaches_fault_loop(self, monkeypatch):
+        calls = []
+        original = ClusterSimulator._run_array_online
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[-1])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterSimulator, "_run_array_online", spy)
+        result = tight_fault_run()
+        assert len(calls) == 1 and calls[0].events
+        assert result.fault_stats.n_fail_events > 0
+
     def test_all_three_rungs_fire_and_account(self):
         result = tight_fault_run(retry_budget=1)
         stats = result.fault_stats

@@ -29,14 +29,23 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cluster import ClusterSimulator, TraceGenerator, TraceGenConfig
+from repro.cluster import (
+    ClusterSimulator,
+    TraceGenConfig,
+    TraceGenerator,
+    pool_topology,
+)
 from repro.cluster.engine import ArrayPlacementEngine
+from repro.cluster.faults import FaultEvent, FaultSchedule
 from repro.cluster.fleet import (
     FleetSimulator,
     PoolTopology,
     prediction_policy_factory,
 )
-from repro.cluster.pool_topology import replay_crossshard
+from repro.cluster.pool_topology import (
+    _replay_crossshard_events,
+    replay_crossshard,
+)
 from repro.cluster.server import ServerConfig
 from repro.core.control_plane.online import (
     FALLBACK_SLOWDOWN_SCALE_PERCENT,
@@ -83,13 +92,19 @@ def make_simulator(engine="array", **kwargs):
 
 
 class TestDisabledMitigationIsStatic:
-    """QoS threshold ``inf`` must reproduce the static replay exactly."""
+    """QoS threshold ``inf`` is an "off" switch: ``run``/``replay_crossshard``
+    drop it before dispatch, so the replay takes the static loops, stays
+    byte-identical and still reports zeroed ``online_stats``.  The
+    ``*_reference_loop`` tests call the online loops directly and pin them
+    to the same output."""
 
-    def test_array_engine_byte_identity(self, trace, policy):
+    def test_array_engine_byte_identity(self, trace, policy, forbid):
         static = make_simulator().run(trace, policy)
+        forbid(ClusterSimulator, "_run_array_online")
         online = make_simulator().run(trace, policy, online=DISABLED)
         assert_results_identical(static, online)
         assert static.online_stats is None
+        assert online.fault_stats is None
         stats = online.online_stats
         assert stats is not None
         assert stats.n_ticks == 0
@@ -104,9 +119,10 @@ class TestDisabledMitigationIsStatic:
         online = make_simulator().run(trace, policy, online=DISABLED)
         assert_results_identical(static_obj, online)
 
-    def test_constrained_replay_byte_identity(self, trace, policy):
+    def test_constrained_replay_byte_identity(self, trace, policy, forbid):
         kwargs = dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)
         static = make_simulator(**kwargs).run(trace, policy)
+        forbid(ClusterSimulator, "_run_array_online")
         online = make_simulator(**kwargs).run(trace, policy, online=DISABLED)
         assert_results_identical(static, online)
 
@@ -115,26 +131,57 @@ class TestDisabledMitigationIsStatic:
             make_simulator(engine="object").run(trace, policy, online=DISABLED)
 
     @pytest.mark.parametrize("topology", ["per_shard", "spanning"])
-    def test_crossshard_topologies(self, policy, topology):
-        cfgs = [
-            TraceGenConfig(cluster_id=f"oc-{i}", n_servers=8,
-                           duration_days=0.6, mean_lifetime_hours=2.0,
-                           target_core_utilization=0.85, seed=21 + i)
-            for i in range(2)
-        ]
-        traces = [TraceGenerator(cfg).generate() for cfg in cfgs]
-        policies = [policy, policy]
-        topo = getattr(PoolTopology, topology)([8, 8], 2, 8)
-        common = (traces, policies, [8, 8],
-                  [cfg.server_config for cfg in cfgs], topo,
-                  float("inf"), False, 3600.0)
+    def test_crossshard_topologies(self, policy, topology, crossshard_case,
+                                   forbid):
+        common = crossshard_case(policy, topology, float("inf"), False)
         static_results, static_ledger = replay_crossshard(*common)
+        forbid(pool_topology, "_replay_crossshard_events")
         online_results, online_ledger = replay_crossshard(*common,
                                                           online=DISABLED)
         for static, online in zip(static_results, online_results):
             assert_results_identical(static, online)
-            assert online.online_stats.n_mitigations == 0
+            assert online.online_stats == OnlineControlStats()
+            assert online.fault_stats is None
+        # One stats object per shard, never shared.
+        assert online_results[0].online_stats is not \
+            online_results[1].online_stats
         assert static_ledger.peak_gb == online_ledger.peak_gb
+
+    def test_disabled_with_seeded_faults_keeps_fault_loop(self, trace,
+                                                          policy):
+        schedule = FaultSchedule([FaultEvent(30000.0, "fail", 0),
+                                  FaultEvent(40000.0, "repair", 0)])
+        kwargs = dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)
+        faulted = make_simulator(**kwargs).run(trace, policy,
+                                               faults=schedule)
+        both = make_simulator(**kwargs).run(trace, policy, online=DISABLED,
+                                            faults=schedule)
+        assert_results_identical(faulted, both)
+        assert both.fault_stats.as_dict() == faulted.fault_stats.as_dict()
+        assert both.fault_stats.n_fail_events == 1
+        assert both.online_stats == OnlineControlStats()
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)])
+    def test_array_engine_reference_loop(self, trace, policy, kwargs):
+        static = make_simulator(**kwargs).run(trace, policy)
+        online = make_simulator(**kwargs)._run_array_online(
+            trace, policy, None, None, DISABLED)
+        assert_results_identical(static, online)
+        assert online.online_stats == OnlineControlStats()
+
+    @pytest.mark.parametrize("topology", ["per_shard", "spanning"])
+    def test_crossshard_reference_loop(self, policy, topology,
+                                       crossshard_case):
+        common = crossshard_case(policy, topology, float("inf"), False)
+        static_results, static_ledger = replay_crossshard(*common)
+        online_results, online_ledger = _replay_crossshard_events(
+            *common, online=DISABLED)
+        for static, online in zip(static_results, online_results):
+            assert_results_identical(static, online)
+            assert online.online_stats == OnlineControlStats()
+        assert static_ledger.peak_gb == online_ledger.peak_gb
+        assert static_ledger.used_gb == online_ledger.used_gb
 
     def test_crossshard_shard_agrees_with_single_cluster(self, policy):
         """Per-shard topology online replay == the same shard run alone."""
@@ -160,6 +207,20 @@ class TestDisabledMitigationIsStatic:
 
 
 class TestMitigationEffects:
+    def test_enabled_mitigation_reaches_online_loop(self, trace, policy,
+                                                    monkeypatch):
+        calls = []
+        original = ClusterSimulator._run_array_online
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[4])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterSimulator, "_run_array_online", spy)
+        enabled = OnlineControlConfig(qos_threshold_percent=5.0)
+        result = make_simulator().run(trace, policy, online=enabled)
+        assert calls == [enabled]
+        assert result.online_stats.n_ticks > 0
     def test_mitigation_fires_and_accounts(self, trace, policy):
         online = OnlineControlConfig(qos_threshold_percent=5.0,
                                      migration_cost_s_per_gb=0.25)
@@ -235,7 +296,12 @@ class TestDeterminism:
 
     _SUBPROCESS_SNIPPET = """
 import numpy as np
-from repro.cluster import ClusterSimulator, TraceGenerator, TraceGenConfig
+from repro.cluster import (
+    ClusterSimulator,
+    TraceGenConfig,
+    TraceGenerator,
+    pool_topology,
+)
 from repro.core.control_plane.online import OnlineControlConfig
 from repro.core.policies import PredictionPolicy
 

@@ -387,6 +387,30 @@ class TestInlinedLoopDifferential:
                       policies, caps),
         )
 
+    @pytest.mark.parametrize("slice_rows", [1, 7, 10**9])
+    @pytest.mark.parametrize("topo_name", ["per_shard", "spanning"])
+    def test_arrival_slices_byte_identical(self, shard_traces, slice_rows,
+                                           topo_name, monkeypatch):
+        """The merged arrival rows reach the inlined loop in slices; no
+        slice boundary -- every row, mid-pump, or none at all -- may
+        change a result."""
+        import repro.cluster.pool_topology as pt
+        monkeypatch.setattr(pt, "_ARRIVAL_SLICE_ROWS", slice_rows)
+        make = (PoolTopology.per_shard if topo_name == "per_shard"
+                else PoolTopology.spanning)
+        topo = make([6, 8, 5], 2, 16)
+        policies = [BatchFractionPolicy(0.5)] * 3
+        inlined = self._run(pt._replay_crossshard_inlined, shard_traces,
+                            topo, policies, 120.0)
+        self._assert_identical(
+            inlined,
+            self._run(pt._replay_crossshard_events, shard_traces, topo,
+                      policies, 120.0),
+        )
+        # 7 rows splits the fleet's arrivals; 10**9 holds them all.
+        assert 7 < sum(len(trace) for trace in shard_traces) < 10**9
+        assert sum(r.rejected_vms for r in inlined[0]) > 0
+
     def test_dispatcher_uses_inlined_loop(self, shard_traces, monkeypatch):
         """Materialised uniform-SKU inputs must take the inlined path."""
         import repro.cluster.pool_topology as pt
