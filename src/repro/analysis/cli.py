@@ -79,7 +79,7 @@ def _cmd_pickle_safety(args) -> int:
 def _cmd_contracts(args) -> int:
     from repro.analysis.contracts import check_contracts
 
-    findings = check_contracts(args.simulator, args.pool_topology)
+    findings = check_contracts(args.pool_topology)
     _print_findings(findings, show_hints=not args.no_hints)
     if findings:
         print(f"\n{len(findings)} contract violation(s)")
@@ -94,7 +94,6 @@ def _cmd_check(args) -> int:
     args.src = "src"
     args.root = ()
     status = _cmd_pickle_safety(args) or status
-    args.simulator = None
     args.pool_topology = None
     status = _cmd_contracts(args) or status
     return status
@@ -171,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     contracts = sub.add_parser(
         "contracts", help="replay event-ordering contract checker")
-    contracts.add_argument("--simulator", default=None,
-                           help="simulator.py to check (default: the "
-                                "installed repro.cluster.simulator)")
     contracts.add_argument("--pool-topology", default=None,
                            help="pool_topology.py to check (default: the "
                                 "installed repro.cluster.pool_topology)")

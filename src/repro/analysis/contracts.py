@@ -1,33 +1,31 @@
-"""Event-ordering contract checker for the replay loops.
+"""Event-ordering contract checker for the replay pump.
 
 DESIGN.md sections 10-12 promise one tie-breaking contract at equal
-timestamps, in both the single-cluster online loop and the cross-shard
-merged pump:
+timestamps:
 
     departures -> fault events -> grid sample -> QoS tick -> evacuation
     retries
 
 Differential tests pin the *outputs* of that ordering, but the ordering
-itself lives in two hand-scheduled loops (``simulator._run_array_online``'s
-``advance_to`` and ``pool_topology._replay_crossshard_events``'s ``pump``)
-that are exactly the code perf PRs keep rewriting.  This checker reads the
-loops' ASTs and verifies the documented dispatch order directly, so the
-docs cannot silently rot:
+itself lives in one hand-scheduled loop -- the ``pump`` of
+``pool_topology._replay_crossshard_events``, which also runs every online
+or faulted single-cluster replay (a one-shard fleet).  The other loops are
+static and precompute their order.  This checker reads the pump's AST and
+verifies the documented dispatch order directly, so the docs cannot
+silently rot:
 
 ========  ==========================================================
 ``ORD001``  contract anchor missing (function/loop/dispatch not found) --
             the checker fails loudly rather than vacuously passing
-``ORD002``  departures must win ties against samples *and* faults
-            (``<=`` comparisons, departure branch first)
-``ORD003``  fault events must win ties against samples
-``ORD004``  sample arm must run take_sample -> QoS tick -> retry tick,
-            in that order
 ``ORD005``  heap kind priorities must order departure < fault < sample <
             horizon < arrival
 ``ORD006``  pump dispatch must test departure, then fault, then sample
 ``ORD007``  pump sample arm must run take_sample -> reschedule -> QoS
             tick -> retry tick
 ========  ==========================================================
+
+Codes ORD002-ORD004 checked the single-cluster online loop, which no
+longer exists; they are retired, not reused.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 
-__all__ = ["ORDER_RULES", "check_contracts", "check_simulator", "check_pump"]
+__all__ = ["ORDER_RULES", "check_contracts", "check_pump"]
 
 ORDER_RULES: Dict[str, Tuple[str, str]] = {
     "ORD001": (
@@ -46,24 +44,6 @@ ORDER_RULES: Dict[str, Tuple[str, str]] = {
         "the loop this contract pins was renamed or restructured; update "
         "repro.analysis.contracts (and DESIGN.md sections 10-12) together "
         "with the loop",
-    ),
-    "ORD002": (
-        "departure events must win ties",
-        "at equal timestamps departures release capacity before faults "
-        "fire and samples read state: keep 'departure_time <= "
-        "next_sample_time and departure_time <= fault_time' as the first "
-        "branch",
-    ),
-    "ORD003": (
-        "fault events must precede the sample at equal timestamps",
-        "samples must observe post-fault state: keep 'fault_time <= "
-        "next_sample_time' ahead of the sample arm",
-    ),
-    "ORD004": (
-        "sample arm order take_sample -> qos_tick -> retry_tick",
-        "samples always show the pre-mitigation state and evacuation "
-        "retries run after mitigation frees headroom (DESIGN.md sections "
-        "10-11)",
     ),
     "ORD005": (
         "heap kind priorities out of order",
@@ -151,90 +131,6 @@ def _anchor_missing(path: str, line: int, what: str) -> Finding:
         message=f"contract anchor missing: {what}",
         hint=ORDER_RULES["ORD001"][1], snippet=what,
     )
-
-
-# -- single-cluster online loop ----------------------------------------------------
-
-
-def check_simulator(path) -> List[Finding]:
-    """Verify ``advance_to``'s tie-breaking in ``_run_array_online``."""
-    path = Path(path)
-    posix = path.as_posix()
-    tree = ast.parse(path.read_text(), filename=str(path))
-    findings: List[Finding] = []
-
-    outer = _find_function(tree, "_run_array_online")
-    if outer is None:
-        return [_anchor_missing(posix, 1, "function _run_array_online")]
-    advance = _find_function(outer, "advance_to")
-    if advance is None:
-        return [_anchor_missing(posix, outer.lineno,
-                                "inner function advance_to")]
-    loop = _find_while(advance)
-    if loop is None:
-        return [_anchor_missing(posix, advance.lineno,
-                                "while loop in advance_to")]
-    dispatch = next((s for s in loop.body if isinstance(s, ast.If)), None)
-    if dispatch is None:
-        return [_anchor_missing(posix, loop.lineno,
-                                "if/elif/else dispatch in advance_to")]
-
-    # Arm 1: departures win ties against both samples and faults (ORD002).
-    compares = _compare_names(dispatch.test)
-    departure_first = (
-        ("departure_time", "LtE", "next_sample_time") in compares
-        and ("departure_time", "LtE", "fault_time") in compares
-        and _calls_in_order(_ordered_calls(dispatch.body),
-                            ["process_one_departure"])
-    )
-    if not departure_first:
-        findings.append(Finding(
-            rule="ORD002", path=posix, line=dispatch.lineno,
-            message="first advance_to branch does not give departures the "
-                    "tie against samples and faults",
-            hint=ORDER_RULES["ORD002"][1],
-            snippet=ast.unparse(dispatch.test),
-        ))
-
-    # Arm 2: faults beat the sample at equal timestamps (ORD003).
-    arm2 = dispatch.orelse
-    sample_arm: Sequence[ast.stmt] = []
-    if len(arm2) == 1 and isinstance(arm2[0], ast.If):
-        inner = arm2[0]
-        fault_ok = (
-            ("fault_time", "LtE", "next_sample_time")
-            in _compare_names(inner.test)
-            and _calls_in_order(_ordered_calls(inner.body), ["fire_next"])
-        )
-        if not fault_ok:
-            findings.append(Finding(
-                rule="ORD003", path=posix, line=inner.lineno,
-                message="fault branch does not win the tie against the "
-                        "sample arm",
-                hint=ORDER_RULES["ORD003"][1],
-                snippet=ast.unparse(inner.test),
-            ))
-        sample_arm = inner.orelse
-    else:
-        findings.append(Finding(
-            rule="ORD003", path=posix, line=dispatch.lineno,
-            message="advance_to has no fault branch between departures "
-                    "and the sample arm",
-            hint=ORDER_RULES["ORD003"][1], snippet="",
-        ))
-
-    # Sample arm: take_sample -> qos_tick -> retry_tick (ORD004).
-    calls = _ordered_calls(sample_arm)
-    if not _calls_in_order(calls, ["take_sample", "qos_tick", "retry_tick"]):
-        findings.append(Finding(
-            rule="ORD004", path=posix,
-            line=sample_arm[0].lineno if sample_arm else dispatch.lineno,
-            message="sample arm does not run take_sample, qos_tick, "
-                    "retry_tick in contract order",
-            hint=ORDER_RULES["ORD004"][1],
-            snippet=" -> ".join(name for name, _ in calls),
-        ))
-    return findings
 
 
 # -- cross-shard merged pump -------------------------------------------------------
@@ -342,12 +238,9 @@ def check_pump(path) -> List[Finding]:
     return findings
 
 
-def check_contracts(simulator_path=None, pool_topology_path=None
-                    ) -> List[Finding]:
-    """Check both replay loops; default paths resolve inside the package."""
-    cluster = Path(__file__).resolve().parents[1] / "cluster"
-    if simulator_path is None:
-        simulator_path = cluster / "simulator.py"
+def check_contracts(pool_topology_path=None) -> List[Finding]:
+    """Check the replay pump; the default path resolves inside the package."""
     if pool_topology_path is None:
-        pool_topology_path = cluster / "pool_topology.py"
-    return check_simulator(simulator_path) + check_pump(pool_topology_path)
+        pool_topology_path = (Path(__file__).resolve().parents[1] / "cluster"
+                              / "pool_topology.py")
+    return check_pump(pool_topology_path)

@@ -22,10 +22,12 @@ Violations raise :class:`SanitizerError` (an ``AssertionError`` subclass)
 at the faulty call, so a tier-1 run under the sanitizer pinpoints the
 mutation that broke the ledger rather than the replay that later noticed.
 
-The wrappers only see the engine-method path.  The inlined hot loops
-(``_run_array_presorted``, ``_replay_crossshard_inlined``) bypass them by
-design; differential tests pin those byte-identical to the method path, so
-sanitizing the method path covers both.
+The wrappers only see the engine-method path (the cross-shard events
+loop, which also runs every online or faulted single-cluster replay).  The
+inlined hot loops (``ClusterSimulator._run_array_calendar``,
+``_replay_crossshard_inlined``) bypass them by design; differential tests
+pin those byte-identical to the method path, so sanitizing the method path
+covers them too.
 
 Overhead is a few dict walks per mutation -- fine for tests, not for
 benchmarks; that is why it is opt-in.

@@ -23,7 +23,9 @@ The paper's stranding analysis (Section 3.1) and end-to-end savings results
   scheduler, byte-identical to the object path.
 * :mod:`repro.cluster.simulator` -- an event-driven cluster simulator tracking
   per-server and per-pool memory at VM-event granularity over one merged
-  arrival/departure/sample event stream.
+  arrival/departure/sample event stream; a cluster replays as a one-shard
+  fleet through :mod:`repro.cluster.pool_topology` except for static
+  streams and degenerate traces, which keep its calendar-queue loop.
 * :mod:`repro.cluster.stranding` -- stranding metrics (Figure 2).
 * :mod:`repro.cluster.pool` -- pool dimensioning / DRAM-savings estimation
   (Figures 3 and 21).

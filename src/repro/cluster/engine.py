@@ -197,7 +197,7 @@ class ArrayPlacementEngine:
         pool_capacity_gb_per_group: float = float("inf"),
         base_sockets: Optional[int] = None,
     ) -> "ArrayPlacementEngine":
-        """Fresh uniform cluster, mirroring ``ClusterSimulator._build_cluster``.
+        """Fresh uniform cluster, grouped like ``PoolTopology.per_shard``.
 
         ``base_sockets`` is the socket count used to size pool groups (the
         simulator derives groups from its *base* config even when the replay

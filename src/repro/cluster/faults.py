@@ -29,8 +29,9 @@ subsystem:
 The event-ordering contract (fault ticks vs QoS ticks vs samples) is
 DESIGN.md section 11.  The injector is engine-agnostic on purpose: it
 drives :class:`~repro.cluster.engine.ArrayPlacementEngine` methods only,
-so the single-cluster online loop and the cross-shard pump share one
-implementation, and the fault-free replay paths never touch this module.
+so the cross-shard events pump (which also runs faulted single-cluster
+replays as one-shard fleets) needs no engine internals, and the fault-free
+replay paths never touch this module.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "FaultEvent",
@@ -292,10 +293,11 @@ class FaultImpactStats:
 class FaultInjector:
     """Drives one replay's fault schedule against engines over a ledger.
 
-    Constructed by the fault-aware replay loops (single-cluster
-    ``_run_array_online`` and the cross-shard pump); never by users.  The
-    loops route every placement and departure through the injector's
-    **token** indirection: the departure heap stores a stable token, and
+    Constructed by the fault-aware replay loop (the cross-shard events
+    pump, which also runs every faulted single-cluster replay as a
+    one-shard fleet); never by users.  The loop routes every placement and
+    departure through the injector's **token** indirection: the departure
+    heap stores a stable token, and
     the injector maps it to the VM's current engine handle -- live
     migration rewrites the mapping, a kill voids it (``-1``), so a
     departure of a migrated VM releases the right placement and a departure
@@ -309,8 +311,8 @@ class FaultInjector:
         engines: Sequence[object],
         at_risk: Sequence[Dict[int, str]],
         stats: Sequence[FaultImpactStats],
-        group_shards: Optional[Dict[int, Tuple[int, ...]]] = None,
-        done: Optional[Sequence[bool]] = None,
+        group_shards: Dict[int, Tuple[int, ...]],
+        done: Sequence[bool],
     ) -> None:
         self.schedule = schedule
         self.ledger = ledger
@@ -327,11 +329,9 @@ class FaultInjector:
                 f"{sorted(known)[:8]}{'...' if len(known) > 8 else ''})"
             )
         #: group -> shards attached to it (blast-radius / liveness gating).
-        #: Single-cluster replays pass None: everything lives in shard 0.
-        self.group_shards = group_shards or {g: (0,) for g in known}
-        #: Cross-shard replays share their per-shard ``done`` flags so fault
-        #: and retry work stops exactly where the single-cluster replay's
-        #: horizon would stop it (per-shard parity).  ``None``: never done.
+        self.group_shards = group_shards
+        #: The replay's per-shard ``done`` flags: a group's fault and retry
+        #: work stops once every shard attached to it is past its horizon.
         self.done = done
 
         self._cursor = 0
@@ -360,8 +360,6 @@ class FaultInjector:
 
     def _live_group(self, group: int) -> bool:
         done = self.done
-        if done is None:
-            return True
         return any(not done[s] for s in self.group_shards[group])
 
     # -- loop callbacks ----------------------------------------------------------
@@ -411,7 +409,8 @@ class FaultInjector:
         self._cursor += 1
         if not self._live_group(event.group):
             # Every shard attached to the group is past its replay horizon:
-            # the single-cluster replay would never have fired this event.
+            # a replay of any of those shards alone would have ended before
+            # this event.
             return
         if event.kind == "fail":
             self._fire_fail(event)

@@ -26,12 +26,15 @@ single-cluster simulator:
   shards contending for one group contend at simulation time, not
   shard-serially.
 
-Ordering contract (mirrors ``ClusterSimulator``'s merged loop): at equal
-timestamps the order is departures, then samples, then arrivals, with
-deterministic shard-index tie-breaks; per shard, the relative event order is
-exactly the single-cluster simulator's, which is why the degenerate
+Ordering contract (the same as ``ClusterSimulator``'s object and calendar
+loops): at equal timestamps the order is departures, then samples, then
+arrivals, with deterministic shard-index tie-breaks; per shard, the relative
+event order is exactly a single cluster's, which is why the degenerate
 per-shard topology reproduces ``FleetSimulator``'s classic results
-byte-for-byte (enforced by ``tests/test_pool_topology.py``).
+byte-for-byte (enforced by ``tests/test_pool_topology.py``).  A single
+cluster is the one-shard case: ``ClusterSimulator.run`` replays every
+materialised static trace and every online or faulted replay through
+:func:`replay_crossshard`.
 """
 
 from __future__ import annotations
@@ -73,8 +76,10 @@ class PoolTopology:
     ``group_of[shard][server]`` is the fleet-level pool group id serving that
     server.  Group ids are contiguous (``0 .. n_groups - 1``) and every
     server belongs to exactly one group -- the topology describes a fully
-    pooled fleet (use ``pool_size_sockets=0`` on the fleet itself for the
-    unpooled regime).
+    pooled fleet.  The one exception is the unpooled topology
+    (``pool_size_sockets=0``): every server maps to group ``-1`` and
+    ``n_groups`` is 0, which is how ``ClusterSimulator`` replays a cluster
+    without a pool as a one-shard fleet.
 
     ``domain_of_group`` partitions groups into **provisioning domains**: pool
     blades are bought uniformly within a domain, so the capacity search
@@ -96,11 +101,8 @@ class PoolTopology:
             raise ValueError("need at least one shard")
         if sockets_per_server < 1:
             raise ValueError("sockets_per_server must be >= 1")
-        if pool_size_sockets < 1:
-            raise ValueError(
-                "pool_size_sockets must be >= 1 (an unpooled fleet needs no "
-                "topology)"
-            )
+        if pool_size_sockets < 0:
+            raise ValueError("pool_size_sockets cannot be negative")
         if pool_size_sockets % sockets_per_server != 0:
             raise ValueError(
                 "pool_size_sockets must be a multiple of the server socket count"
@@ -117,7 +119,12 @@ class PoolTopology:
         self.total_servers = sum(self.shard_sizes)
 
         seen = sorted({g for shard in self.group_of for g in shard})
-        if seen[0] != 0 or seen[-1] != len(seen) - 1:
+        if not pool_size_sockets:
+            if seen != [-1]:
+                raise ValueError(
+                    "an unpooled topology maps every server to group -1")
+            seen = []
+        elif seen[0] != 0 or seen[-1] != len(seen) - 1:
             raise ValueError(
                 f"group ids must be contiguous 0..n-1, got {seen[:8]}..."
             )
@@ -130,6 +137,8 @@ class PoolTopology:
         for shard, assignment in enumerate(self.group_of):
             shard_groups: List[int] = []
             for group in assignment:
+                if group < 0:
+                    continue
                 sizes[group] += 1
                 shards_of[group].add(shard)
                 if group not in shard_groups:
@@ -169,11 +178,15 @@ class PoolTopology:
                   pool_size_sockets: int) -> "PoolTopology":
         """The degenerate topology: groups confined to shards.
 
-        Reproduces ``ClusterSimulator._build_cluster`` grouping inside every
-        shard (``server // servers_per_group``, fleet ids offset per shard)
-        with one provisioning domain per shard -- the exact regime the
-        shardwise fleet path models, kept as the differential anchor.
+        Reproduces ``ClusterSimulator``'s grouping inside every shard
+        (``server // servers_per_group``, fleet ids offset per shard) with
+        one provisioning domain per shard -- the exact regime the shardwise
+        fleet path models, kept as the differential anchor.  With
+        ``pool_size_sockets=0`` the topology is unpooled: every server maps
+        to group ``-1``.
         """
+        if not pool_size_sockets:
+            return cls([[-1] * n for n in shard_sizes], sockets_per_server, 0)
         servers_per_group = max(1, pool_size_sockets // sockets_per_server)
         group_of: List[List[int]] = []
         domains: List[int] = []
@@ -395,16 +408,16 @@ def _shard_arrival_events(
 ) -> Iterator[Tuple[float, float, int, float, str, float]]:
     """One shard's ``(arrival, departure, cores, memory, vm_id, pool_gb)``
     stream, in arrival order, with pool allocations resolved exactly like
-    the single-cluster replay (shared :func:`iter_policy_blocks`).
+    ``ClusterSimulator``'s calendar loop (shared :func:`iter_policy_blocks`).
 
     With ``with_slowdowns`` (the online replay's mitigation path) each
     tuple carries a seventh element: the VM's estimated slowdown percent
-    from :func:`estimate_slowdown_batch` under ``policy``, computed per
-    block exactly like the single-cluster online loop."""
+    from :func:`estimate_slowdown_batch` under ``policy``, computed once
+    per block."""
     streaming = not isinstance(trace, ClusterTrace)
     last_arrival = 0.0
     for block, records, allocations in iter_policy_blocks(
-        trace, policy, None, use_pool
+        trace, policy, use_pool
     ):
         vm_ids, arrivals, departs, cores_col, memory_col = (
             block_replay_columns(block, records)
@@ -482,23 +495,26 @@ def replay_crossshard(
     byte-identical to running each shard through ``ClusterSimulator`` on its
     own (same floats, same sample rows, same peaks): disjoint shards never
     read each other's state, and per shard the event order and arithmetic
-    match the single-cluster loop operation for operation.  Shard results of
-    spanning topologies report ``pool_peak_gb = {}`` -- a spanned group's
-    peak belongs to the fleet, not to any one shard (read it off the
-    returned ledger).
+    match ``ClusterSimulator``'s calendar and object loops operation for
+    operation.  Shard results of spanning topologies report
+    ``pool_peak_gb = {}`` -- a spanned group's peak belongs to the fleet,
+    not to any one shard (read it off the returned ledger).
 
-    Materialised traces whose departures all fall strictly after their
-    arrivals (and whose VMs all request at least one core), replayed on a
-    fleet of shards sharing one server SKU, run on the **inlined** merged
-    loop (:func:`_replay_crossshard_inlined`): the event heap is replaced by
-    a precomputed global event order and the per-event engine method calls
-    by the hoisted-local hot loop of ``ClusterSimulator._run_array`` (the
-    loop hoists the SKU shape into scalars, hence the uniformity
-    requirement).  Anything else -- streams, hand-built column blocks,
-    degenerate lifetimes, zero-core VMs or mixed-SKU fleets -- keeps the
-    engine-method event loop (:func:`_replay_crossshard_events`), which also
-    serves as the differential reference pinning the inlined loop's
-    byte-identical results.
+    The replay has two loops.  Static replays of materialised traces whose
+    departures all fall strictly after their arrivals (and whose VMs all
+    request at least one core), on a fleet of shards sharing one server
+    SKU, run on the **inlined** merged loop
+    (:func:`_replay_crossshard_inlined`): the event heap is replaced by a
+    precomputed global event order and the per-event engine method calls
+    by hoisted locals (the loop hoists the SKU shape into scalars, hence the
+    uniformity requirement).  Everything else -- online or faulted replays,
+    streams, hand-built column blocks, degenerate lifetimes, zero-core VMs
+    or mixed-SKU fleets -- runs on the engine-method event loop
+    (:func:`_replay_crossshard_events`), which also serves as the
+    differential reference pinning the inlined loop's byte-identical
+    results.  ``ClusterSimulator.run`` calls this function as a one-shard
+    fleet (``PoolTopology.per_shard([n_servers], ...)``, unpooled when the
+    cluster has no pool, with ``None`` policies for unpooled shards).
 
     ``online`` activates the online QoS/mitigation stage (DESIGN.md section
     10): after each shard's grid sample a QoS tick migrates that shard's
@@ -632,42 +648,21 @@ def _replay_crossshard_events(
     :class:`ArrayPlacementEngine` methods.  This is the loop the inlined
     fast path (:func:`_replay_crossshard_inlined`) is differentially pinned
     against; it also handles inputs the fast path cannot (streams,
-    hand-built blocks, degenerate lifetimes, zero-core VMs) and carries the
-    online QoS/mitigation stage (``online=...``): per-shard QoS ticks fire
-    after that shard's grid samples, exactly like the single-cluster online
-    loop (:meth:`ClusterSimulator._run_array_online`).
+    hand-built blocks, degenerate lifetimes, zero-core VMs) and is the only
+    loop that carries the online QoS/mitigation stage (``online=...``:
+    per-shard QoS ticks fire after that shard's grid samples) and EMC fault
+    injection (``faults=...``).  Its ``pump`` is the one hand-scheduled
+    implementation of the ordering contract (DESIGN.md sections 10-11),
+    checked by ``repro.analysis.contracts``; online or faulted
+    single-cluster replays run here as a one-shard fleet.
     """
+    _validate_crossshard_args(
+        inputs, policies, n_servers_per_shard, server_configs, topology)
     n_shards = len(inputs)
-    if not (len(policies) == len(n_servers_per_shard) == len(server_configs)
-            == n_shards == topology.n_shards):
-        raise ValueError("inputs/policies/configs/topology shard counts differ")
-    for shard in range(n_shards):
-        if n_servers_per_shard[shard] != topology.shard_sizes[shard]:
-            raise ValueError(
-                f"topology maps {topology.shard_sizes[shard]} servers for "
-                f"shard {shard}, fleet has {n_servers_per_shard[shard]}"
-            )
-
-    ledger = PoolGroupLedger.for_topology(topology, capacity)
-    engines: List[ArrayPlacementEngine] = []
-    results: List[SimulationResult] = []
-    for shard in range(n_shards):
-        engines.append(ArrayPlacementEngine(
-            n_servers_per_shard[shard],
-            effective_server_config(server_configs[shard], constrain_memory),
-            group_of=list(topology.group_of[shard]),
-            pool_free_gb=ledger.free_gb,
-            pool_used_gb=ledger.used_gb,
-            pool_peak_gb=ledger.peak_gb,
-        ))
-        results.append(SimulationResult())
-
-    shard_groups = [topology.groups_of_shard(s) for s in range(n_shards)]
-    total_cores = [e.total_cores for e in engines]
-    total_dram = [
-        n_servers_per_shard[s] * server_configs[s].total_dram_gb
-        for s in range(n_shards)
-    ]
+    ledger, engines, results, shard_groups, total_cores, total_dram = (
+        _crossshard_setup(n_servers_per_shard, server_configs, topology,
+                          capacity, constrain_memory)
+    )
     last_sample: List[Optional[float]] = [None] * n_shards
     done = [False] * n_shards
     placed = [0] * n_shards
@@ -781,8 +776,8 @@ def _replay_crossshard_events(
             elif kind == _KIND_FAULT:
                 # Heap order matches schedule order, so the cursor fires
                 # exactly this event; groups whose shards are all past
-                # their horizons are skipped inside (per-shard parity with
-                # the single-cluster replay's bounded fault stream).
+                # their horizons are skipped inside (each shard's faults
+                # end at its own horizon).
                 injector.fire_next()
             elif kind == _KIND_SAMPLE:
                 shard = event[2]
@@ -902,7 +897,7 @@ def _shard_allocations(trace: ClusterTrace, policy) -> np.ndarray:
     """One materialised shard's pool allocations, resolved exactly like
     :func:`_shard_arrival_events` resolves them for the events loop."""
     _block, records, allocations = next(iter(iter_policy_blocks(
-        trace, policy, None, True)))
+        trace, policy, True)))
     if allocations is None:
         if policy is None:
             return np.zeros(len(records))
@@ -987,16 +982,24 @@ def _replay_crossshard_inlined(
       when their shard's last arrival is processed, matching the heap push,
       and wait in a tiny heap of their own whose min is cached in a local;
     * the per-event arithmetic is statement-for-statement
-      :meth:`ArrayPlacementEngine.place` / ``remove``, with the same
-      full-server elision and GC pause as
-      ``ClusterSimulator._run_array_presorted`` (``buckets[0]`` is rebuilt
-      canonically per shard at the end).  Departures of VMs that drew no
-      pool memory skip the pool ledger block entirely: every write in it is
-      a float no-op for ``pool_gb == 0`` (``x - 0.0 == x``; the quantities
-      involved are never ``-0.0``), so results are unchanged.
+      :meth:`ArrayPlacementEngine.place` / ``remove``, with two structural
+      cuts: **full-server elision** -- the best-fit walk starts at ``free
+      >= cores >= 1``, so ``buckets[0]`` is never read; a placement that
+      fills a server skips the insort and a departure from a full server
+      skips the delete, and ``buckets[0]`` is rebuilt canonically per shard
+      at the end -- and a **GC pause** for the duration of the loop (the
+      payload and bucket-key tuples allocated per event otherwise trigger
+      young-generation scans over long-lived state).  Departures of VMs
+      that drew no pool memory skip the pool ledger block entirely: every
+      write in it is a float no-op for ``pool_gb == 0`` (``x - 0.0 == x``;
+      the quantities involved are never ``-0.0``), so results are
+      unchanged.
 
-    Byte-identical to the events loop by construction and pinned by the
-    differential suite in ``tests/test_pool_topology.py``.
+    Every static materialised ``ClusterSimulator`` replay runs here as a
+    one-shard fleet.  Byte-identical to the events loop by construction and
+    pinned by the differential suite in ``tests/test_pool_topology.py`` and
+    against ``ClusterSimulator``'s calendar loop in
+    ``tests/test_cluster_engine.py``.
     """
     n_shards = len(inputs)
     ledger, engines, results, shard_groups, total_cores, total_dram = (

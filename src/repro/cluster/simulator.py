@@ -26,30 +26,31 @@ end state.  Samples are stored in preallocated numpy columns rather
 than per-sample objects so multi-year traces sample cheaply.
 
 Pool allocations come from the batch policy engine: policies exposing
-``decide_batch`` (see DESIGN.md) are evaluated once per run as a vectorized
-array, and ``run`` also accepts a precomputed ``pool_gb`` array directly, so
-the hot loop never calls back into Python per VM.  Plain per-record
-callables remain supported as the legacy differential-testing path.
+``decide_batch`` (see DESIGN.md) are evaluated once per block as a
+vectorized array, so the hot loop never calls back into Python per VM.
+Plain per-record callables remain supported as the legacy
+differential-testing path.
 """
 
 from __future__ import annotations
 
-import gc
 import heapq
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.engine import ArrayPlacementEngine, resolve_engine
-from repro.cluster.faults import FaultImpactStats, FaultInjector, FaultSchedule
+from repro.cluster.faults import FaultImpactStats, FaultSchedule
 from repro.cluster.scheduler import PlacementError, VMScheduler, validate_strategy
 from repro.cluster.server import ClusterServer, ServerConfig
 from repro.cluster.trace import ClusterTrace, TraceStream, VMTraceRecord
-from repro.core.control_plane.online import (
+from repro.core.control_plane.online import (  # noqa: F401
     OnlineControlConfig,
     OnlineControlStats,
+    # perfbench/layers.py patches this name on this module to count
+    # slowdown estimates, so it stays importable from here.
     estimate_slowdown_batch,
 )
 
@@ -329,22 +330,20 @@ def effective_server_config(config: ServerConfig,
 def iter_policy_blocks(
     trace: TraceInput,
     policy: Optional[PoolPolicy],
-    pool_gb: Optional[np.ndarray],
     use_pool: bool,
 ) -> Iterator[Tuple[object, Sequence[VMTraceRecord], Optional[List[float]]]]:
     """Normalise a trace input into ``(block, records, pool_allocations)``.
 
     ``block`` is the columnar carrier (the trace itself, or one
-    :class:`TraceColumns` chunk); the array-engine loop reads its replay
+    :class:`TraceColumns` chunk); the array-engine loops read its replay
     columns instead of touching record objects.
 
     A materialised trace is one block (its columnar view is cached on the
-    trace, so this path is identical to the pre-streaming fast path); a
-    stream yields one block per chunk, with ``decide_batch`` evaluated
-    per chunk so at most one chunk's allocations exist at a time.
-    Allocations are clipped to ``[0, memory_gb]`` on both paths; blocks
-    without precomputed allocations return ``None`` and fall back to the
-    per-record ``policy`` callback in the main loop.
+    trace); a stream yields one block per chunk, with ``decide_batch``
+    evaluated per chunk so at most one chunk's allocations exist at a time.
+    ``decide_batch`` allocations are clipped to ``[0, memory_gb]``; blocks
+    without them return ``None`` and fall back to the per-record ``policy``
+    callback in the replay loop.
 
     Shared by :meth:`ClusterSimulator.run` and the cross-shard fleet replay
     (:mod:`repro.cluster.pool_topology`), so both resolve allocations with
@@ -352,38 +351,28 @@ def iter_policy_blocks(
     """
     batch = use_pool and policy is not None and hasattr(policy, "decide_batch")
 
-    def resolve(block, n, memory_gb, segment) -> Optional[List[float]]:
-        """One block's allocations: clipped ``pool_gb`` segment, clipped
-        ``decide_batch`` output, or ``None`` (per-record callback or no
-        pool).  Single definition so the materialised and streamed paths
-        cannot drift apart (the byte-for-byte equivalence contract).
-        ``tolist()`` yields plain floats once, keeping the main loop free
-        of per-record numpy scalar boxing."""
-        if segment is not None:
-            if not use_pool:
-                return None  # validated but unused, as before streaming
-            return np.clip(segment, 0.0, memory_gb()).tolist()
-        if batch:
-            decided = np.asarray(policy.decide_batch(block), dtype=np.float64)
-            if decided.shape != (n,):
-                raise ValueError(
-                    f"decide_batch must return one entry per record "
-                    f"({n}), got shape {decided.shape}"
-                )
-            return np.clip(decided, 0.0, memory_gb()).tolist()
-        return None
+    def resolve(block, n, memory_gb) -> Optional[List[float]]:
+        """One block's clipped ``decide_batch`` output, or ``None``
+        (per-record callback or no pool).  Single definition so the
+        materialised and streamed paths cannot drift apart (the
+        byte-for-byte equivalence contract).  ``tolist()`` yields plain
+        floats once, keeping the replay loop free of per-record numpy
+        scalar boxing."""
+        if not batch:
+            return None
+        decided = np.asarray(policy.decide_batch(block), dtype=np.float64)
+        if decided.shape != (n,):
+            raise ValueError(
+                f"decide_batch must return one entry per record "
+                f"({n}), got shape {decided.shape}"
+            )
+        return np.clip(decided, 0.0, memory_gb()).tolist()
 
     if isinstance(trace, ClusterTrace):
-        if pool_gb is not None and pool_gb.shape != (len(trace),):
-            raise ValueError(
-                f"pool_gb must have one entry per trace record "
-                f"({len(trace)}), got shape {pool_gb.shape}"
-            )
         yield trace, trace.records, resolve(
-            trace, len(trace), lambda: trace.columns().memory_gb, pool_gb
+            trace, len(trace), lambda: trace.columns().memory_gb
         )
         return
-    offset = 0
     for chunk in trace.chunks():
         records = chunk.records
         if records is None:
@@ -391,22 +380,8 @@ def iter_policy_blocks(
                 "stream chunks must carry records "
                 "(build them with TraceColumns.from_records)"
             )
-        n = len(records)
-        segment = None
-        if pool_gb is not None:
-            segment = pool_gb[offset:offset + n]
-            if segment.shape[0] != n:
-                raise ValueError(
-                    f"pool_gb has {pool_gb.shape[0]} entries but the "
-                    f"stream yielded more records"
-                )
-        offset += n
-        yield chunk, records, resolve(chunk, n, lambda: chunk.memory_gb, segment)
-    if pool_gb is not None and offset != pool_gb.shape[0]:
-        raise ValueError(
-            f"pool_gb has {pool_gb.shape[0]} entries but the stream "
-            f"yielded only {offset} records"
-        )
+        yield chunk, records, resolve(
+            chunk, len(records), lambda: chunk.memory_gb)
 
 
 def block_replay_columns(block, records):
@@ -539,26 +514,8 @@ class ClusterSimulator:
                 pool_free.setdefault(group, self.pool_capacity_gb_per_group)
         return servers, server_pool_group, pool_free
 
-    # -- trace/stream normalisation ---------------------------------------------------
-    def _iter_blocks(
-        self,
-        trace: TraceInput,
-        policy: Optional[PoolPolicy],
-        pool_gb: Optional[np.ndarray],
-        use_pool: bool,
-    ) -> Iterator[Tuple[object, Sequence[VMTraceRecord], Optional[List[float]]]]:
-        """Normalise the input into ``(block, records, pool_allocations)``.
-
-        Delegates to the module-level :func:`iter_policy_blocks`, which the
-        cross-shard fleet replay shares so both consumers resolve policy
-        allocations identically.
-        """
-        return iter_policy_blocks(trace, policy, pool_gb, use_pool)
-
     # -- main loop --------------------------------------------------------------------
     def run(self, trace: TraceInput, policy: Optional[PoolPolicy] = None,
-            horizon_s: Optional[float] = None,
-            pool_gb: Optional[np.ndarray] = None,
             online: Optional[OnlineControlConfig] = None,
             faults: Optional[FaultSchedule] = None) -> SimulationResult:
         """Replay ``trace``; ``policy`` decides each VM's pool memory in GB.
@@ -572,21 +529,31 @@ class ClusterSimulator:
         is identical to replaying the materialised trace (the batch policy
         contract keys every decision on the VM id, not on batch boundaries).
 
-        ``pool_gb`` is the batch-engine fast path: a precomputed array of
-        per-VM pool allocations aligned with the trace's iteration order.
-        When given (or when ``policy`` exposes ``decide_batch``, which is used
-        to compute it), the hot loop indexes the array instead of calling
-        back into Python for every VM.  Allocations are clipped to
-        ``[0, memory_gb]`` exactly like the per-record path.
+        Policies exposing ``decide_batch`` are evaluated once per block into
+        an allocation array, so the hot loop never calls back into Python
+        per VM; plain per-record callables remain supported.  Allocations
+        are clipped to ``[0, memory_gb]`` on both paths.
 
-        ``horizon_s`` bounds the sampling window; by default it is the time of
-        the last VM arrival, so long-lived VMs departing far in the future do
-        not dilute the time series with an emptying cluster.
+        The sampling window ends at the last VM arrival, so long-lived VMs
+        departing far in the future do not dilute the time series with an
+        emptying cluster.
 
         With ``engine="array"`` (the default) the replay runs on the
-        struct-of-arrays engine (:mod:`repro.cluster.engine`); results are
-        byte-identical to the object path, which ``engine="object"`` keeps
-        for differential testing.
+        struct-of-arrays engine (:mod:`repro.cluster.engine`) and takes one
+        of two targets:
+
+        * static streams and degenerate static traces (zero/negative
+          lifetimes, zero-core VMs) run on the calendar-queue loop
+          (:meth:`_run_array_calendar`), the fast path for streams;
+        * everything else is a one-shard fleet: one
+          :func:`~repro.cluster.pool_topology.replay_crossshard` call over
+          ``PoolTopology.per_shard([n_servers], ...)`` (unpooled when
+          ``pool_size_sockets`` is 0), which sends static materialised
+          traces to its inlined loop and online/fault replays to its
+          engine-method events loop.
+
+        Results are byte-identical to the object path, which
+        ``engine="object"`` keeps for differential testing.
 
         ``online`` activates the online QoS/mitigation stage (array engine
         only): after every grid sample a QoS tick scans live pool-exposed
@@ -598,38 +565,45 @@ class ClusterSimulator:
         timed fail/repair events for pool groups inside the merged event
         stream, degrading the group ledger and running the degradation
         ladder over affected VMs (DESIGN.md section 11).  Impact accounting
-        lands on ``result.fault_stats``.
+        lands on ``result.fault_stats``.  An unpooled cluster has no groups
+        to fail, so a schedule with events raises ``ValueError``.
 
-        Either stage runs on the engine-method loop
-        (:meth:`_run_array_online`).  Switched "off" -- mitigation disabled
+        Switched "off" -- mitigation disabled
         (``qos_threshold_percent=inf``) or a schedule without events -- a
         stage is dropped before dispatch (:func:`active_controls`), so the
-        replay takes the static loops and costs what a static replay costs;
-        the result is byte-identical to the static replay and still carries
-        zeroed ``online_stats`` / ``fault_stats`` (differential-tested
-        against :meth:`_run_array_online`).
+        replay costs what a static replay costs; the result is
+        byte-identical to the static replay and still carries zeroed
+        ``online_stats`` / ``fault_stats``.
         """
         if online is not None or faults is not None:
             if self.engine != "array":
                 what = ("the online control loop" if online is not None
                         else "fault injection")
                 raise ValueError(f"{what} requires engine='array'")
-            run_online, run_faults = active_controls(online, faults)
-            if run_online is None and run_faults is None:
-                result = self._run_array(trace, policy, horizon_s, pool_gb)
-            else:
-                result = self._run_array_online(trace, policy, horizon_s,
-                                                pool_gb, run_online,
-                                                run_faults)
-            attach_control_stats([result], online, faults)
-            return result
         if self.engine == "array":
-            return self._run_array(trace, policy, horizon_s, pool_gb)
+            # pool_topology builds on this module, so import it lazily.
+            from repro.cluster.pool_topology import (
+                PoolTopology,
+                _inlinable,
+                replay_crossshard,
+            )
+            if (active_controls(online, faults) == (None, None)
+                    and not _inlinable([trace], [self.server_config])):
+                result = self._run_array_calendar(trace, policy)
+                attach_control_stats([result], online, faults)
+                return result
+            topology = PoolTopology.per_shard(
+                [self.n_servers], self.server_config.sockets,
+                self.pool_size_sockets)
+            results, _ledger = replay_crossshard(
+                [trace], [policy if self.pool_size_sockets else None],
+                [self.n_servers], [self.server_config], topology,
+                self.pool_capacity_gb_per_group, self.constrain_memory,
+                self.sample_interval_s, self.record_placements,
+                online=online, faults=faults)
+            return results[0]
         use_pool = bool(self.pool_size_sockets)
         streaming = not isinstance(trace, ClusterTrace)
-        if pool_gb is not None:
-            pool_gb = np.asarray(pool_gb, dtype=np.float64)
-            policy = None  # precomputed allocations replace the callback
         servers, server_pool_group, pool_free = self._build_cluster()
         scheduler = VMScheduler(
             servers, pool_free, server_pool_group, strategy=self.scheduler_strategy
@@ -711,7 +685,8 @@ class ClusterSimulator:
         # rejects negative arrival times, and it doubles as the default
         # horizon for an empty trace (matching arrival_span_s == 0.0).
         last_arrival = 0.0
-        for _block, records, allocations in self._iter_blocks(trace, policy, pool_gb, use_pool):
+        for _block, records, allocations in iter_policy_blocks(trace, policy,
+                                                               use_pool):
             for index, record in enumerate(records):
                 arrival_s = record.arrival_s
                 if streaming and arrival_s < last_arrival:
@@ -764,7 +739,7 @@ class ClusterSimulator:
         # Records are sorted by arrival on both input paths, so the last
         # arrival seen is the trace's arrival span -- the stream case's only
         # way to know it without materialising.
-        end_time = horizon_s if horizon_s is not None else last_arrival
+        end_time = last_arrival
         advance_to(end_time)
         if last_sample_time is None or last_sample_time <= end_time:
             if last_sample_time is not None and last_sample_time == end_time:
@@ -782,346 +757,12 @@ class ClusterSimulator:
         return result
 
     # -- array-engine hot loop ---------------------------------------------------------
-    def _block_replay_columns(self, block, records):
-        """(vm_ids, arrival, departure, cores, memory) lists for one block.
-
-        Delegates to the module-level :func:`block_replay_columns` (shared
-        with the cross-shard fleet replay).
-        """
-        return block_replay_columns(block, records)
-
-    def _run_array(self, trace: TraceInput, policy: Optional[PoolPolicy],
-                   horizon_s: Optional[float],
-                   pool_gb: Optional[np.ndarray]) -> SimulationResult:
-        """:meth:`run` on the struct-of-arrays engine (dispatcher).
-
-        Materialised traces whose departures all fall strictly after their
-        arrivals -- every real trace -- run on the **presorted-departure**
-        loop (:meth:`_run_array_presorted`): departure order is a stable
-        argsort computed once up front, so the hot loop sheds the calendar
-        queue entirely.  Streams (departure times cross block boundaries)
-        and degenerate traces (zero/negative lifetimes, zero-core VMs) keep
-        the calendar-queue loop (:meth:`_run_array_calendar`).  Both produce
-        byte-identical results (differential-tested, like
-        ``engine="object"``).
-        """
-        if isinstance(trace, ClusterTrace):
-            columns = trace.columns()
-            arrivals = columns.arrival_s
-            if arrivals is not None:
-                n = arrivals.shape[0]
-                if n == 0 or (
-                    bool((columns.departure_s > arrivals).all())
-                    and int(columns.cores.min()) >= 1
-                ):
-                    return self._run_array_presorted(trace, policy, horizon_s,
-                                                     pool_gb)
-        return self._run_array_calendar(trace, policy, horizon_s, pool_gb)
-
-    def _run_array_online(self, trace: TraceInput,
-                          policy: Optional[PoolPolicy],
-                          horizon_s: Optional[float],
-                          pool_gb: Optional[np.ndarray],
-                          online: Optional[OnlineControlConfig],
-                          faults: Optional[FaultSchedule] = None,
-                          ) -> SimulationResult:
-        """:meth:`run` with the online QoS/mitigation stage (array engine).
-
-        :meth:`run` routes here only when a stage is really on (mitigation
-        enabled, or a schedule with events); called directly with the
-        stages switched off it is the reference the static loops are
-        differentially pinned against.
-
-        Same merged event stream and arithmetic as the static loops, driven
-        through :class:`ArrayPlacementEngine` methods (the structure the
-        cross-shard event loop already pins byte-identical to the inlined
-        paths).  One extra event type rides along: after every *grid* sample
-        a QoS tick walks the at-risk set -- live VMs whose pool share is
-        positive and whose estimated slowdown exceeds the threshold -- and
-        migrates each one's pool share to NUMA-local DRAM
-        (:meth:`ArrayPlacementEngine.migrate_pool_to_local`).  The sample
-        row itself is appended *before* the tick, so samples always show the
-        pre-mitigation state; the horizon sample never ticks (the replay is
-        over).  Failed migrations (insufficient node headroom) stay in the
-        at-risk set and are retried on every later tick.
-
-        With mitigation disabled (``qos_threshold_percent=inf``) no tick
-        does any work and the result is byte-identical to the static replay
-        (differential-tested).
-
-        ``faults`` adds deterministic EMC fault injection (``online`` may
-        then be ``None``).  Fault events merge into the same stream --
-        after departures, before the grid sample at equal timestamps -- and
-        an evacuation-retry tick runs after each grid sample's QoS tick;
-        fault events past the replay horizon never fire (DESIGN.md section
-        11).  The departure heap then stores injector *tokens* instead of
-        raw handles, so live migrations and kills mid-replay cannot corrupt
-        recycled handles.  With an empty schedule the loop's arithmetic is
-        untouched and the result stays byte-identical to the static replay.
-        """
-        use_pool = bool(self.pool_size_sockets)
-        streaming = not isinstance(trace, ClusterTrace)
-        #: The policy keeps estimating slowdowns even when precomputed
-        #: allocations replace its decide path.
-        slowdown_policy = policy
-        if pool_gb is not None:
-            pool_gb = np.asarray(pool_gb, dtype=np.float64)
-            policy = None  # precomputed allocations replace the callback
-        result = SimulationResult()
-        buffer = result.sample_buffer
-        if online is not None:
-            stats = OnlineControlStats()
-            result.online_stats = stats
-            mitigate = online.mitigation_enabled
-            threshold = online.qos_threshold_percent
-            cost_per_gb = online.migration_cost_s_per_gb
-        else:
-            stats = None
-            mitigate = False
-            threshold = cost_per_gb = 0.0
-
-        if faults is None:
-            injector = None
-            engine = ArrayPlacementEngine.for_cluster(
-                self.n_servers,
-                self._effective_config(),
-                pool_size_sockets=self.pool_size_sockets,
-                pool_capacity_gb_per_group=self.pool_capacity_gb_per_group,
-                base_sockets=self.server_config.sockets,
-            )
-        else:
-            # Build the engine over a PoolGroupLedger so fault events can
-            # transition group capacity.  The capacity dict is built with
-            # for_cluster's exact setdefault-in-server-order idiom: sample
-            # rows sum pool usage in dict insertion order, so a reordered
-            # dict would change float summation order and break the
-            # empty-schedule byte-identity contract.
-            from repro.cluster.pool_topology import PoolGroupLedger
-
-            group_of: Optional[List[int]] = None
-            capacities: Dict[int, float] = {}
-            if self.pool_size_sockets:
-                servers_per_group = max(
-                    1, self.pool_size_sockets // self.server_config.sockets)
-                group_of = [i // servers_per_group
-                            for i in range(self.n_servers)]
-                for group in group_of:
-                    capacities.setdefault(
-                        group, self.pool_capacity_gb_per_group)
-            ledger = PoolGroupLedger(capacities)
-            engine = ArrayPlacementEngine(
-                self.n_servers,
-                self._effective_config(),
-                group_of=group_of,
-                pool_free_gb=ledger.free_gb,
-                pool_used_gb=ledger.used_gb,
-                pool_peak_gb=ledger.peak_gb,
-            )
-
-        pool_used = engine.pool_used_gb
-        total_cores = engine.total_cores
-        total_dram = self.n_servers * self.server_config.total_dram_gb
-        inf = float("inf")
-
-        # Departure events: (time, sequence, handle-or-token).
-        departures: List[Tuple[float, int, int]] = []
-        seq = 0
-        sample_interval = self.sample_interval_s
-        next_sample_time = 0.0
-        last_sample_time: Optional[float] = None
-        record_placements = self.record_placements
-        placed_ids: List[str] = []
-        placed_srv: List[int] = []
-        #: handle -> vm_id of live VMs flagged at placement time, in
-        #: placement order (mitigation processes oldest flags first).
-        at_risk: Dict[int, str] = {}
-        if faults is not None:
-            fstats = FaultImpactStats()
-            result.fault_stats = fstats
-            injector = FaultInjector(
-                faults, ledger, [engine], [at_risk], [fstats])
-
-        def process_one_departure() -> None:
-            _, _, token = heapq.heappop(departures)
-            if injector is not None:
-                # Token-indirected: kills void the mapping, live migrations
-                # rewrite it, and the injector re-clamps degraded groups
-                # after the release.
-                injector.on_departure(token)
-                return
-            # Departed VMs leave the at-risk set before the handle is
-            # recycled, or a later placement reusing the handle would
-            # inherit the stale flag.
-            at_risk.pop(token, None)
-            engine.remove(token)
-
-        def take_sample(time_s: float) -> None:
-            nonlocal last_sample_time
-            used_cores = engine.used_cores
-            stranded = engine.stranded_gb
-            if stranded < 0.0:
-                stranded = 0.0
-            buffer.append_row((
-                time_s,
-                used_cores / total_cores,
-                100.0 * used_cores / total_cores,
-                engine.used_local_gb,
-                sum(pool_used.values()),
-                stranded,
-                100.0 * stranded / total_dram,
-                engine.running_vms,
-            ))
-            last_sample_time = time_s
-
-        def qos_tick() -> None:
-            stats.n_ticks += 1
-            if not at_risk:
-                return
-            stats.n_checks += len(at_risk)
-            for handle in list(at_risk):
-                moved = engine.migrate_pool_to_local(handle)
-                if moved < 0.0:
-                    # No node headroom right now; retried next tick.
-                    stats.n_failed_mitigations += 1
-                    continue
-                stats.n_mitigations += 1
-                stats.migrated_gb += moved
-                stats.migration_time_s += cost_per_gb * moved
-                stats.mitigated_vm_ids.append(at_risk.pop(handle))
-            if injector is not None:
-                # QoS mitigations release pool memory with an unmediated
-                # free += gb; re-clamp any degraded group.
-                injector.resync_degraded()
-
-        def advance_to(time_s: float) -> None:
-            """Apply departures, fault events, and samples up to ``time_s``.
-
-            At equal timestamps: departures, then fault events, then the
-            grid sample, then the QoS tick, then the evacuation-retry tick
-            (DESIGN.md sections 10 and 11).  With no fault schedule the
-            fault clauses never fire and the stream reduces to the online
-            loop's two-way merge.
-            """
-            nonlocal next_sample_time
-            while True:
-                departure_time = departures[0][0] if departures else inf
-                fault_time = injector.next_time if injector is not None else inf
-                if departure_time <= next_sample_time and \
-                        departure_time <= fault_time:
-                    if departure_time > time_s:
-                        return
-                    process_one_departure()
-                elif fault_time <= next_sample_time:
-                    if fault_time > time_s:
-                        return
-                    injector.fire_next()
-                else:
-                    if next_sample_time > time_s:
-                        return
-                    take_sample(next_sample_time)
-                    next_sample_time += sample_interval
-                    if mitigate:
-                        qos_tick()
-                    if injector is not None:
-                        injector.retry_tick(0)
-
-        last_arrival = 0.0
-        for block, records, allocations in self._iter_blocks(
-            trace, policy, pool_gb, use_pool
-        ):
-            vm_ids, arrivals, departs, cores_col, memory_col = (
-                self._block_replay_columns(block, records)
-            )
-            n_block = len(vm_ids)
-            if streaming and n_block:
-                prev = last_arrival
-                for index in range(n_block):
-                    arrival = arrivals[index]
-                    if arrival < prev:
-                        raise ValueError(
-                            f"stream records must be sorted by arrival time "
-                            f"({vm_ids[index]!r} arrives at {arrival} after "
-                            f"{prev})"
-                        )
-                    prev = arrival
-                last_arrival = prev
-            elif n_block:
-                last_arrival = arrivals[n_block - 1]
-            if allocations is None:
-                if policy is not None and use_pool:
-                    allocations = [
-                        float(np.clip(policy(r), 0.0, r.memory_gb))
-                        for r in records
-                    ]
-                else:
-                    allocations = [0.0] * n_block
-
-            slowdowns = None
-            if mitigate and n_block:
-                slowdowns = estimate_slowdown_batch(
-                    slowdown_policy, block,
-                    np.asarray(allocations, dtype=np.float64),
-                ).tolist()
-
-            for index in range(n_block):
-                advance_to(arrivals[index])
-                vm_pool_gb = allocations[index]
-                memory_gb = memory_col[index]
-                local_gb = memory_gb - vm_pool_gb
-                try:
-                    handle = engine.place(cores_col[index], local_gb,
-                                          vm_pool_gb)
-                except PlacementError:
-                    # Group-less pool request corner: counted as a
-                    # rejection, peaks keep the transient placement
-                    # (object-path parity).
-                    handle = -1
-                if handle < 0:
-                    result.rejected_vms += 1
-                    continue
-                result.placed_vms += 1
-                if record_placements:
-                    placed_ids.append(vm_ids[index])
-                    placed_srv.append(engine.vm_server[handle])
-                result.total_memory_gb_allocated += memory_gb
-                result.total_pool_gb_allocated += vm_pool_gb
-                seq += 1
-                if injector is not None:
-                    token = injector.note_place(0, handle, vm_ids[index],
-                                                vm_pool_gb)
-                    heapq.heappush(departures, (departs[index], seq, token))
-                else:
-                    heapq.heappush(departures, (departs[index], seq, handle))
-                if (slowdowns is not None and vm_pool_gb > 0.0
-                        and slowdowns[index] > threshold):
-                    at_risk[handle] = vm_ids[index]
-
-        end_time = horizon_s if horizon_s is not None else last_arrival
-        advance_to(end_time)
-        if last_sample_time is None or last_sample_time <= end_time:
-            if last_sample_time is not None and last_sample_time == end_time:
-                buffer.drop_last()
-            take_sample(end_time)
-        while departures:
-            process_one_departure()
-        if injector is not None:
-            injector.finalize()
-
-        if record_placements:
-            result._placed_vm_ids = placed_ids
-            result._placed_server_idx = placed_srv
-            result._placement_server_ids = engine.server_ids
-        result.server_peak_local_gb, result.server_peak_total_gb = (
-            engine.server_peaks()
-        )
-        result.pool_peak_gb = dict(engine.pool_peak_by_group)
-        return result
-
     def _run_array_calendar(self, trace: TraceInput,
-                            policy: Optional[PoolPolicy],
-                            horizon_s: Optional[float],
-                            pool_gb: Optional[np.ndarray]) -> SimulationResult:
+                            policy: Optional[PoolPolicy]) -> SimulationResult:
         """:meth:`run` on the struct-of-arrays engine (calendar-queue loop).
+
+        :meth:`run` sends static streams and degenerate static traces here;
+        every other array replay is a one-shard ``replay_crossshard``.
 
         Same merged event stream, same event ordering, same arithmetic as the
         object loop -- but the per-event work is fully inlined over local
@@ -1152,9 +793,6 @@ class ClusterSimulator:
         """
         use_pool = bool(self.pool_size_sockets)
         streaming = not isinstance(trace, ClusterTrace)
-        if pool_gb is not None:
-            pool_gb = np.asarray(pool_gb, dtype=np.float64)
-            policy = None  # precomputed allocations replace the callback
         engine = ArrayPlacementEngine.for_cluster(
             self.n_servers,
             self._effective_config(),
@@ -1232,11 +870,11 @@ class ClusterSimulator:
         inf = float("inf")
 
         last_arrival = 0.0
-        for block, records, allocations in self._iter_blocks(
-            trace, policy, pool_gb, use_pool
+        for block, records, allocations in iter_policy_blocks(
+            trace, policy, use_pool
         ):
             vm_ids, arrivals, departs, cores_col, memory_col = (
-                self._block_replay_columns(block, records)
+                block_replay_columns(block, records)
             )
             n_block = len(vm_ids)
             if streaming and n_block:
@@ -1510,7 +1148,7 @@ class ClusterSimulator:
                     next_dep_hint = departure_s
 
         # -- horizon: finish sampling, replace an on-grid horizon sample -----
-        end_time = horizon_s if horizon_s is not None else last_arrival
+        end_time = last_arrival
         while True:
             if cursor < active_len:
                 departure_time = active[cursor][0]
@@ -1622,10 +1260,10 @@ class ClusterSimulator:
                        agg_stranded, agg_running):
         """Release one departure-heap entry (the non-hot removal sites).
 
-        Same statements as the inlined departure block in :meth:`_run_array`
-        (which handles the per-arrival hot path); used for the horizon
-        advance and the end-of-run drain, where call overhead is irrelevant.
-        Returns the updated aggregate tuple.
+        Same statements as the inlined departure block in
+        :meth:`_run_array_calendar` (which handles the per-arrival hot
+        path); used for the horizon advance and the end-of-run drain, where
+        call overhead is irrelevant.  Returns the updated aggregate tuple.
         """
         _t, _s, sidx, d_node, d_cores, d_local, d_pool = entry
         if pooled:
@@ -1667,526 +1305,3 @@ class ClusterSimulator:
         del bucket[bisect_left(bucket, (std - old_gb, sidx))]
         insort(buckets[stc - new_cores], (std - new_gb, sidx))
         return agg_used_cores, agg_used_gb, agg_stranded, agg_running
-
-    @staticmethod
-    def _release_payload(engine, entry, pooled, agg_used_cores, agg_used_gb,
-                         agg_stranded, agg_running):
-        """Release one presorted-loop placement payload (non-hot sites).
-
-        Same statements as the inlined drain in :meth:`_run_array_presorted`
-        (which handles the per-arrival hot path); used for the horizon
-        advance and the end-of-run drain.  Payload layout is ``(sidx, pos,
-        cores, local_gb, pool_gb)`` -- the node offset is precomputed at
-        placement, unlike the calendar entries :meth:`_release_entry` takes.
-        Observes the presorted loop's full-server elision: servers with no
-        free cores are not indexed (``buckets[0]`` is rebuilt at the end of
-        the run), so a departure from a full server skips the delete.
-        """
-        sidx, pos, d_cores, d_local, d_pool = entry
-        if pooled:
-            group = engine.group_of[sidx]
-            if group >= 0:
-                pool_used = engine.pool_used_gb
-                remaining = pool_used[group] - d_pool
-                if remaining < 0.0:
-                    if remaining < -1e-6:
-                        raise RuntimeError(
-                            f"pool group {group} accounting went negative "
-                            f"({remaining} GB) -- simulator bug"
-                        )
-                    remaining = 0.0
-                pool_used[group] = remaining
-                if d_pool > 0:
-                    engine.pool_free_gb[group] += d_pool
-                engine.pool_used_srv[sidx] -= d_pool
-        used_cores_srv = engine.used_cores_srv
-        used_gb_srv = engine.used_gb_srv
-        stc = engine.server_total_cores
-        std = engine.server_total_dram_gb
-        before_cores = used_cores_srv[sidx]
-        old_gb = used_gb_srv[sidx]
-        engine.node_used_cores[pos] -= d_cores
-        engine.node_used_gb[pos] -= d_local
-        new_cores = before_cores - d_cores
-        used_cores_srv[sidx] = new_cores
-        new_gb = old_gb - d_local
-        used_gb_srv[sidx] = new_gb
-        agg_used_cores -= d_cores
-        agg_used_gb -= d_local
-        if before_cores >= stc:
-            agg_stranded += 0.0 - (std - old_gb)
-        agg_running -= 1
-        buckets = engine._buckets
-        if before_cores < stc:
-            bucket = buckets[stc - before_cores]
-            del bucket[bisect_left(bucket, (std - old_gb, sidx))]
-        insort(buckets[stc - new_cores], (std - new_gb, sidx))
-        return agg_used_cores, agg_used_gb, agg_stranded, agg_running
-
-    def _run_array_presorted(self, trace: ClusterTrace,
-                             policy: Optional[PoolPolicy],
-                             horizon_s: Optional[float],
-                             pool_gb: Optional[np.ndarray]) -> SimulationResult:
-        """:meth:`run` on the struct-of-arrays engine, presorted departures.
-
-        The calendar loop discovers departure order dynamically because a
-        VM's departure enters the queue only when it is placed.  But for a
-        materialised trace every departure time is known up front, and when
-        departures fall strictly after their arrivals the processing order
-        is a **pure function of the trace**: a stable argsort of the
-        departure column orders equal-time departures by trace position,
-        which (placements happen in arrival order) is exactly the calendar
-        loop's ``(time, seq)`` heap order.  On top of that ordering insight
-        the loop makes three structural cuts:
-
-        * placement no longer builds event tuples, bins them, or insorts
-          into an active window -- it stores its payload ``(sidx, pos,
-          cores, local_gb, pool_gb)`` at the VM's trace position, and the
-          drain follows the precomputed order through a pointer.  A drained
-          entry whose payload is still ``None`` is a rejected VM ("not yet
-          arrived" is impossible: the dispatcher guarantees ``departure >
-          arrival``); a drained slot is cleared, so payload tuples live only
-          as long as their VMs.  Departures drain in **batched slices**
-          bounded by one ``bisect_right`` on the presorted time list, and the
-          pump-entry test folds into a single ``next_event`` compare.
-        * **full-server elision**: the best-fit walk starts at ``free >=
-          cores >= 1``, so ``buckets[0]`` -- servers with no free cores --
-          is never read.  A placement that fills a server skips the insort
-          and a departure from a full server skips the delete (at high
-          utilisation that is the vast majority of reindex traffic, because
-          best-fit deliberately drains buckets to empty); ``buckets[0]`` is
-          rebuilt canonically once at the end, so the engine's indexed
-          state is exactly what method-based placement would have left.
-        * the cyclic GC is paused for the duration of the loop (restored in
-          a ``finally``): the payload and bucket-key tuples allocated per
-          event otherwise trigger repeated young-generation scans over the
-          engine's long-lived state.
-
-        The per-event arithmetic is statement-for-statement the calendar
-        loop's, so results are byte-identical (differential-tested).
-        """
-        use_pool = bool(self.pool_size_sockets)
-        if pool_gb is not None:
-            pool_gb = np.asarray(pool_gb, dtype=np.float64)
-            policy = None  # precomputed allocations replace the callback
-        engine = ArrayPlacementEngine.for_cluster(
-            self.n_servers,
-            self._effective_config(),
-            pool_size_sockets=self.pool_size_sockets,
-            pool_capacity_gb_per_group=self.pool_capacity_gb_per_group,
-            base_sockets=self.server_config.sockets,
-        )
-        result = SimulationResult()
-        buffer = result.sample_buffer
-        append_row = buffer.append_row
-
-        # -- engine state as locals (identical to the calendar loop) ---------
-        node_cores = engine.node_used_cores
-        node_gb = engine.node_used_gb
-        used_cores_srv = engine.used_cores_srv
-        used_gb_srv = engine.used_gb_srv
-        pool_used_srv = engine.pool_used_srv
-        peak_local = engine.peak_local_gb
-        peak_pool = engine.peak_pool_gb
-        group_of = engine.group_of
-        pool_free = engine.pool_free_gb
-        pool_used = engine.pool_used_gb
-        pool_peak = engine.pool_peak_by_group
-        buckets = engine._buckets
-        n_buckets = len(buckets)
-        server_ids = engine.server_ids
-        sockets = engine.sockets
-        two_sockets = sockets == 2
-        cores_per_socket = engine.cores_per_socket
-        dram_per_socket = engine.dram_per_socket_gb
-        stc = engine.server_total_cores
-        std = engine.server_total_dram_gb
-        pooled = bool(pool_free)
-
-        bisect = bisect_left
-        insort_ = insort
-        bisect_r = bisect_right
-
-        agg_used_cores = 0
-        agg_used_gb = 0.0
-        agg_stranded = 0.0
-        agg_running = 0
-        total_cores = engine.total_cores
-        total_dram = self.n_servers * self.server_config.total_dram_gb
-
-        # -- the one block of a materialised trace ---------------------------
-        block, records, allocations = next(
-            iter(self._iter_blocks(trace, policy, pool_gb, use_pool))
-        )
-        vm_ids, arrivals, departs, cores_col, memory_col = (
-            self._block_replay_columns(block, records)
-        )
-        n_block = len(vm_ids)
-        last_arrival = arrivals[n_block - 1] if n_block else 0.0
-        if allocations is None:
-            if policy is not None and use_pool:
-                allocations = [
-                    float(np.clip(policy(r), 0.0, r.memory_gb))
-                    for r in records
-                ]
-            else:
-                allocations = [0.0] * n_block
-
-        # -- presorted departures --------------------------------------------
-        dep_np = trace.columns().departure_s
-        dep_argsort = np.argsort(dep_np, kind="stable")
-        dep_order = dep_argsort.tolist()
-        dep_times = dep_np[dep_argsort].tolist()
-        #: Placement payload at each VM's trace position; ``None`` after the
-        #: arrival was processed means the VM was rejected.
-        payload: List[Optional[Tuple[int, int, int, float, float]]] = (
-            [None] * n_block
-        )
-        n_dep = n_block
-        p = 0
-
-        inf = float("inf")
-        next_dep = dep_times[0] if n_dep else inf
-        sample_interval = self.sample_interval_s
-        next_sample_time = 0.0
-        next_event = next_dep if next_dep <= next_sample_time else next_sample_time
-        last_sample_time: Optional[float] = None
-        record_placements = self.record_placements
-        placed_ids: List[str] = []
-        placed_srv: List[int] = []
-        append_placed_id = placed_ids.append
-        append_placed_srv = placed_srv.append
-        placed_vms = 0
-        rejected_vms = 0
-        total_memory_allocated = 0.0
-        total_pool_allocated = 0.0
-
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            j = -1
-            for vm_id, arrival_s, departure_s, cores_r, memory_gb, vm_pool_gb in zip(
-                vm_ids, arrivals, departs, cores_col, memory_col, allocations
-            ):
-                j += 1
-                # -- merged departures/samples up to arrival_s ---------------
-                if next_event <= arrival_s:
-                    while True:
-                        limit = (
-                            arrival_s
-                            if arrival_s <= next_sample_time
-                            else next_sample_time
-                        )
-                        if next_dep <= limit:
-                            end = bisect_r(dep_times, limit, p)
-                            for m in dep_order[p:end]:
-                                entry = payload[m]
-                                if entry is None:
-                                    continue  # rejected VM: nothing placed
-                                payload[m] = None  # drained; never read again
-                                # -- departure (ArrayPlacementEngine.remove) -
-                                sidx, pos, d_cores, d_local, d_pool = entry
-                                if pooled:
-                                    group = group_of[sidx]
-                                    if group >= 0:
-                                        remaining = pool_used[group] - d_pool
-                                        if remaining < 0.0:
-                                            # Clamp tiny negative float
-                                            # drift; real imbalances stay
-                                            # loud.
-                                            if remaining < -1e-6:
-                                                raise RuntimeError(
-                                                    f"pool group {group} "
-                                                    f"accounting went "
-                                                    f"negative ({remaining} "
-                                                    f"GB) -- simulator bug"
-                                                )
-                                            remaining = 0.0
-                                        pool_used[group] = remaining
-                                        if d_pool > 0:
-                                            pool_free[group] += d_pool
-                                        pool_used_srv[sidx] -= d_pool
-                                before_cores = used_cores_srv[sidx]
-                                old_gb = used_gb_srv[sidx]
-                                node_cores[pos] -= d_cores
-                                node_gb[pos] -= d_local
-                                new_cores = before_cores - d_cores
-                                used_cores_srv[sidx] = new_cores
-                                new_gb = old_gb - d_local
-                                used_gb_srv[sidx] = new_gb
-                                agg_used_cores -= d_cores
-                                agg_used_gb -= d_local
-                                if before_cores >= stc:
-                                    # stranded_after is exactly 0.0 here;
-                                    # a full server is also unindexed
-                                    # (full-server elision), so there is no
-                                    # bucket entry to delete.
-                                    agg_stranded += 0.0 - (std - old_gb)
-                                else:
-                                    bucket = buckets[stc - before_cores]
-                                    del bucket[
-                                        bisect(bucket, (std - old_gb, sidx))
-                                    ]
-                                insort_(
-                                    buckets[stc - new_cores],
-                                    (std - new_gb, sidx),
-                                )
-                                agg_running -= 1
-                            p = end
-                            next_dep = dep_times[p] if p < n_dep else inf
-                        if next_sample_time > arrival_s:
-                            break
-                        # ---- grid sample -------------------------------
-                        stranded = agg_stranded
-                        if stranded < 0.0:
-                            stranded = 0.0
-                        append_row((
-                            next_sample_time,
-                            agg_used_cores / total_cores,
-                            100.0 * agg_used_cores / total_cores,
-                            agg_used_gb,
-                            sum(pool_used.values()),
-                            stranded,
-                            100.0 * stranded / total_dram,
-                            agg_running,
-                        ))
-                        last_sample_time = next_sample_time
-                        next_sample_time += sample_interval
-                    next_event = (
-                        next_dep
-                        if next_dep <= next_sample_time
-                        else next_sample_time
-                    )
-
-                local_gb = memory_gb - vm_pool_gb
-
-                # -- best-fit bucket walk (ArrayPlacementEngine.place) -------
-                cores_limit = cores_per_socket - cores_r
-                gb_limit = dram_per_socket - local_gb + 1e-9
-                need_pool = vm_pool_gb > 0
-                sidx = -1
-                best_node = -1
-                base = 0
-                for free in range(cores_r, n_buckets):
-                    for _key_gb, idx in buckets[free]:
-                        if need_pool:
-                            group = group_of[idx]
-                            avail = (
-                                pool_free.get(group, 0.0) if group >= 0 else 0.0
-                            )
-                            if vm_pool_gb > avail + 1e-9:
-                                continue
-                        base = idx * sockets
-                        if two_sockets:
-                            used0 = node_cores[base]
-                            used1 = node_cores[base + 1]
-                            # Fullest feasible node; ties go to node 0
-                            # (find_numa_node's strict ``>`` comparison).
-                            if used1 > used0:
-                                if (used1 <= cores_limit
-                                        and node_gb[base + 1] <= gb_limit):
-                                    sidx = idx
-                                    best_node = 1
-                                    break
-                                if (used0 <= cores_limit
-                                        and node_gb[base] <= gb_limit):
-                                    sidx = idx
-                                    best_node = 0
-                                    break
-                            else:
-                                if (used0 <= cores_limit
-                                        and node_gb[base] <= gb_limit):
-                                    sidx = idx
-                                    best_node = 0
-                                    break
-                                if (used1 <= cores_limit
-                                        and node_gb[base + 1] <= gb_limit):
-                                    sidx = idx
-                                    best_node = 1
-                                    break
-                        else:
-                            cand_node = -1
-                            cand_used = -1
-                            for node in range(sockets):
-                                used = node_cores[base + node]
-                                if (used <= cores_limit and used > cand_used
-                                        and node_gb[base + node] <= gb_limit):
-                                    cand_node = node
-                                    cand_used = used
-                            if cand_node >= 0:
-                                sidx = idx
-                                best_node = cand_node
-                                break
-                    if sidx >= 0:
-                        break
-                if sidx < 0:
-                    rejected_vms += 1
-                    continue
-
-                # -- commit (ArrayPlacementEngine.place, inlined) ------------
-                pos = base + best_node
-                node_cores[pos] += cores_r
-                node_gb[pos] += local_gb
-                before_cores = used_cores_srv[sidx]
-                old_gb = used_gb_srv[sidx]
-                new_cores = before_cores + cores_r
-                used_cores_srv[sidx] = new_cores
-                new_gb = old_gb + local_gb
-                used_gb_srv[sidx] = new_gb
-                if new_gb > peak_local[sidx]:
-                    peak_local[sidx] = new_gb
-                if need_pool:
-                    pool_srv = pool_used_srv[sidx] + vm_pool_gb
-                    pool_used_srv[sidx] = pool_srv
-                    if pool_srv > peak_pool[sidx]:
-                        peak_pool[sidx] = pool_srv
-                    group = group_of[sidx]
-                    if group < 0:
-                        # Group-less pool request corner: the object path
-                        # transiently places, rolls usage back (peaks stay),
-                        # and counts a rejection.
-                        node_cores[pos] -= cores_r
-                        node_gb[pos] -= local_gb
-                        used_cores_srv[sidx] = new_cores - cores_r
-                        used_gb_srv[sidx] = new_gb - local_gb
-                        pool_used_srv[sidx] = pool_srv - vm_pool_gb
-                        rejected_vms += 1
-                        continue
-                    pool_free[group] -= vm_pool_gb
-                    group_used = pool_used[group] + vm_pool_gb
-                    pool_used[group] = group_used
-                    if group_used > pool_peak[group]:
-                        pool_peak[group] = group_used
-
-                agg_used_cores += cores_r
-                agg_used_gb += local_gb
-                # Reindex: the old key is recomputed from the exact
-                # pre-update state (the same floats as when the server was
-                # last indexed).  A placement that fills the server skips
-                # the insert -- buckets[0] is never read by the walk
-                # (full-server elision; rebuilt canonically at the end).
-                bucket = buckets[stc - before_cores]
-                del bucket[bisect(bucket, (std - old_gb, sidx))]
-                if new_cores >= stc:
-                    # stranded_before is exactly 0.0 here (the server had a
-                    # free core); adding "after - 0.0" keeps byte equality.
-                    agg_stranded += (std - new_gb) - 0.0
-                else:
-                    insort_(buckets[stc - new_cores], (std - new_gb, sidx))
-                agg_running += 1
-
-                placed_vms += 1
-                if record_placements:
-                    append_placed_id(vm_id)
-                    append_placed_srv(sidx)
-                total_memory_allocated += memory_gb
-                total_pool_allocated += vm_pool_gb
-                # The departure is already at its presorted position past
-                # the drain pointer (departure > arrival >= every drained
-                # time), so "pushing" it is just storing the payload.
-                payload[j] = (sidx, pos, cores_r, local_gb, vm_pool_gb)
-
-            # -- horizon: finish sampling, replace an on-grid sample ---------
-            end_time = horizon_s if horizon_s is not None else last_arrival
-            while True:
-                limit = (
-                    end_time if end_time <= next_sample_time else next_sample_time
-                )
-                if next_dep <= limit:
-                    end = bisect_r(dep_times, limit, p)
-                    for m in dep_order[p:end]:
-                        entry = payload[m]
-                        if entry is None:
-                            continue
-                        payload[m] = None
-                        (agg_used_cores, agg_used_gb, agg_stranded,
-                         agg_running) = self._release_payload(
-                            engine, entry, pooled,
-                            agg_used_cores, agg_used_gb, agg_stranded,
-                            agg_running,
-                        )
-                    p = end
-                    next_dep = dep_times[p] if p < n_dep else inf
-                if next_sample_time > end_time:
-                    break
-                stranded = agg_stranded
-                if stranded < 0.0:
-                    stranded = 0.0
-                append_row((
-                    next_sample_time,
-                    agg_used_cores / total_cores,
-                    100.0 * agg_used_cores / total_cores,
-                    agg_used_gb,
-                    sum(pool_used.values()),
-                    stranded,
-                    100.0 * stranded / total_dram,
-                    agg_running,
-                ))
-                last_sample_time = next_sample_time
-                next_sample_time += sample_interval
-            if last_sample_time is None or last_sample_time <= end_time:
-                if last_sample_time is not None and last_sample_time == end_time:
-                    buffer.drop_last()
-                stranded = agg_stranded
-                if stranded < 0.0:
-                    stranded = 0.0
-                append_row((
-                    end_time,
-                    agg_used_cores / total_cores,
-                    100.0 * agg_used_cores / total_cores,
-                    agg_used_gb,
-                    sum(pool_used.values()),
-                    stranded,
-                    100.0 * stranded / total_dram,
-                    agg_running,
-                ))
-            # Drain: remaining departures in presorted (time, trace
-            # position) order -- exactly the calendar drain's (time, seq).
-            for m in dep_order[p:]:
-                entry = payload[m]
-                if entry is None:
-                    continue
-                payload[m] = None
-                agg_used_cores, agg_used_gb, agg_stranded, agg_running = (
-                    self._release_payload(
-                        engine, entry, pooled,
-                        agg_used_cores, agg_used_gb, agg_stranded, agg_running,
-                    )
-                )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-        # Rebuild the unmaintained full-server bucket (full-server elision):
-        # a full server's key is exactly its state at fill time (nothing
-        # changes while it has no free core), so sorting the recomputed keys
-        # reproduces the canonical index byte-for-byte.
-        buckets[0] = sorted(
-            (std - used_gb_srv[i], i)
-            for i in range(self.n_servers)
-            if used_cores_srv[i] >= stc
-        )
-
-        # Hand the mutated aggregates and bucket keys back to the engine so
-        # its state stays coherent for callers inspecting it after the run.
-        engine.used_cores = agg_used_cores
-        engine.used_local_gb = agg_used_gb
-        engine.stranded_gb = agg_stranded
-        engine.running_vms = agg_running
-        engine._bucket_key = [
-            (stc - cores, std - gb)
-            for cores, gb in zip(used_cores_srv, used_gb_srv)
-        ]
-
-        result.placed_vms = placed_vms
-        result.rejected_vms = rejected_vms
-        result.total_memory_gb_allocated = total_memory_allocated
-        result.total_pool_gb_allocated = total_pool_allocated
-        if record_placements:
-            result._placed_vm_ids = placed_ids
-            result._placed_server_idx = placed_srv
-            result._placement_server_ids = server_ids
-        result.server_peak_local_gb, result.server_peak_total_gb = engine.server_peaks()
-        result.pool_peak_gb = dict(engine.pool_peak_by_group)
-        return result

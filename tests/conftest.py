@@ -25,6 +25,24 @@ def crossshard_case():
     return build
 
 
+@pytest.fixture(scope="session")
+def one_shard():
+    """``one_shard(simulator, trace, policy)``: positional
+    ``replay_crossshard`` arguments that replay ``simulator``'s cluster as
+    a one-shard fleet, the way ``ClusterSimulator.run`` does."""
+    def build(simulator, trace, policy):
+        pooled = bool(simulator.pool_size_sockets)
+        topo = PoolTopology.per_shard([simulator.n_servers],
+                                      simulator.server_config.sockets,
+                                      simulator.pool_size_sockets)
+        return ([trace], [policy if pooled else None], [simulator.n_servers],
+                [simulator.server_config], topo,
+                simulator.pool_capacity_gb_per_group,
+                simulator.constrain_memory, simulator.sample_interval_s,
+                simulator.record_placements)
+    return build
+
+
 @pytest.fixture
 def forbid(monkeypatch):
     """``forbid(owner, name)`` makes any call to ``owner.name`` fail the

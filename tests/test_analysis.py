@@ -19,12 +19,13 @@ Lock-down for the project-specific static analysis (DESIGN.md section 12):
 """
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.contracts import check_pump, check_simulator
+from repro.analysis.contracts import check_contracts, check_pump
 from repro.analysis.det_rules import lint_source
 from repro.analysis.findings import (
     Finding,
@@ -316,51 +317,49 @@ class TestPickleSafety:
 
 
 class TestContracts:
-    SIMULATOR = SRC / "repro" / "cluster" / "simulator.py"
     POOL_TOPOLOGY = SRC / "repro" / "cluster" / "pool_topology.py"
 
+    def mutated_pump(self, tmp_path, mutate):
+        """A copy of the real pool_topology.py after ``mutate``."""
+        source = self.POOL_TOPOLOGY.read_text()
+        mutated = mutate(source)
+        assert mutated != source, "anchor text changed; update this test"
+        fixture = tmp_path / "pool_topology_mutated.py"
+        fixture.write_text(mutated)
+        return fixture
+
     def test_real_loops_pass(self):
-        assert check_simulator(self.SIMULATOR) == []
         assert check_pump(self.POOL_TOPOLOGY) == []
+        assert check_contracts() == []
 
     def test_swapped_fault_sample_ordering_fails(self, tmp_path):
-        """A fixture copy of simulator.py with the fault/sample tie
-        inverted must fail the checker (acceptance criterion)."""
-        source = self.SIMULATOR.read_text()
-        swapped = source.replace(
-            "elif fault_time <= next_sample_time:",
-            "elif next_sample_time <= fault_time:",
-        )
-        assert swapped != source, "anchor line changed; update this test"
-        fixture = tmp_path / "simulator_swapped.py"
-        fixture.write_text(swapped)
-        findings = check_simulator(fixture)
-        assert "ORD003" in rules_of(findings)
+        """Swapping the fault and sample heap priorities in a copy of the
+        real pump module must fail the checker (acceptance criterion)."""
+        def swap(source):
+            return (source.replace("_KIND_FAULT = 1", "_KIND_FAULT = @")
+                    .replace("_KIND_SAMPLE = 2", "_KIND_SAMPLE = 1")
+                    .replace("_KIND_FAULT = @", "_KIND_FAULT = 2"))
+        findings = check_pump(self.mutated_pump(tmp_path, swap))
+        assert "ORD005" in rules_of(findings)
 
     def test_sample_arm_order_swap_fails(self, tmp_path):
-        fixture = tmp_path / "loop.py"
-        fixture.write_text(textwrap.dedent("""\
-            def _run_array_online(self):
-                def advance_to(time_s):
-                    while True:
-                        if departure_time <= next_sample_time and \\
-                                departure_time <= fault_time:
-                            process_one_departure()
-                        elif fault_time <= next_sample_time:
-                            injector.fire_next()
-                        else:
-                            if mitigate:
-                                qos_tick()
-                            take_sample(next_sample_time)
-                            if injector is not None:
-                                injector.retry_tick(0)
-            """))
-        assert "ORD004" in rules_of(check_simulator(fixture))
+        """Moving the QoS tick ahead of take_sample in a copy of the real
+        pump must fail ORD007."""
+        def move_qos_tick(source):
+            source, removed = re.subn(
+                r"\n\s+if mitigate:\n(?:\s+#.*\n)*\s+qos_tick\(shard\)\n",
+                "\n", source, count=1)
+            assert removed == 1
+            anchor = "                take_sample(shard, event[0])\n"
+            assert source.count(anchor) == 1
+            return source.replace(
+                anchor, "                qos_tick(shard)\n" + anchor)
+        findings = check_pump(self.mutated_pump(tmp_path, move_qos_tick))
+        assert "ORD007" in rules_of(findings)
 
     def test_missing_anchor_fails_loudly(self, tmp_path):
         fixture = tmp_path / "empty.py"
         fixture.write_text("x = 1\n")
-        assert rules_of(check_simulator(fixture)) == ["ORD001"]
         assert "ORD001" in rules_of(check_pump(fixture))
 
     PUMP_TEMPLATE = """\
@@ -395,6 +394,20 @@ class TestContracts:
         fixture.write_text(textwrap.dedent(
             self.PUMP_TEMPLATE.format(dep=0, fault=1, sample=2)))
         assert check_pump(fixture) == []
+
+    def test_sample_dispatched_before_fault_fails(self, tmp_path):
+        source = textwrap.dedent(
+            self.PUMP_TEMPLATE.format(dep=0, fault=1, sample=2))
+        fault_arm = source[source.index("        elif kind == _KIND_FAULT:"):
+                           source.index("        elif kind == _KIND_SAMPLE:")]
+        sample_arm = source[source.index("        elif kind == _KIND_SAMPLE:"):
+                            source.index("        else:")]
+        swapped = source.replace(fault_arm + sample_arm,
+                                 sample_arm + fault_arm)
+        assert swapped != source
+        fixture = tmp_path / "pump.py"
+        fixture.write_text(swapped)
+        assert "ORD006" in rules_of(check_pump(fixture))
 
     def test_kind_priority_swap_fails(self, tmp_path):
         fixture = tmp_path / "pump.py"

@@ -6,6 +6,7 @@ return exactly the sequential search's PoolSavings."""
 import numpy as np
 import pytest
 
+from repro.cluster import pool_topology
 from repro.cluster.engine import (
     ArrayPlacementEngine,
     PLACEMENT_ENGINES,
@@ -52,14 +53,12 @@ def assert_identical(array_result, object_result):
             == object_result.sample_buffer.rows()).all()
 
 
-def run_both(trace_or_stream, policy=None, pool_gb=None, horizon_s=None, **kwargs):
+def run_both(trace_or_stream, policy=None, **kwargs):
     kwargs.setdefault("sample_interval_s", 1800.0)
     results = {}
     for engine in PLACEMENT_ENGINES:
         sim = ClusterSimulator(engine=engine, **kwargs)
-        results[engine] = sim.run(
-            trace_or_stream, policy=policy, pool_gb=pool_gb, horizon_s=horizon_s
-        )
+        results[engine] = sim.run(trace_or_stream, policy=policy)
     return results["array"], results["object"]
 
 
@@ -131,12 +130,14 @@ class TestArrayObjectDifferential:
         assert array_cb.placements == array_result.placements
 
     def test_precomputed_pool_array(self):
+        """A ``decide_batch`` policy's allocation array drives both
+        engines identically."""
         trace = bulk_trace(seed=11, n_servers=6)
-        policy = FixedFractionPolicy(0.3)
         array_result, object_result = run_both(
-            trace, pool_gb=policy.decide_batch(trace), n_servers=6,
+            trace, policy=FixedFractionPolicy(0.3), n_servers=6,
             pool_size_sockets=8, constrain_memory=False,
         )
+        assert array_result.total_pool_gb_allocated > 0
         assert_identical(array_result, object_result)
 
     def test_streamed_replay(self):
@@ -173,13 +174,42 @@ class TestArrayObjectDifferential:
                 sim.run(BadStream())
 
     def test_horizon_variants(self):
+        """The horizon is the last arrival: off the sample grid, and
+        landing exactly on a grid tick (the replaced pre-arrival row)."""
         trace = bulk_trace(seed=19, n_servers=4, duration_days=0.3)
         span = max(r.arrival_s for r in trace)
-        for horizon in (None, span, span + 1800.0, span + 7200.0):
-            array_result, object_result = run_both(
-                trace, n_servers=4, horizon_s=horizon
-            )
+        on_grid = 1800.0 * (int(span // 1800.0) + 1)
+        tail = VMTraceRecord(vm_id="tail", cluster_id=trace.cluster_id,
+                             arrival_s=on_grid, lifetime_s=600.0, cores=2,
+                             memory_gb=8.0)
+        extended = ClusterTrace(list(trace.records) + [tail],
+                                cluster_id=trace.cluster_id)
+        for variant, horizon in ((trace, span), (extended, on_grid)):
+            array_result, object_result = run_both(variant, n_servers=4)
             assert_identical(array_result, object_result)
+            assert array_result.samples[-1].time_s == horizon
+
+
+class TestCalendarVsOneShard:
+    """``run``'s two array targets agree: a materialised trace replayed on
+    the calendar loop equals its one-shard inlined cross-shard replay."""
+
+    @pytest.mark.parametrize("pool_size_sockets, constrain", [
+        (0, True), (0, False), (8, True), (16, False)])
+    def test_materialised_trace(self, pool_size_sockets, constrain, forbid):
+        trace = bulk_trace(seed=31, n_servers=8, utilization=0.92)
+        sim = ClusterSimulator(
+            n_servers=8, pool_size_sockets=pool_size_sockets,
+            pool_capacity_gb_per_group=400.0, constrain_memory=constrain,
+            sample_interval_s=1800.0)
+        policy = FixedFractionPolicy(0.3)
+        calendar = sim._run_array_calendar(trace, policy)
+        forbid(ClusterSimulator, "_run_array_calendar")
+        forbid(pool_topology, "_replay_crossshard_events")
+        inlined = sim.run(trace, policy)
+        assert_identical(inlined, calendar)
+        assert (inlined.total_pool_gb_allocated > 0) == bool(
+            pool_size_sockets)
 
 
 class TestVMSchedulerArrayFacade:

@@ -104,14 +104,6 @@ class TestHorizonSampling:
         result = sim.run(trace)
         assert result.sample_array("time_s").tolist() == [0.0, 3600.0, 5000.0]
 
-    def test_explicit_horizon_extends_sampling(self):
-        trace = ClusterTrace([record("vm-0", arrival_s=0.0, lifetime_s=1000.0)])
-        sim = ClusterSimulator(n_servers=1, sample_interval_s=3600.0)
-        result = sim.run(trace, horizon_s=10000.0)
-        times = result.sample_array("time_s")
-        assert times.tolist() == [0.0, 3600.0, 7200.0, 10000.0]
-        assert (np.diff(times) > 0).all()
-
 
 class TestPoolDimensionerCaches:
     def make_trace(self, memory_gb):

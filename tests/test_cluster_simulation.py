@@ -25,6 +25,18 @@ def make_trace(n_vms=60, cores=4, memory_gb=16.0, lifetime_s=7200.0, spacing_s=6
     return ClusterTrace(records)
 
 
+class ConstantBatchPolicy:
+    """``decide_batch`` returns ``gb`` for every VM, in an array of
+    ``len(trace) + extra`` entries (``extra != 0`` breaks the contract)."""
+
+    def __init__(self, gb, extra=0):
+        self.gb = gb
+        self.extra = extra
+
+    def decide_batch(self, trace):
+        return np.full(len(trace) + self.extra, self.gb)
+
+
 class TestVMScheduler:
     def make_servers(self, n=2):
         return [ClusterServer(f"s{i}", ServerConfig()) for i in range(n)]
@@ -138,7 +150,7 @@ class TestClusterSimulator:
                                        constrain_memory=False,
                                        sample_interval_s=600.0)
         from_callback = sim().run(trace, policy=policy.__call__)
-        from_array = sim().run(trace, pool_gb=policy.decide_batch(trace))
+        from_array = sim().run(trace, policy=policy)
         assert from_array.placements == from_callback.placements
         assert from_array.pool_peak_gb == from_callback.pool_peak_gb
         assert from_array.server_peak_local_gb == from_callback.server_peak_local_gb
@@ -147,21 +159,20 @@ class TestClusterSimulator:
         trace = make_trace(n_vms=10, memory_gb=16.0)
         sim = ClusterSimulator(n_servers=2, pool_size_sockets=4,
                                constrain_memory=False, sample_interval_s=600.0)
-        oversized = np.full(len(trace), 1e6)
-        result = sim.run(trace, pool_gb=oversized)
+        result = sim.run(trace, policy=ConstantBatchPolicy(1e6))
         assert result.total_pool_gb_allocated == pytest.approx(10 * 16.0)
 
     def test_pool_array_length_must_match_trace(self):
         trace = make_trace(n_vms=5)
         sim = ClusterSimulator(n_servers=2, pool_size_sockets=4,
                                constrain_memory=False, sample_interval_s=600.0)
-        with pytest.raises(ValueError):
-            sim.run(trace, pool_gb=np.zeros(4))
+        with pytest.raises(ValueError, match="decide_batch"):
+            sim.run(trace, policy=ConstantBatchPolicy(0.0, extra=-1))
 
     def test_pool_array_ignored_without_pool(self):
         trace = make_trace(n_vms=5)
         sim = ClusterSimulator(n_servers=2, sample_interval_s=600.0)
-        result = sim.run(trace, pool_gb=np.full(len(trace), 8.0))
+        result = sim.run(trace, policy=ConstantBatchPolicy(8.0))
         assert result.total_pool_gb_allocated == 0.0
 
 
@@ -264,7 +275,8 @@ class TestSamplesCacheInvalidation:
 
 class TestHorizonGridReplacement:
     """The horizon sample replaces a grid sample landing exactly on the
-    horizon (pre-arrival state) with the post-arrival end state."""
+    horizon (pre-arrival state) with the post-arrival end state.  The
+    horizon is the trace's last arrival."""
 
     def trace_with_arrival_at(self, time_s):
         records = [
@@ -278,7 +290,7 @@ class TestHorizonGridReplacement:
     def test_explicit_horizon_on_grid_emits_single_post_arrival_sample(self):
         trace = self.trace_with_arrival_at(7200.0)
         sim = ClusterSimulator(n_servers=1, sample_interval_s=3600.0)
-        result = sim.run(trace, horizon_s=7200.0)
+        result = sim.run(trace)
         times = result.sample_array("time_s")
         assert times.tolist() == [0.0, 3600.0, 7200.0]
         assert (np.diff(times) > 0).all()
@@ -288,7 +300,7 @@ class TestHorizonGridReplacement:
     def test_explicit_horizon_off_grid_appends_final_sample(self):
         trace = self.trace_with_arrival_at(5400.0)
         sim = ClusterSimulator(n_servers=1, sample_interval_s=3600.0)
-        result = sim.run(trace, horizon_s=5400.0)
+        result = sim.run(trace)
         assert result.sample_array("time_s").tolist() == [0.0, 3600.0, 5400.0]
         assert result.sample_array("running_vms").tolist() == [0, 0, 1]
 

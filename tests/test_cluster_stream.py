@@ -160,19 +160,27 @@ class TestStreamedReplayEquality:
         self.assert_results_identical(expected, got)
 
     def test_precomputed_pool_gb_replay_identical(self, config, trace):
-        allocations = PondTracePolicy(OPERATING_POINT, seed=3).decide_batch(trace)
-        expected = self.make_simulator(config, 4).run(trace, pool_gb=allocations)
-        got = self.make_simulator(config, 4).run(
-            trace.stream(64), pool_gb=allocations
-        )
+        """Per-chunk ``decide_batch`` arrays equal the whole-trace one."""
+        policy = PondTracePolicy(OPERATING_POINT, seed=3)
+        expected = self.make_simulator(config, 4).run(trace, policy=policy)
+        got = self.make_simulator(config, 4).run(trace.stream(64),
+                                                 policy=policy)
         self.assert_results_identical(expected, got)
+        assert got.total_pool_gb_allocated \
+            == expected.total_pool_gb_allocated > 0
 
     def test_pool_gb_length_mismatch_detected_on_stream(self, config, trace):
+        class Miscounting:
+            def __init__(self, extra):
+                self.extra = extra
+
+            def decide_batch(self, block):
+                return np.zeros(len(block) + self.extra)
+
         simulator = self.make_simulator(config, 4)
-        with pytest.raises(ValueError, match="pool_gb"):
-            simulator.run(trace.stream(64), pool_gb=np.zeros(len(trace) - 1))
-        with pytest.raises(ValueError, match="pool_gb"):
-            simulator.run(trace.stream(64), pool_gb=np.zeros(len(trace) + 1))
+        for extra in (-1, 1):
+            with pytest.raises(ValueError, match="decide_batch"):
+                simulator.run(trace.stream(64), policy=Miscounting(extra))
 
     def test_unsorted_stream_rejected(self, trace):
         class ShuffledStream(TraceStream):

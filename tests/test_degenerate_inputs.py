@@ -93,6 +93,25 @@ class TestClusterSimulatorDegenerate:
         assert np.array_equal(streamed.sample_buffer.rows(),
                               direct.sample_buffer.rows())
 
+    @pytest.mark.parametrize("trace", [EMPTY, SINGLE], ids=["empty", "single"])
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_unpooled_engines_identical(self, trace, stream):
+        """Unpooled one-shard replays (and the calendar loop for streams)
+        match the object engine on the edge traces."""
+        results = [
+            simulator(engine, pool_size_sockets=0).run(
+                trace.stream(chunk_size=8) if stream else trace,
+                policy=FixedFractionPolicy(0.5))
+            for engine in ENGINES
+        ]
+        assert results[0].placed_vms == results[1].placed_vms == len(trace)
+        assert results[0].total_pool_gb_allocated == 0.0
+        assert results[0].pool_peak_gb == results[1].pool_peak_gb == {}
+        assert results[0].server_peak_local_gb \
+            == results[1].server_peak_local_gb
+        assert np.array_equal(results[0].sample_buffer.rows(),
+                              results[1].sample_buffer.rows())
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_stream(self, engine):
         result = simulator(engine).run(EMPTY.stream(chunk_size=8))

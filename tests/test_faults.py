@@ -3,10 +3,10 @@
 Lock-down for the ``faults=FaultSchedule(...)`` replay stage:
 
 * **Differential**: an empty schedule is dropped before dispatch, so the
-  replay takes the static loops; the fault-aware loops, called directly
-  with it, must stay byte-identical to the static replay -- on the
-  single-cluster array engine, composed with the online control loop,
-  and through the cross-shard pump on both topologies.
+  replay takes the static loops; the fault-aware events loop, called
+  directly with it, must stay byte-identical to the static replay -- on a
+  single cluster (a one-shard fleet), composed with the online control
+  loop, and on both cross-shard topologies.
 * **Determinism**: seeded schedules replay bit-identically across
   process-pool vs serial fleet fan-out (``as_dict`` canonical forms).
 * **Degradation ladder**: pool-to-local first, live migration second,
@@ -285,7 +285,7 @@ class TestEmptyScheduleByteIdentity:
 
     def test_single_cluster(self, trace, policy, forbid):
         static = make_simulator().run(trace, policy)
-        forbid(ClusterSimulator, "_run_array_online")
+        forbid(pool_topology, "_replay_crossshard_events")
         faulted = make_simulator().run(trace, policy, faults=FaultSchedule())
         assert_results_identical(static, faulted)
         assert static.fault_stats is None
@@ -299,7 +299,7 @@ class TestEmptyScheduleByteIdentity:
     def test_single_cluster_constrained(self, trace, policy, forbid):
         kwargs = dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)
         static = make_simulator(**kwargs).run(trace, policy)
-        forbid(ClusterSimulator, "_run_array_online")
+        forbid(pool_topology, "_replay_crossshard_events")
         faulted = make_simulator(**kwargs).run(trace, policy,
                                                faults=FaultSchedule())
         assert_results_identical(static, faulted)
@@ -354,10 +354,12 @@ class TestEmptyScheduleByteIdentity:
 
     @pytest.mark.parametrize("kwargs", [
         {}, dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)])
-    def test_single_cluster_reference_loop(self, trace, policy, kwargs):
+    def test_single_cluster_reference_loop(self, trace, policy, kwargs,
+                                           one_shard):
         static = make_simulator(**kwargs).run(trace, policy)
-        faulted = make_simulator(**kwargs)._run_array_online(
-            trace, policy, None, None, None, FaultSchedule())
+        (faulted,), _ = _replay_crossshard_events(
+            *one_shard(make_simulator(**kwargs), trace, policy),
+            faults=FaultSchedule())
         assert_results_identical(static, faulted)
         assert faulted.fault_stats.as_dict() == FaultImpactStats().as_dict()
 
@@ -374,14 +376,15 @@ class TestEmptyScheduleByteIdentity:
         assert static_ledger.free_gb == faulted_ledger.free_gb
         assert static_ledger.used_gb == faulted_ledger.used_gb
 
-    def test_online_reference_loop(self, trace, policy):
+    def test_online_reference_loop(self, trace, policy, one_shard):
         """Enabled mitigation next to an empty schedule: the fault-aware
         online loop (token-indirected departures, injector hooks) must
         match the online loop without faults."""
         online = OnlineControlConfig(qos_threshold_percent=5.0)
         plain = make_simulator().run(trace, policy, online=online)
-        faulted = make_simulator()._run_array_online(
-            trace, policy, None, None, online, FaultSchedule())
+        (faulted,), _ = _replay_crossshard_events(
+            *one_shard(make_simulator(), trace, policy), online=online,
+            faults=FaultSchedule())
         assert_results_identical(plain, faulted)
         assert plain.online_stats.n_mitigations > 0
         assert plain.online_stats == faulted.online_stats
@@ -435,16 +438,25 @@ def tight_fault_run(retry_budget=1, events=None):
 class TestDegradationLadder:
     def test_seeded_schedule_reaches_fault_loop(self, monkeypatch):
         calls = []
-        original = ClusterSimulator._run_array_online
+        original = pool_topology._replay_crossshard_events
 
-        def spy(self, *args, **kwargs):
-            calls.append(args[-1])
-            return original(self, *args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(kwargs["faults"])
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(ClusterSimulator, "_run_array_online", spy)
+        monkeypatch.setattr(pool_topology, "_replay_crossshard_events", spy)
         result = tight_fault_run()
         assert len(calls) == 1 and calls[0].events
         assert result.fault_stats.n_fail_events > 0
+
+    def test_unpooled_cluster_rejects_schedule(self, trace, policy):
+        """An unpooled cluster is a one-shard fleet with no groups, so a
+        schedule naming a group is an error, not a silent no-op."""
+        schedule = FaultSchedule([FaultEvent(100.0, "fail", 0)])
+        with pytest.raises(ValueError, match=r"pool groups \[0\] that do "
+                                             r"not exist"):
+            make_simulator(pool_size_sockets=0).run(trace, policy,
+                                                     faults=schedule)
 
     def test_all_three_rungs_fire_and_account(self):
         result = tight_fault_run(retry_budget=1)

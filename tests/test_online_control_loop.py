@@ -100,7 +100,7 @@ class TestDisabledMitigationIsStatic:
 
     def test_array_engine_byte_identity(self, trace, policy, forbid):
         static = make_simulator().run(trace, policy)
-        forbid(ClusterSimulator, "_run_array_online")
+        forbid(pool_topology, "_replay_crossshard_events")
         online = make_simulator().run(trace, policy, online=DISABLED)
         assert_results_identical(static, online)
         assert static.online_stats is None
@@ -122,7 +122,7 @@ class TestDisabledMitigationIsStatic:
     def test_constrained_replay_byte_identity(self, trace, policy, forbid):
         kwargs = dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)
         static = make_simulator(**kwargs).run(trace, policy)
-        forbid(ClusterSimulator, "_run_array_online")
+        forbid(pool_topology, "_replay_crossshard_events")
         online = make_simulator(**kwargs).run(trace, policy, online=DISABLED)
         assert_results_identical(static, online)
 
@@ -163,10 +163,12 @@ class TestDisabledMitigationIsStatic:
 
     @pytest.mark.parametrize("kwargs", [
         {}, dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)])
-    def test_array_engine_reference_loop(self, trace, policy, kwargs):
+    def test_array_engine_reference_loop(self, trace, policy, kwargs,
+                                         one_shard):
         static = make_simulator(**kwargs).run(trace, policy)
-        online = make_simulator(**kwargs)._run_array_online(
-            trace, policy, None, None, DISABLED)
+        (online,), _ = _replay_crossshard_events(
+            *one_shard(make_simulator(**kwargs), trace, policy),
+            online=DISABLED)
         assert_results_identical(static, online)
         assert online.online_stats == OnlineControlStats()
 
@@ -210,13 +212,13 @@ class TestMitigationEffects:
     def test_enabled_mitigation_reaches_online_loop(self, trace, policy,
                                                     monkeypatch):
         calls = []
-        original = ClusterSimulator._run_array_online
+        original = pool_topology._replay_crossshard_events
 
-        def spy(self, *args, **kwargs):
-            calls.append(args[4])
-            return original(self, *args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(kwargs["online"])
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(ClusterSimulator, "_run_array_online", spy)
+        monkeypatch.setattr(pool_topology, "_replay_crossshard_events", spy)
         enabled = OnlineControlConfig(qos_threshold_percent=5.0)
         result = make_simulator().run(trace, policy, online=enabled)
         assert calls == [enabled]

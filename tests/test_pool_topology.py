@@ -70,6 +70,15 @@ class TestTopologyShape:
         assert caps == {0: 1.1 * 30.0, 1: 1.1 * 30.0, 2: 1.1 * 5.0}
         assert total == pytest.approx(2 * 1.1 * 30.0 + 1.1 * 5.0)
 
+    def test_unpooled_per_shard(self):
+        topo = PoolTopology.per_shard([3, 2], 2, 0)
+        assert topo.group_of == ((-1, -1, -1), (-1, -1))
+        assert topo.n_groups == 0
+        assert topo.groups_of_shard(0) == ()
+        assert topo.local_group_ids(1) == {}
+        assert topo.is_per_shard
+        assert PoolGroupLedger.for_topology(topo, 100.0).capacity_gb == {}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PoolTopology([], 2, 4)
@@ -80,7 +89,11 @@ class TestTopologyShape:
         with pytest.raises(ValueError):
             PoolTopology([[0], [0]], 2, 4, domain_of_group=[0, 1])
         with pytest.raises(ValueError):
-            PoolTopology.per_shard([2], 2, 0)
+            PoolTopology.per_shard([2], 2, -2)  # negative pool size
+        with pytest.raises(ValueError):
+            PoolTopology([[0, 0]], 2, 0)  # unpooled servers need group -1
+        with pytest.raises(ValueError):
+            PoolTopology([[-1, 0]], 2, 4)  # pooled fleets pool every server
         topo = PoolTopology.per_shard([2, 2], 2, 4)
         with pytest.raises(ValueError):  # shard sizes disagree with fleet
             FleetSimulator.sharded(2, base_config(), pool_topology=topo)
