@@ -973,8 +973,11 @@ class ClusterSimulator:
                             agg_used_cores -= d_cores
                             agg_used_gb -= d_local
                             if before_cores >= stc:
-                                # stranded_after is exactly 0.0 here.
-                                agg_stranded += 0.0 - (std - old_gb)
+                                # stranded_after is exactly 0.0 unless a
+                                # zero-core VM leaves a full server.
+                                agg_stranded += (
+                                    std - new_gb if new_cores >= stc else 0.0
+                                ) - (std - old_gb)
                             agg_running -= 1
                             # Reindex: free cores always change (cores >= 1);
                             # the old key is recomputed from the exact
@@ -1109,9 +1112,11 @@ class ClusterSimulator:
                 agg_used_cores += cores_r
                 agg_used_gb += local_gb
                 if new_cores >= stc:
-                    # stranded_before is exactly 0.0 here (the server had a
-                    # free core); adding "after - 0.0" keeps byte equality.
-                    agg_stranded += (std - new_gb) - 0.0
+                    # stranded_before is exactly 0.0 (the server had a free
+                    # core) unless a zero-core VM lands on a full server.
+                    agg_stranded += (std - new_gb) - (
+                        std - old_gb if before_cores >= stc else 0.0
+                    )
                 agg_running += 1
 
                 # Reindex: free cores always change (cores >= 1), and the old
@@ -1298,7 +1303,9 @@ class ClusterSimulator:
         agg_used_cores -= d_cores
         agg_used_gb -= d_local
         if before_cores >= stc:
-            agg_stranded += 0.0 - (std - old_gb)
+            agg_stranded += (
+                std - new_gb if new_cores >= stc else 0.0
+            ) - (std - old_gb)
         agg_running -= 1
         buckets = engine._buckets
         bucket = buckets[stc - before_cores]
