@@ -3,26 +3,18 @@
 The paper's evaluation replays traces with "millions of per-VM
 arrival/departure events" at second accuracy (Sections 3.1 and 6.1).  This
 module replays a >=270,000-VM synthetic trace against 500 servers and asserts
-the three performance claims the placement stack makes:
+the performance claims the placement stack makes:
 
-* the indexed candidate structure produces *identical* placement decisions
-  to the legacy O(n_servers) linear scan and is at least 5x faster (both on
-  the object engine, where the linear scan lives),
-* the struct-of-arrays placement engine (``engine="array"``) produces
-  *identical* results to the object engine and is at least 2x faster on the
-  capacity-probe replay (the memory-tight constrained replay that the
-  dimensioning search runs ~11 times per evaluation -- the single hottest
-  workload in the repo), and
+* the replay stays above an events/s floor, and its outputs (sample rows,
+  placements, peaks, rejections) equal the digests the retired object
+  engine produced on the same trace, on the default and on a memory-tight
+  capacity-probe server config (``tests/fixtures/object_engine.json``);
 * the parallel capacity search (``max_workers``) returns *identical*
   ``PoolSavings`` to the sequential search and, given enough cores, is at
   least 1.5x faster end to end.
 
-The linear scan is deliberately run once on the full trace (roughly a
-minute) so the recorded baseline is an honest full-scale measurement, not an
-extrapolation.  Timing uses ``time.perf_counter`` directly instead of the
-pytest-benchmark fixture because a calibrated multi-round run of the linear
-baseline would take tens of minutes; the engine comparison takes the min of
-two interleaved runs per engine to damp machine noise.
+Timing uses ``time.perf_counter`` directly instead of the pytest-benchmark
+fixture: the replay takes the min of three runs to damp machine noise.
 
 ``BENCH_SMOKE=1`` shrinks the trace and relaxes the floors (see
 ``_bench_report.py``); every test emits a machine-readable
@@ -30,7 +22,9 @@ two interleaved runs per engine to damp machine noise.
 """
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -47,15 +41,18 @@ from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.tracegen import TraceGenConfig, TraceGenerator
 from repro.core.prediction.combined import CombinedOperatingPoint
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from replay_fixtures import digest, load_fixture  # noqa: E402
+
 N_SERVERS = pick(500, 60)
 MIN_VMS = pick(270_000, 3_000)
 DURATION_DAYS = pick(3.6, 0.5)
-MIN_LINEAR_SPEEDUP = pick(5.0, 2.0)
-MIN_ARRAY_SPEEDUP = pick(2.0, 1.3)
 MIN_EVENTS_PER_S = pick(200_000, 20_000)
 #: The capacity-probe replay provisions servers memory-tight (the regime the
 #: dimensioning search's lower bisection candidates probe).
 PROBE_DRAM_PER_SOCKET_GB = 112.0
+#: Key of this scale's digests under the fixture's ``scale_trace``.
+SCALE = pick("full", "smoke")
 
 OPERATING_POINT = CombinedOperatingPoint(
     fp_percent=1.5, op_percent=2.0, li_percent=30.0, um_percent=22.0
@@ -76,7 +73,7 @@ def scale_trace():
     trace = TraceGenerator(config).generate_bulk()
     elapsed = time.perf_counter() - start
     # Warm the cached columnar view: every replay consumes it, so building
-    # it once here keeps the timed runs comparable across engines.
+    # it once here keeps the timed runs comparable.
     trace.columns()
     print(f"\ngenerated {len(trace):,} VMs for {N_SERVERS} servers "
           f"in {elapsed:.1f}s (bulk path)")
@@ -84,120 +81,24 @@ def scale_trace():
     return trace
 
 
-def run_once(trace, strategy="indexed", engine=None, server_config=None):
+def run_once(trace, server_config=None):
     simulator = ClusterSimulator(
         n_servers=N_SERVERS,
         server_config=server_config,
         sample_interval_s=3600.0,
-        scheduler_strategy=strategy,
-        engine=engine,
     )
     start = time.perf_counter()
     result = simulator.run(trace)
     return result, time.perf_counter() - start
 
 
-def assert_identical(a, b):
-    """Same VM -> server assignment, rejections, peaks, and time series."""
-    assert a.placements == b.placements
-    assert a.rejected_vms == b.rejected_vms
-    assert a.server_peak_local_gb == b.server_peak_local_gb
-    assert a.server_peak_total_gb == b.server_peak_total_gb
-    assert (a.sample_buffer.rows() == b.sample_buffer.rows()).all()
-
-
-def test_bench_indexed_matches_linear_and_is_5x_faster(scale_trace):
-    """Both strategies on the object engine, where the linear scan lives."""
-    indexed_result, indexed_s = run_once(scale_trace, "indexed", engine="object")
-    linear_result, linear_s = run_once(scale_trace, "linear", engine="object")
-
-    n_events = 2 * len(scale_trace)
-    print(f"\n{'strategy':<10} {'seconds':>9} {'events/s':>12} "
-          f"{'placed':>9} {'rejected':>9}")
-    for name, result, elapsed in (
-        ("indexed", indexed_result, indexed_s),
-        ("linear", linear_result, linear_s),
-    ):
-        print(f"{name:<10} {elapsed:>9.2f} {n_events / elapsed:>12,.0f} "
-              f"{result.placed_vms:>9,} {result.rejected_vms:>9,}")
-    speedup = linear_s / indexed_s
-    print(f"speedup: {speedup:.1f}x")
-
-    assert_identical(indexed_result, linear_result)
-    emit_report("cluster_scale_indexed_vs_linear", {
-        "n_vms": len(scale_trace),
-        "n_servers": N_SERVERS,
-        "indexed_seconds": indexed_s,
-        "linear_seconds": linear_s,
-        "speedup": speedup,
-        "speedup_floor": MIN_LINEAR_SPEEDUP,
-    })
-    assert speedup >= MIN_LINEAR_SPEEDUP, (
-        f"indexed scheduler only {speedup:.1f}x faster than the linear scan "
-        f"(required >= {MIN_LINEAR_SPEEDUP}x)"
-    )
-
-
-def test_bench_array_engine_2x_object_on_capacity_probe(scale_trace):
-    """Array engine >= 2x the object engine on the capacity-probe replay.
-
-    The workload is the memory-constrained uniform-DRAM replay the
-    dimensioning search's binary search probes repeatedly; both engines
-    replay it with placement recording on, and the outputs are asserted
-    byte-identical.  Each engine is timed twice (interleaved) and the min
-    is used, damping the machine noise a single run is exposed to.
-    """
-    probe_config = ServerConfig(
-        name="capacity-probe",
-        dram_per_socket_gb=PROBE_DRAM_PER_SOCKET_GB,
-    )
-    array_times, object_times = [], []
-    array_result = object_result = None
-    for _ in range(2):
-        array_result, elapsed = run_once(
-            scale_trace, engine="array", server_config=probe_config
-        )
-        array_times.append(elapsed)
-        object_result, elapsed = run_once(
-            scale_trace, engine="object", server_config=probe_config
-        )
-        object_times.append(elapsed)
-
-    array_s, object_s = min(array_times), min(object_times)
-    n_events = 2 * len(scale_trace)
-    print(f"\n{'engine':<10} {'seconds':>9} {'events/s':>12} "
-          f"{'placed':>9} {'rejected':>9}")
-    for name, result, elapsed in (
-        ("array", array_result, array_s),
-        ("object", object_result, object_s),
-    ):
-        print(f"{name:<10} {elapsed:>9.2f} {n_events / elapsed:>12,.0f} "
-              f"{result.placed_vms:>9,} {result.rejected_vms:>9,}")
-    speedup = object_s / array_s
-    print(f"speedup: {speedup:.1f}x")
-
-    assert_identical(array_result, object_result)
-    assert array_result.pool_peak_gb == object_result.pool_peak_gb
-    emit_report("cluster_scale_array_vs_object", {
-        "n_vms": len(scale_trace),
-        "n_servers": N_SERVERS,
-        "probe_dram_per_socket_gb": PROBE_DRAM_PER_SOCKET_GB,
-        "array_seconds": array_s,
-        "object_seconds": object_s,
-        "speedup": speedup,
-        "speedup_floor": MIN_ARRAY_SPEEDUP,
-    })
-    assert speedup >= MIN_ARRAY_SPEEDUP, (
-        f"array engine only {speedup:.1f}x faster than the object engine "
-        f"(required >= {MIN_ARRAY_SPEEDUP}x)"
-    )
-
-
 def test_bench_indexed_throughput_floor(scale_trace):
-    """The default (array-engine) hot path must stay above the events/s floor.
+    """The replay hot path must stay above the events/s floor and reproduce
+    the object engine's pinned outputs on both server configs.
 
     Min of three runs: single-shot timings on a shared host wobble by
     +-30%, which would make a floor near the measured throughput flaky.
+    The capacity-probe config replays once, untimed.
     """
     result = None
     times = []
@@ -206,7 +107,7 @@ def test_bench_indexed_throughput_floor(scale_trace):
         times.append(elapsed)
     elapsed = min(times)
     events_per_s = 2 * len(scale_trace) / elapsed
-    print(f"\narray-engine throughput: {events_per_s:,.0f} events/s "
+    print(f"\nreplay throughput: {events_per_s:,.0f} events/s "
           f"({elapsed:.2f}s best of {len(times)} for "
           f"{2 * len(scale_trace):,} events)")
     emit_report("cluster_scale_throughput", {
@@ -218,6 +119,15 @@ def test_bench_indexed_throughput_floor(scale_trace):
     })
     assert result.placed_vms > 0
     assert events_per_s >= MIN_EVENTS_PER_S
+    pinned = load_fixture()["scale_trace"]
+    probe_config = ServerConfig(name="capacity-probe",
+                                dram_per_socket_gb=PROBE_DRAM_PER_SOCKET_GB)
+    probe_result, _ = run_once(scale_trace, server_config=probe_config)
+    for name, replayed in (("default", result),
+                           ("capacity_probe", probe_result)):
+        want = dict(pinned[f"{SCALE}/{name}"])
+        assert want.pop("n_vms") == len(scale_trace)
+        assert digest(replayed) == want, name
 
 
 # -- parallel capacity search ----------------------------------------------------------

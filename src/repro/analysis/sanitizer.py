@@ -133,7 +133,7 @@ def _check_handles(engine) -> None:
 def _check_live_handle(engine, handle: int, op: str) -> None:
     if not 0 <= handle < len(engine.vm_server):
         raise SanitizerError(f"{op}({handle}): handle out of range")
-    if handle in engine._free_handles:
+    if engine.vm_server[handle] < 0:
         raise SanitizerError(
             f"{op}({handle}): handle is already free -- double remove or "
             "stale handle reused across recycling (silent kill)"

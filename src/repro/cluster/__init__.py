@@ -14,13 +14,9 @@ The paper's stranding analysis (Section 3.1) and end-to-end savings results
   (target core utilisation, DRAM:core skew, lifetime distribution, customer
   mix) reproduce the statistical conditions that cause stranding; its
   ``generate_bulk`` path draws everything vectorized for 10^5..10^6-VM traces.
-* :mod:`repro.cluster.scheduler` -- the NUMA-aware bin-packing VM scheduler,
-  with an indexed candidate structure (default) and a legacy linear scan kept
-  for differential testing.
-* :mod:`repro.cluster.engine` -- the struct-of-arrays placement engine behind
-  ``engine="array"`` (the default hot path): flat per-node/per-server arrays,
-  integer VM handles, and the same best-fit bucket walk as the indexed
-  scheduler, byte-identical to the object path.
+* :mod:`repro.cluster.engine` -- the placement engine: NUMA-aware best-fit
+  bin packing over flat per-node/per-server arrays with integer VM handles
+  and an indexed free-core bucket walk.  Every replay places VMs through it.
 * :mod:`repro.cluster.simulator` -- an event-driven cluster simulator tracking
   per-server and per-pool memory at VM-event granularity over one merged
   arrival/departure/sample event stream; a cluster replays as a one-shard
@@ -41,9 +37,9 @@ The paper's stranding analysis (Section 3.1) and end-to-end savings results
   ``FaultImpactStats`` (DESIGN.md section 11).
 """
 
-from repro.cluster.engine import ArrayPlacementEngine, PLACEMENT_ENGINES
+from repro.cluster.engine import ArrayPlacementEngine, PlacementError
 from repro.cluster.faults import FaultEvent, FaultImpactStats, FaultSchedule
-from repro.cluster.server import ServerConfig, ClusterServer
+from repro.cluster.server import ServerConfig
 from repro.cluster.vm_types import VMType, VM_TYPE_CATALOG, sample_vm_type
 from repro.cluster.pool_topology import PoolGroupLedger, PoolTopology
 from repro.cluster.trace import (
@@ -56,7 +52,6 @@ from repro.cluster.trace import (
     write_csv,
 )
 from repro.cluster.tracegen import TraceGenerator, TraceGenConfig, GeneratedTraceStream
-from repro.cluster.scheduler import VMScheduler, PlacementError, SCHEDULER_STRATEGIES
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.cluster.stranding import StrandingAnalyzer, stranding_vs_utilization
 from repro.cluster.pool import PoolDimensioner, PoolSavings
@@ -83,7 +78,6 @@ __all__ = [
     "FleetShardResult",
     "FleetCapacitySearchResult",
     "ArrayPlacementEngine",
-    "PLACEMENT_ENGINES",
     "FaultEvent",
     "FaultSchedule",
     "FaultImpactStats",
@@ -91,7 +85,6 @@ __all__ = [
     "PoolGroupLedger",
     "write_csv",
     "ServerConfig",
-    "ClusterServer",
     "VMType",
     "VM_TYPE_CATALOG",
     "sample_vm_type",
@@ -104,9 +97,7 @@ __all__ = [
     "GeneratedTraceStream",
     "TraceGenerator",
     "TraceGenConfig",
-    "VMScheduler",
     "PlacementError",
-    "SCHEDULER_STRATEGIES",
     "ClusterSimulator",
     "SimulationResult",
     "StrandingAnalyzer",

@@ -1,40 +1,30 @@
-"""Array-backed placement engine: the struct-of-arrays scheduler hot path.
+"""Array-backed placement engine: the struct-of-arrays cluster state.
 
-The object scheduler (:mod:`repro.cluster.scheduler`) walks ``ClusterServer``
-instances on every placement: each candidate check is a chain of method calls
-and attribute loads (``find_numa_node``, ``free_cores``, ``stranded_gb``,
-per-node Python lists), and every commit touches half a dozen objects.  At
-million-event trace scale that per-VM interpreter overhead dominates the run.
-
-:class:`ArrayPlacementEngine` replaces the object model with flat
-struct-of-arrays state:
+:class:`ArrayPlacementEngine` is the one placement engine every replay
+uses.  It keeps cluster state as flat struct-of-arrays:
 
 * per-NUMA-node used cores / GB in flat ``n_servers * sockets`` arrays,
 * per-server scalars (used cores/GB, pool usage, peaks) in parallel arrays,
 * cluster aggregates (used cores, used GB, stranded GB, running VMs)
-  maintained incrementally with the exact arithmetic the object path uses,
+  maintained incrementally, and
 * live placements as parallel arrays indexed by an integer **VM handle**
-  (handles are recycled through a free list; an optional intern table maps
-  vm ids to handles for callers that address VMs by id), and
-* the departure side stores only ``(time, seq, handle)`` triples, so the
-  event heap never carries strings or objects.
+  (handles are recycled through a free list), so the departure side stores
+  only ``(time, seq, handle)`` triples and the event heap never carries
+  strings or objects.
 
 Hot state lives in plain Python lists: the per-event operations are scalar
 reads/writes, where list indexing is what CPython executes fastest (numpy
-scalar indexing boxes a fresh float per access, which is *slower* than the
-object path it would replace).
+scalar indexing boxes a fresh float per access).
 
-The selection walk is the **same best-fit bucket structure** as the indexed
-scheduler -- free-core buckets holding ``(free_local_gb, server_index)``
-sorted lists, walked from the fewest feasible free cores upwards -- and every
-float update replays the object path's arithmetic operation-for-operation, so
-placements, rejections, peaks, and sample rows are byte-identical to the
-object engine (differential-tested; see DESIGN.md section 6).
-
-``ClusterSimulator``, ``VMScheduler``, ``PoolDimensioner``, and
-``FleetSimulator`` select the engine via ``engine="array" | "object"``; the
-object path is kept for differential testing, exactly like the scheduler's
-``strategy="linear"`` scan.
+Placement is best fit: free-core buckets hold ``(free_local_gb,
+server_index)`` sorted lists and are walked from the fewest feasible free
+cores upwards, so the first server whose pool group and fullest fitting
+NUMA node accept the request is the one with the fewest free cores, then
+the least free memory, then the lowest index.  The replay loops inline
+:meth:`ArrayPlacementEngine.place` / :meth:`~ArrayPlacementEngine.remove`
+statement for statement; ``tests/reference_replay.py`` is a brute-force
+replay (linear scan, no indexes) that every replay is differential-tested
+against byte for byte (DESIGN.md section 6).
 """
 
 from __future__ import annotations
@@ -42,60 +32,20 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.server import ClusterServer, ServerConfig
+from repro.cluster.server import ServerConfig
 
-__all__ = [
-    "ArrayPlacementEngine",
-    "PLACEMENT_ENGINES",
-    "validate_engine",
-    "resolve_engine",
-]
-
-#: Valid values for the ``engine`` argument grown by the scheduler/simulator.
-PLACEMENT_ENGINES = ("array", "object")
+__all__ = ["ArrayPlacementEngine", "PlacementError"]
 
 
-def validate_engine(engine: str) -> str:
-    """Validate a placement-engine name; returns it for chaining."""
-    if engine not in PLACEMENT_ENGINES:
-        raise ValueError(
-            f"unknown placement engine {engine!r}; "
-            f"expected one of {PLACEMENT_ENGINES}"
-        )
-    return engine
-
-
-def resolve_engine(engine: Optional[str], scheduler_strategy: str) -> str:
-    """Resolve the ``engine=None`` default and validate the combination.
-
-    The array engine implements the *indexed* bucket walk; the legacy linear
-    scan only exists on the object path.  ``None`` therefore resolves to
-    ``"array"`` under the default indexed strategy and to ``"object"`` under
-    ``strategy="linear"``; asking for the impossible combination is an error.
-    """
-    if engine is None:
-        return "array" if scheduler_strategy == "indexed" else "object"
-    validate_engine(engine)
-    if engine == "array" and scheduler_strategy != "indexed":
-        raise ValueError(
-            "engine='array' implements the indexed bucket walk; use "
-            "scheduler_strategy='indexed' with it (engine='object' keeps "
-            f"the {scheduler_strategy!r} strategy)"
-        )
-    return engine
+class PlacementError(RuntimeError):
+    """Raised when a VM request cannot be placed."""
 
 
 class ArrayPlacementEngine:
     """Struct-of-arrays cluster state with best-fit bucket-walk placement.
 
-    The engine is constructed either for a fresh uniform cluster
-    (:meth:`for_cluster`, the simulator's path) or from existing
-    ``ClusterServer`` objects (:meth:`from_servers`, the scheduler facade's
-    path, which snapshots their current occupancy).
-
-    Placement/removal return and consume integer VM handles; callers that
-    track VMs by id use :meth:`place_vm` / :meth:`remove_vm`, which maintain
-    the interned id table.
+    Built for a fresh uniform cluster, directly or with :meth:`for_cluster`.
+    Placement and removal return and consume integer VM handles.
     """
 
     def __init__(
@@ -104,7 +54,6 @@ class ArrayPlacementEngine:
         config: ServerConfig,
         group_of: Optional[Sequence[int]] = None,
         pool_free_gb: Optional[Dict[int, float]] = None,
-        server_ids: Optional[Sequence[str]] = None,
         pool_used_gb: Optional[Dict[int, float]] = None,
         pool_peak_gb: Optional[Dict[int, float]] = None,
     ) -> None:
@@ -117,12 +66,7 @@ class ArrayPlacementEngine:
         self.dram_per_socket_gb = config.dram_per_socket_gb
         self.server_total_cores = config.total_cores
         self.server_total_dram_gb = config.total_dram_gb
-        self.server_ids: List[str] = (
-            list(server_ids) if server_ids is not None
-            else [f"server-{i:04d}" for i in range(n_servers)]
-        )
-        if len(self.server_ids) != n_servers:
-            raise ValueError("server_ids must have one entry per server")
+        self.server_ids: List[str] = [f"server-{i:04d}" for i in range(n_servers)]
 
         # -- struct-of-arrays state ------------------------------------------------
         n_nodes = n_servers * self.sockets
@@ -142,7 +86,7 @@ class ArrayPlacementEngine:
         if len(self.group_of) != n_servers:
             raise ValueError("group_of must have one entry per server")
         #: shared pool accounting, keyed by group id.  All three dicts may be
-        #: the caller's (they are mutated in place like the object path);
+        #: the caller's (they are mutated in place);
         #: passing shared ``pool_used_gb`` / ``pool_peak_gb`` dicts lets a
         #: fleet-owned ledger span several engines -- the cross-shard pool
         #: topology (repro.cluster.pool_topology) builds one engine per shard
@@ -167,7 +111,7 @@ class ArrayPlacementEngine:
         self.stranded_gb = 0.0
         self.running_vms = 0
 
-        # -- candidate index (same structure as the indexed scheduler) -------------
+        # -- candidate index -------------------------------------------------------
         #: free-core count -> sorted [(free_local_gb, server_index), ...]
         self._buckets: List[List[Tuple[float, int]]] = [
             [] for _ in range(self.server_total_cores + 1)
@@ -184,8 +128,6 @@ class ArrayPlacementEngine:
         self.vm_local_gb: List[float] = []
         self.vm_pool_gb: List[float] = []
         self._free_handles: List[int] = []
-        #: vm id -> handle, maintained by place_vm/remove_vm only.
-        self._handle_of: Dict[str, int] = {}
 
     # -- constructors ----------------------------------------------------------------
     @classmethod
@@ -214,67 +156,6 @@ class ArrayPlacementEngine:
                 pool_free.setdefault(group, pool_capacity_gb_per_group)
         return cls(n_servers, config, group_of=group_of, pool_free_gb=pool_free)
 
-    @classmethod
-    def from_servers(
-        cls,
-        servers: Sequence[ClusterServer],
-        pool_free_gb: Optional[Dict[int, float]] = None,
-        server_pool_group: Optional[Dict[str, int]] = None,
-    ) -> "ArrayPlacementEngine":
-        """Snapshot existing servers (with any live placements) into arrays.
-
-        All servers must share one :class:`ServerConfig`: a single bucket
-        index assumes uniform capacity (the object path supports heterogeneous
-        fleets; use ``engine="object"`` for those).
-        """
-        if not servers:
-            raise ValueError("need at least one server")
-        config = servers[0].config
-        if any(s.config != config for s in servers):
-            raise ValueError(
-                "engine='array' requires a homogeneous ServerConfig across "
-                "servers; use engine='object' for heterogeneous fleets"
-            )
-        server_pool_group = server_pool_group or {}
-        group_of = [server_pool_group.get(s.server_id, -1) for s in servers]
-        engine = cls(
-            len(servers), config, group_of=group_of,
-            pool_free_gb=pool_free_gb,
-            server_ids=[s.server_id for s in servers],
-        )
-        for idx, server in enumerate(servers):
-            for vm_id, placement in server._placements.items():
-                engine._adopt(vm_id, idx, *placement)
-        return engine
-
-    def _adopt(self, vm_id: str, idx: int, node: int, cores: int,
-               local_gb: float, pool_gb: float) -> None:
-        """Intern one pre-existing placement (construction-time only)."""
-        base = idx * self.sockets + node
-        self.node_used_cores[base] += cores
-        self.node_used_gb[base] += local_gb
-        self.used_cores_srv[idx] += cores
-        new_gb = self.used_gb_srv[idx] + local_gb
-        self.used_gb_srv[idx] = new_gb
-        self.pool_used_srv[idx] += pool_gb
-        if new_gb > self.peak_local_gb[idx]:
-            self.peak_local_gb[idx] = new_gb
-        if self.pool_used_srv[idx] > self.peak_pool_gb[idx]:
-            self.peak_pool_gb[idx] = self.pool_used_srv[idx]
-        group = self.group_of[idx]
-        if group >= 0 and pool_gb > 0:
-            self.pool_used_gb[group] = self.pool_used_gb.get(group, 0.0) + pool_gb
-        self.used_cores += cores
-        self.used_local_gb += local_gb
-        self.running_vms += 1
-        self._reindex(idx)
-        self.stranded_gb = sum(
-            (self.server_total_dram_gb - self.used_gb_srv[i])
-            for i in range(self.n_servers)
-            if self.used_cores_srv[i] >= self.server_total_cores
-        )
-        self._handle_of[vm_id] = self._new_handle(idx, node, cores, local_gb, pool_gb)
-
     # -- handle bookkeeping ------------------------------------------------------------
     def _new_handle(self, idx: int, node: int, cores: int,
                     local_gb: float, pool_gb: float) -> int:
@@ -295,81 +176,15 @@ class ArrayPlacementEngine:
             self.vm_pool_gb.append(pool_gb)
         return handle
 
-    def _reindex(self, idx: int) -> None:
-        key = self._bucket_key[idx]
-        new_key = (
-            self.server_total_cores - self.used_cores_srv[idx],
-            self.server_total_dram_gb - self.used_gb_srv[idx],
-        )
-        if new_key == key:
-            return
-        bucket = self._buckets[key[0]]
-        pos = bisect_left(bucket, (key[1], idx))
-        del bucket[pos]
-        insort(self._buckets[new_key[0]], (new_key[1], idx))
-        self._bucket_key[idx] = new_key
-
-    # -- selection ---------------------------------------------------------------------
-    def select(self, cores: int, local_gb: float, pool_gb: float) -> int:
-        """Best-fit server index for the request, or -1 when nothing fits.
-
-        Walks the free-core buckets upwards exactly like the indexed
-        scheduler's ``_select_indexed`` (same tie-breaks, same pool and NUMA
-        feasibility checks), so decisions match the object path bit-for-bit.
-        """
-        node_cores = self.node_used_cores
-        node_gb = self.node_used_gb
-        sockets = self.sockets
-        cores_limit = self.cores_per_socket - cores
-        gb_limit = self.dram_per_socket_gb - local_gb + 1e-9
-        need_pool = pool_gb > 0
-        group_of = self.group_of
-        pool_free = self.pool_free_gb
-        for free in range(cores, len(self._buckets)):
-            for _, idx in self._buckets[free]:
-                if need_pool:
-                    group = group_of[idx]
-                    avail = pool_free.get(group, 0.0) if group >= 0 else 0.0
-                    if pool_gb > avail + 1e-9:
-                        continue
-                base = idx * sockets
-                best_used = -1
-                for node in range(sockets):
-                    used = node_cores[base + node]
-                    if (used <= cores_limit and used > best_used
-                            and node_gb[base + node] <= gb_limit):
-                        best_used = used
-                if best_used >= 0:
-                    return idx
-        return -1
-
-    def _find_node(self, idx: int, cores: int, local_gb: float) -> int:
-        """Fullest NUMA node of ``idx`` that fits (mirrors ``find_numa_node``)."""
-        node_cores = self.node_used_cores
-        node_gb = self.node_used_gb
-        base = idx * self.sockets
-        cores_limit = self.cores_per_socket - cores
-        gb_limit = self.dram_per_socket_gb - local_gb + 1e-9
-        best_node = -1
-        best_used = -1
-        for node in range(self.sockets):
-            used = node_cores[base + node]
-            if (used <= cores_limit and used > best_used
-                    and node_gb[base + node] <= gb_limit):
-                best_node = node
-                best_used = used
-        return best_node
-
     # -- placement ---------------------------------------------------------------------
     def place(self, cores: int, local_gb: float, pool_gb: float) -> int:
         """Select + commit; returns the VM handle, or -1 when nothing fits.
 
-        Replays the object path's arithmetic operation-for-operation
-        (scheduler aggregates, per-server usage, peaks, pool free/used/peak)
-        so all downstream floats are byte-identical.  Raises
-        :class:`~repro.cluster.scheduler.PlacementError` for the object
-        path's group-less pool request corner (including its peak side
-        effect: the transient placement's peaks survive the rollback).
+        Updates per-server usage and peaks, the pool ledger, and the
+        cluster aggregates in the fixed order the replay loops inline.
+        Raises :class:`PlacementError` for a pool request that lands on a
+        server outside every pool group; usage is rolled back but the
+        server's peaks keep the transient placement.
         """
         node_cores = self.node_used_cores
         node_gb = self.node_used_gb
@@ -408,8 +223,7 @@ class ArrayPlacementEngine:
         if sidx < 0:
             return -1
 
-        # -- commit: same mutation order and arithmetic as ClusterServer.place
-        # + VMScheduler.place -------------------------------------------------
+        # -- commit ---------------------------------------------------------------
         used_cores_srv = self.used_cores_srv
         used_gb_srv = self.used_gb_srv
         pool_used_srv = self.pool_used_srv
@@ -435,23 +249,16 @@ class ArrayPlacementEngine:
         if need_pool:
             group = group_of[sidx]
             if group < 0:
-                # Object path: server.place succeeded, the group lookup failed,
-                # server.remove rolled usage back -- but not the peaks.
-                from repro.cluster.scheduler import PlacementError
-
+                # No group to draw from: roll usage back (not the peaks).
                 node_cores[pos] -= cores
                 node_gb[pos] -= local_gb
                 used_cores_srv[sidx] = new_cores - cores
                 used_gb_srv[sidx] = new_gb - local_gb
                 pool_used_srv[sidx] -= pool_gb
-                error = PlacementError(
+                raise PlacementError(
                     f"server {self.server_ids[sidx]} is not in any pool group "
                     f"but {pool_gb:.1f} GB of pool memory was requested"
                 )
-                # The scheduler facade mirrors the transient placement onto
-                # the ClusterServer object; tell it which server was touched.
-                error.server_index = sidx
-                raise error
             pool_free[group] -= pool_gb
             pool_used = self.pool_used_gb
             pool_used[group] += pool_gb
@@ -464,7 +271,7 @@ class ArrayPlacementEngine:
         self.stranded_gb += stranded_after - stranded_before
         self.running_vms += 1
 
-        # -- reindex (same bucket arithmetic as _reindex, inlined) -----------
+        # -- reindex ---------------------------------------------------------------
         key = self._bucket_key[sidx]
         new_key = (stc - new_cores, std - new_gb)
         if new_key != key:
@@ -478,11 +285,13 @@ class ArrayPlacementEngine:
     def remove(self, handle: int) -> None:
         """Release a placement by handle (departure path).
 
-        Mirrors the object simulator's departure sequence: pool-used
-        decrement with negative-drift clamping, pool free return, usage and
-        aggregate decrements, stranding delta, reindex.
+        Pool-used decrement with negative-drift clamping, pool free return,
+        usage and aggregate decrements, stranding delta, reindex.  Raises
+        ``KeyError`` for a handle that is not placed (removed twice).
         """
         sidx = self.vm_server[handle]
+        if sidx < 0:
+            raise KeyError(f"VM handle {handle} is not placed")
         node = self.vm_node[handle]
         cores = self.vm_cores[handle]
         local_gb = self.vm_local_gb[handle]
@@ -535,6 +344,7 @@ class ArrayPlacementEngine:
             insort(self._buckets[new_key[0]], (new_key[1], sidx))
             self._bucket_key[sidx] = new_key
 
+        self.vm_server[handle] = -1
         self._free_handles.append(handle)
 
     # -- online mitigation ----------------------------------------------------------------
@@ -604,37 +414,6 @@ class ArrayPlacementEngine:
         self.vm_local_gb[handle] = self.vm_local_gb[handle] + pool_gb
         self.vm_pool_gb[handle] = 0.0
         return pool_gb
-
-    # -- id-addressed API (scheduler facade) ---------------------------------------------
-    def place_vm(self, vm_id: str, cores: int, local_gb: float,
-                 pool_gb: float) -> int:
-        """Place by vm id; returns the server index.  Raises on no fit."""
-        from repro.cluster.scheduler import PlacementError
-
-        if vm_id in self._handle_of:
-            raise ValueError(f"VM {vm_id!r} already placed")
-        handle = self.place(cores, local_gb, pool_gb)
-        if handle < 0:
-            raise PlacementError(
-                f"no server fits {cores} cores, {local_gb:.1f} GB local, "
-                f"{pool_gb:.1f} GB pool"
-            )
-        self._handle_of[vm_id] = handle
-        return self.vm_server[handle]
-
-    def placed_on(self, vm_id: str) -> int:
-        """Server index a vm id is placed on, or -1 when unknown."""
-        handle = self._handle_of.get(vm_id)
-        return self.vm_server[handle] if handle is not None else -1
-
-    def remove_vm(self, vm_id: str) -> int:
-        """Remove by vm id; returns the server index it ran on."""
-        handle = self._handle_of.pop(vm_id, None)
-        if handle is None:
-            raise KeyError(f"no VM {vm_id!r} placed")
-        sidx = self.vm_server[handle]
-        self.remove(handle)
-        return sidx
 
     # -- result export -------------------------------------------------------------------
     def server_peaks(self) -> Tuple[Dict[str, float], Dict[str, float]]:

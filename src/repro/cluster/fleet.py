@@ -48,7 +48,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.engine import resolve_engine
 from repro.cluster.faults import FaultImpactStats, FaultSchedule
 from repro.cluster.pool import (
     CapacityProbeOutcome,
@@ -396,20 +395,17 @@ class _ShardSpec:
     pool_capacity_gb_per_group: float
     constrain_memory: bool
     sample_interval_s: float
-    scheduler_strategy: str
-    #: Placement engine for the shard's replays (see repro.cluster.engine).
-    engine: Optional[str] = None
     #: Precomputed no-pooling baseline (skips the baseline replay).
     baseline_required_dram_gb: Optional[float] = None
     #: When set (and no trace is supplied), the worker replays a lazy
     #: ``GeneratedTraceStream`` of this chunk size instead of materialising.
     stream_chunk_size: Optional[int] = None
-    #: Online QoS/mitigation stage for the pooled replay (array engine only;
-    #: see repro.core.control_plane.online).
+    #: Online QoS/mitigation stage for the pooled replay (see
+    #: repro.core.control_plane.online).
     online: Optional[OnlineControlConfig] = None
     #: EMC fault-injection schedule for the pooled replay, already filtered
-    #: to this shard's local events (array engine only; see
-    #: repro.cluster.faults and DESIGN.md section 11).
+    #: to this shard's local events (see repro.cluster.faults and DESIGN.md
+    #: section 11).
     faults: Optional[FaultSchedule] = None
 
 
@@ -425,8 +421,7 @@ def _shard_trace_input(cfg: TraceGenConfig, trace: Optional[TraceInput],
 
 
 def _shard_baseline_gb(cfg: TraceGenConfig, trace: TraceInput,
-                       sample_interval_s: float, scheduler_strategy: str,
-                       engine: Optional[str] = None) -> float:
+                       sample_interval_s: float) -> float:
     """One shard's no-pooling uniform baseline (memory-unconstrained replay)."""
     baseline_sim = ClusterSimulator(
         n_servers=cfg.n_servers,
@@ -434,22 +429,18 @@ def _shard_baseline_gb(cfg: TraceGenConfig, trace: TraceInput,
         pool_size_sockets=0,
         constrain_memory=False,
         sample_interval_s=sample_interval_s,
-        scheduler_strategy=scheduler_strategy,
-        engine=engine,
         record_placements=False,
     )
     return baseline_sim.run(trace).uniform_required_local_dram_gb
 
 
 def _baseline_task(
-    args: Tuple[TraceGenConfig, Optional[TraceInput], float, str,
-                Optional[int], Optional[str]]
+    args: Tuple[TraceGenConfig, Optional[TraceInput], float, Optional[int]]
 ) -> float:
     """Baseline replay for one shard; module-level so a pool can pickle it."""
-    cfg, trace, sample_interval_s, scheduler_strategy, stream_chunk_size, engine = args
+    cfg, trace, sample_interval_s, stream_chunk_size = args
     trace = _shard_trace_input(cfg, trace, stream_chunk_size)
-    return _shard_baseline_gb(cfg, trace, sample_interval_s, scheduler_strategy,
-                              engine)
+    return _shard_baseline_gb(cfg, trace, sample_interval_s)
 
 
 def _run_shard(spec: _ShardSpec) -> FleetShardResult:
@@ -464,8 +455,6 @@ def _run_shard(spec: _ShardSpec) -> FleetShardResult:
         pool_capacity_gb_per_group=spec.pool_capacity_gb_per_group,
         constrain_memory=spec.constrain_memory,
         sample_interval_s=spec.sample_interval_s,
-        scheduler_strategy=spec.scheduler_strategy,
-        engine=spec.engine,
         record_placements=False,
     )
     start = time.perf_counter()
@@ -481,10 +470,7 @@ def _run_shard(spec: _ShardSpec) -> FleetShardResult:
 
     baseline = spec.baseline_required_dram_gb
     if baseline is None and spec.compute_baseline:
-        baseline = _shard_baseline_gb(
-            cfg, trace, spec.sample_interval_s, spec.scheduler_strategy,
-            spec.engine,
-        )
+        baseline = _shard_baseline_gb(cfg, trace, spec.sample_interval_s)
 
     return FleetShardResult(
         shard_id=cfg.cluster_id,
@@ -509,12 +495,10 @@ def _run_shard(spec: _ShardSpec) -> FleetShardResult:
 _FLEET_PROBE_STATE: dict = {}
 
 
-def _fleet_probe_init(shard_configs, inputs,
-                      sample_interval_s, scheduler_strategy, engine) -> None:
+def _fleet_probe_init(shard_configs, inputs, sample_interval_s) -> None:
     _FLEET_PROBE_STATE.update(
         shard_configs=shard_configs, inputs=inputs,
         sample_interval_s=sample_interval_s,
-        scheduler_strategy=scheduler_strategy, engine=engine,
     )
 
 
@@ -534,7 +518,6 @@ def _run_fleet_probe(
     result = capacity_probe_replay(
         state["inputs"][shard], policy, cfg.n_servers, cfg.server_config,
         pool_sockets, pool_capacity_gb, dram, state["sample_interval_s"],
-        state["scheduler_strategy"], state["engine"],
     )
     return probe_outcome_of(result, policy)
 
@@ -641,8 +624,7 @@ class _FleetProbeSession(_ProbeSessionBase):
                 initializer=_fleet_probe_init,
                 initargs=(
                     list(fleet.shard_configs), list(inputs),
-                    fleet.sample_interval_s, fleet.scheduler_strategy,
-                    fleet.engine,
+                    fleet.sample_interval_s,
                 ),
             ),
             max_inflight=max(2 * workers, 2 * self._n_shards),
@@ -872,8 +854,6 @@ class FleetSimulator:
         pool_capacity_gb_per_group: float = float("inf"),
         constrain_memory: bool = False,
         sample_interval_s: float = 3600.0,
-        scheduler_strategy: str = "indexed",
-        engine: Optional[str] = None,
         max_workers: Optional[int] = None,
         stream_chunk_size: Optional[int] = None,
         pool_topology: Optional[PoolTopology] = None,
@@ -885,13 +865,9 @@ class FleetSimulator:
             raise ValueError("shard cluster_ids must be unique")
         if stream_chunk_size is not None and stream_chunk_size < 1:
             raise ValueError("stream_chunk_size must be >= 1")
-        #: Placement engine for every shard replay ("array" by default; the
-        #: object path stays available for differential testing).
-        self.engine = resolve_engine(engine, scheduler_strategy)
         self.shard_configs = list(shard_configs)
         if pool_topology is not None:
-            self._validate_topology(pool_topology, self.shard_configs,
-                                    self.engine)
+            self._validate_topology(pool_topology, self.shard_configs)
             if pool_size_sockets not in (0, pool_topology.pool_size_sockets):
                 raise ValueError(
                     f"pool_size_sockets={pool_size_sockets} conflicts with "
@@ -905,7 +881,6 @@ class FleetSimulator:
         self.pool_capacity_gb_per_group = pool_capacity_gb_per_group
         self.constrain_memory = constrain_memory
         self.sample_interval_s = sample_interval_s
-        self.scheduler_strategy = scheduler_strategy
         self.max_workers = max_workers
         self.stream_chunk_size = stream_chunk_size
         # capacity_search memos -- (core rejections, total VMs) and the
@@ -930,17 +905,7 @@ class FleetSimulator:
 
     @staticmethod
     def _validate_topology(topology: PoolTopology,
-                           shard_configs: Sequence[TraceGenConfig],
-                           engine: str) -> None:
-        if engine != "array":
-            # replay_crossshard is built on ArrayPlacementEngine; silently
-            # replaying on it while the fleet is configured for the object
-            # path would mislabel differential results.
-            raise ValueError(
-                "cross-shard pool topologies replay on the array engine; "
-                "engine='object' / scheduler_strategy='linear' are not "
-                "supported with pool_topology"
-            )
+                           shard_configs: Sequence[TraceGenConfig]) -> None:
         sizes = tuple(cfg.n_servers for cfg in shard_configs)
         if topology.shard_sizes != sizes:
             raise ValueError(
@@ -1049,8 +1014,7 @@ class FleetSimulator:
             )
         tasks = [
             (cfg, traces[i] if traces is not None else None,
-             self.sample_interval_s, self.scheduler_strategy,
-             self.stream_chunk_size, self.engine)
+             self.sample_interval_s, self.stream_chunk_size)
             for i, cfg in enumerate(self.shard_configs)
         ]
         if self.max_workers and self.max_workers > 1 and len(tasks) > 1:
@@ -1085,8 +1049,7 @@ class FleetSimulator:
         on exactly when the fleet pools memory.  ``baselines`` supplies
         precomputed per-shard baselines (see :meth:`compute_baselines`) and
         skips those replays entirely.  ``online`` activates the online
-        QoS/mitigation stage in every shard's pooled replay (array engine
-        only); per-shard accounting lands on each
+        QoS/mitigation stage in every shard's pooled replay; per-shard accounting lands on each
         ``shard.result.online_stats`` and merges via
         :attr:`FleetResult.online_stats`.  ``faults`` injects a seeded EMC
         fault schedule (see :mod:`repro.cluster.faults`): on the classic
@@ -1124,8 +1087,6 @@ class FleetSimulator:
                 pool_capacity_gb_per_group=self.pool_capacity_gb_per_group,
                 constrain_memory=self.constrain_memory,
                 sample_interval_s=self.sample_interval_s,
-                scheduler_strategy=self.scheduler_strategy,
-                engine=self.engine,
                 baseline_required_dram_gb=(
                     baselines[i] if baselines is not None else None
                 ),
@@ -1206,10 +1167,8 @@ class FleetSimulator:
         for i, cfg in enumerate(self.shard_configs):
             baseline = baselines[i] if baselines is not None else None
             if baseline is None and compute_baseline:
-                baseline = _shard_baseline_gb(
-                    cfg, inputs[i], self.sample_interval_s,
-                    self.scheduler_strategy, self.engine,
-                )
+                baseline = _shard_baseline_gb(cfg, inputs[i],
+                                              self.sample_interval_s)
             shards.append(FleetShardResult(
                 shard_id=cfg.cluster_id,
                 shard_index=i,
@@ -1242,7 +1201,7 @@ class FleetSimulator:
         """
         fingerprint = (
             tuple(self.shard_configs), self.sample_interval_s,
-            self.scheduler_strategy, self.engine, self.max_workers,
+            self.max_workers,
         )
         if (self._probe_session is not None
                 and self._probe_session_fingerprint == fingerprint):
@@ -1371,7 +1330,7 @@ class FleetSimulator:
         topology = pool_topology if pool_topology is not None \
             else self.pool_topology
         if topology is not None:
-            self._validate_topology(topology, self.shard_configs, self.engine)
+            self._validate_topology(topology, self.shard_configs)
             if pool_size_sockets is not None \
                     and pool_size_sockets != topology.pool_size_sockets:
                 raise ValueError(
@@ -1448,8 +1407,7 @@ class FleetSimulator:
                 return capacity_probe_replay(
                     inputs[shard], policy, cfg.n_servers, cfg.server_config,
                     pool_sockets, pool_capacity_gb, dram_per_server_gb,
-                    self.sample_interval_s, self.scheduler_strategy,
-                    self.engine,
+                    self.sample_interval_s,
                 )
 
             # 1. Rejection budget: core/NUMA-fragmentation rejections can

@@ -31,8 +31,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.engine import resolve_engine
-from repro.cluster.scheduler import validate_strategy
 from repro.cluster.simulator import ClusterSimulator, PoolPolicy, SimulationResult
 from repro.cluster.server import ServerConfig
 from repro.cluster.trace import ClusterTrace, TraceColumns, VMTraceRecord
@@ -230,8 +228,6 @@ def capacity_probe_replay(
     pool_capacity_gb: float,
     dram_per_server_gb: Optional[float],
     sample_interval_s: float,
-    scheduler_strategy: str,
-    engine: Optional[str],
 ) -> SimulationResult:
     """One capacity-search replay.
 
@@ -252,8 +248,6 @@ def capacity_probe_replay(
         pool_capacity_gb_per_group=pool_capacity_gb,
         constrain_memory=constrain,
         sample_interval_s=sample_interval_s,
-        scheduler_strategy=scheduler_strategy,
-        engine=engine,
         # Dimensioning only reads peaks and rejection counts.
         record_placements=False,
     )
@@ -282,11 +276,10 @@ _PROBE_STATE: dict = {}
 
 
 def _capacity_probe_init(trace, n_servers, server_config,
-                         sample_interval_s, scheduler_strategy, engine) -> None:
+                         sample_interval_s) -> None:
     _PROBE_STATE.update(
         trace=trace, n_servers=n_servers,
         server_config=server_config, sample_interval_s=sample_interval_s,
-        scheduler_strategy=scheduler_strategy, engine=engine,
     )
 
 
@@ -315,7 +308,6 @@ def _run_capacity_probe(
         state["trace"], policy,
         state["n_servers"], state["server_config"], pool_size_sockets,
         pool_capacity_gb, dram, state["sample_interval_s"],
-        state["scheduler_strategy"], state["engine"],
     )
     return probe_outcome_of(result, policy)
 
@@ -551,7 +543,6 @@ class _CapacityProbeSession(_ProbeSessionBase):
                         trace, dimensioner.n_servers,
                         dimensioner.server_config,
                         dimensioner.sample_interval_s,
-                        dimensioner.scheduler_strategy, dimensioner.engine,
                     ),
                 ),
                 max_inflight=2 * workers,
@@ -607,7 +598,6 @@ class _CapacityProbeSession(_ProbeSessionBase):
                 self._trace, policy,
                 dim.n_servers, dim.server_config, pool_size_sockets,
                 pool_capacity_gb, dram, dim.sample_interval_s,
-                dim.scheduler_strategy, dim.engine,
             ))
         self._record_outcome(key, result)
         return result
@@ -706,8 +696,6 @@ class PoolDimensioner:
         search_steps: int = 7,
         rejection_tolerance: float = 0.002,
         pool_headroom: float = 1.05,
-        scheduler_strategy: str = "indexed",
-        engine: Optional[str] = None,
         max_workers: Optional[int] = None,
     ) -> None:
         if n_servers < 1:
@@ -720,18 +708,12 @@ class PoolDimensioner:
             raise ValueError("pool_headroom must be >= 1.0")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        validate_strategy(scheduler_strategy)
         self.n_servers = n_servers
         self.server_config = server_config or ServerConfig()
         self.sample_interval_s = sample_interval_s
         self.search_steps = search_steps
         self.rejection_tolerance = rejection_tolerance
         self.pool_headroom = pool_headroom
-        self.scheduler_strategy = scheduler_strategy
-        #: Placement engine for every replay ("array" by default; see
-        #: repro.cluster.engine).  Resolved once so probe workers and
-        #: in-process replays agree.
-        self.engine = resolve_engine(engine, scheduler_strategy)
         #: When > 1, :meth:`evaluate_capacity_search` runs its replays as
         #: parallel probes on a process pool (speculative bisection); the
         #: returned savings are identical to the sequential search.
@@ -767,7 +749,7 @@ class PoolDimensioner:
         """The configuration a probe session (and its memos) depends on."""
         return (
             self.n_servers, self.server_config, self.sample_interval_s,
-            self.scheduler_strategy, self.engine, self.max_workers,
+            self.max_workers,
         )
 
     def probe_session(self, trace: ClusterTrace) -> _CapacityProbeSession:
@@ -821,7 +803,7 @@ class PoolDimensioner:
         return capacity_probe_replay(
             trace, policy, self.n_servers, self.server_config,
             pool_size_sockets, pool_capacity_gb, dram_per_server_gb,
-            self.sample_interval_s, self.scheduler_strategy, self.engine,
+            self.sample_interval_s,
         )
 
     def _core_only_rejections(

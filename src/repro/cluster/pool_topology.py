@@ -12,7 +12,7 @@ single-cluster simulator:
 * :class:`PoolTopology` maps every ``(shard, server)`` of a fleet to a
   *fleet-level* pool group id.  :meth:`PoolTopology.per_shard` reproduces
   the classic intra-shard grouping (the degenerate topology, byte-identical
-  to the shardwise path -- differential-tested like ``engine="object"``);
+  to the shardwise path by differential test);
   :meth:`PoolTopology.spanning` blocks groups across the concatenated fleet
   server list, ignoring shard boundaries, so one group can span clusters.
 * :class:`PoolGroupLedger` owns the per-group free/used/peak accounting.
@@ -26,9 +26,10 @@ single-cluster simulator:
   shards contending for one group contend at simulation time, not
   shard-serially.
 
-Ordering contract (the same as ``ClusterSimulator``'s object and calendar
-loops): at equal timestamps the order is departures, then samples, then
-arrivals, with deterministic shard-index tie-breaks; per shard, the relative
+Ordering contract (the same as ``ClusterSimulator``'s calendar loop and
+the brute-force reference replay in ``tests/reference_replay.py``): at
+equal timestamps the order is departures, then samples, then arrivals,
+with deterministic shard-index tie-breaks; per shard, the relative
 event order is exactly a single cluster's, which is why the degenerate
 per-shard topology reproduces ``FleetSimulator``'s classic results
 byte-for-byte (enforced by ``tests/test_pool_topology.py``).  A single
@@ -47,9 +48,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.engine import ArrayPlacementEngine
+from repro.cluster.engine import ArrayPlacementEngine, PlacementError
 from repro.cluster.faults import FaultImpactStats, FaultInjector, FaultSchedule
-from repro.cluster.scheduler import PlacementError
 from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import (
     SimulationResult,
@@ -495,8 +495,7 @@ def replay_crossshard(
     byte-identical to running each shard through ``ClusterSimulator`` on its
     own (same floats, same sample rows, same peaks): disjoint shards never
     read each other's state, and per shard the event order and arithmetic
-    match ``ClusterSimulator``'s calendar and object loops operation for
-    operation.  Shard results of spanning topologies report
+    match ``ClusterSimulator``'s calendar loop operation for operation.  Shard results of spanning topologies report
     ``pool_peak_gb = {}`` -- a spanned group's peak belongs to the fleet,
     not to any one shard (read it off the returned ledger).
 
@@ -832,7 +831,7 @@ def _replay_crossshard_events(
             handle = eng.place(cores_r, local_gb, vm_pool_gb)
         except PlacementError:
             # Group-less pool request corner: counted as a rejection, peaks
-            # keep the transient placement (object-path parity).
+            # keep the transient placement.
             handle = -1
         if handle < 0:
             rejected[shard] += 1

@@ -1,24 +1,17 @@
-"""Server SKUs and lightweight per-server accounting for cluster simulation.
+"""Server SKUs for cluster simulation.
 
 The paper's evaluation servers are two-socket machines (Intel Skylake 8157M
-with 2 x 384 GB, AMD EPYC 7452 with 2 x 512 GB).  The cluster simulator needs
-to process millions of VM events, so :class:`ClusterServer` keeps only the
-counters the stranding and pooling analyses need (used cores and memory per
-NUMA node, plus peak memory usage) rather than the full hypervisor object
-model in :mod:`repro.hypervisor.host`.
-
-Because :meth:`ClusterServer.find_numa_node` sits on the scheduler's innermost
-loop, the class maintains scalar running totals (``used_cores``,
-``used_local_gb``) alongside the per-node lists instead of re-summing them on
-every access.
+with 2 x 384 GB, AMD EPYC 7452 with 2 x 512 GB).  :class:`ServerConfig`
+describes one SKU's shape; the cluster simulator keeps per-server and
+per-NUMA-node usage in the struct-of-arrays placement engine
+(:mod:`repro.cluster.engine`) rather than in per-server objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
-__all__ = ["ServerConfig", "ClusterServer"]
+__all__ = ["ServerConfig"]
 
 
 @dataclass(frozen=True)
@@ -49,164 +42,3 @@ class ServerConfig:
     @property
     def dram_per_core_gb(self) -> float:
         return self.total_dram_gb / self.total_cores
-
-
-class ClusterServer:
-    """Per-server core/memory accounting at NUMA-node granularity."""
-
-    __slots__ = (
-        "server_id", "config", "node_used_cores", "node_used_local_gb",
-        "pool_used_gb", "_placements", "peak_local_gb", "peak_pool_gb",
-        "_total_cores", "_total_dram_gb", "_cores_per_socket",
-        "_dram_per_socket_gb", "_used_cores", "_used_local_gb",
-    )
-
-    def __init__(self, server_id: str, config: ServerConfig) -> None:
-        self.server_id = server_id
-        self.config = config
-        self.node_used_cores: List[int] = [0] * config.sockets
-        self.node_used_local_gb: List[float] = [0.0] * config.sockets
-        self.pool_used_gb: float = 0.0
-        # vm_id -> (node, cores, local_gb, pool_gb)
-        self._placements: Dict[str, Tuple[int, int, float, float]] = {}
-        self.peak_local_gb: float = 0.0
-        self.peak_pool_gb: float = 0.0
-        # Hot-path scalars: the scheduler reads these on every candidate check.
-        self._total_cores = config.total_cores
-        self._total_dram_gb = config.total_dram_gb
-        self._cores_per_socket = config.cores_per_socket
-        self._dram_per_socket_gb = config.dram_per_socket_gb
-        self._used_cores = 0
-        self._used_local_gb = 0.0
-
-    # -- capacity ------------------------------------------------------------------
-    @property
-    def total_cores(self) -> int:
-        return self._total_cores
-
-    @property
-    def total_dram_gb(self) -> float:
-        return self._total_dram_gb
-
-    @property
-    def used_cores(self) -> int:
-        return self._used_cores
-
-    @property
-    def used_local_gb(self) -> float:
-        return self._used_local_gb
-
-    @property
-    def free_cores(self) -> int:
-        return self._total_cores - self._used_cores
-
-    @property
-    def free_local_gb(self) -> float:
-        return self._total_dram_gb - self._used_local_gb
-
-    def node_free_cores(self, node: int) -> int:
-        return self._cores_per_socket - self.node_used_cores[node]
-
-    def node_free_local_gb(self, node: int) -> float:
-        return self._dram_per_socket_gb - self.node_used_local_gb[node]
-
-    @property
-    def core_utilization(self) -> float:
-        return self._used_cores / self._total_cores
-
-    @property
-    def stranded_gb(self) -> float:
-        """Memory stranded on this server: free DRAM when all cores are rented."""
-        if self._used_cores < self._total_cores:
-            return 0.0
-        return self._total_dram_gb - self._used_local_gb
-
-    @property
-    def n_vms(self) -> int:
-        return len(self._placements)
-
-    # -- placement -------------------------------------------------------------------
-    def find_numa_node(self, cores: int, local_gb: float) -> Optional[int]:
-        """Best NUMA node that fits ``cores`` and ``local_gb``, or ``None``.
-
-        Mirrors the hypervisor's preference to place small VMs entirely within
-        one NUMA node; the fullest node that still fits is chosen (best fit).
-        """
-        node_cores = self.node_used_cores
-        node_gb = self.node_used_local_gb
-        cores_limit = self._cores_per_socket - cores
-        gb_limit = self._dram_per_socket_gb - local_gb + 1e-9
-        best_node = None
-        best_used = -1
-        for node in range(len(node_cores)):
-            used = node_cores[node]
-            if used <= cores_limit and node_gb[node] <= gb_limit:
-                # Fullest node that still fits == most used cores.
-                if used > best_used:
-                    best_node = node
-                    best_used = used
-        return best_node
-
-    def can_place(self, cores: int, local_gb: float, pool_available_gb: float,
-                  pool_gb: float) -> bool:
-        if pool_gb > pool_available_gb + 1e-9:
-            return False
-        return self.find_numa_node(cores, local_gb) is not None
-
-    def place(self, vm_id: str, cores: int, local_gb: float, pool_gb: float) -> int:
-        """Place a VM; returns the NUMA node used.  Raises if it does not fit."""
-        if vm_id in self._placements:
-            raise ValueError(f"VM {vm_id!r} already placed on {self.server_id}")
-        if cores < 1 or local_gb < 0 or pool_gb < 0:
-            raise ValueError("invalid placement request")
-        node = self.find_numa_node(cores, local_gb)
-        if node is None:
-            raise RuntimeError(
-                f"server {self.server_id}: no NUMA node fits {cores} cores / "
-                f"{local_gb:.1f} GB"
-            )
-        self.node_used_cores[node] += cores
-        self.node_used_local_gb[node] += local_gb
-        self._used_cores += cores
-        self._used_local_gb += local_gb
-        self.pool_used_gb += pool_gb
-        self._placements[vm_id] = (node, cores, local_gb, pool_gb)
-        if self._used_local_gb > self.peak_local_gb:
-            self.peak_local_gb = self._used_local_gb
-        if self.pool_used_gb > self.peak_pool_gb:
-            self.peak_pool_gb = self.pool_used_gb
-        return node
-
-    def remove(self, vm_id: str) -> Tuple[int, int, float, float]:
-        """Remove a VM; returns its (node, cores, local_gb, pool_gb)."""
-        placement = self._placements.pop(vm_id, None)
-        if placement is None:
-            raise KeyError(f"server {self.server_id} has no VM {vm_id!r}")
-        node, cores, local_gb, pool_gb = placement
-        self.node_used_cores[node] -= cores
-        self.node_used_local_gb[node] -= local_gb
-        self._used_cores -= cores
-        self._used_local_gb -= local_gb
-        self.pool_used_gb -= pool_gb
-        return placement
-
-    def has_vm(self, vm_id: str) -> bool:
-        return vm_id in self._placements
-
-    def placement(self, vm_id: str) -> Tuple[int, int, float, float]:
-        """Look up a VM's (node, cores, local_gb, pool_gb) placement."""
-        placement = self._placements.get(vm_id)
-        if placement is None:
-            raise KeyError(f"server {self.server_id} has no VM {vm_id!r}")
-        return placement
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "used_cores": float(self.used_cores),
-            "total_cores": float(self.total_cores),
-            "used_local_gb": self.used_local_gb,
-            "total_dram_gb": self.total_dram_gb,
-            "pool_used_gb": self.pool_used_gb,
-            "stranded_gb": self.stranded_gb,
-            "n_vms": float(self.n_vms),
-        }

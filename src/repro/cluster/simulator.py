@@ -28,23 +28,20 @@ than per-sample objects so multi-year traces sample cheaply.
 Pool allocations come from the batch policy engine: policies exposing
 ``decide_batch`` (see DESIGN.md) are evaluated once per block as a
 vectorized array, so the hot loop never calls back into Python per VM.
-Plain per-record callables remain supported as the legacy
-differential-testing path.
+Plain per-record callables remain supported.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.engine import ArrayPlacementEngine, resolve_engine
+from repro.cluster.engine import ArrayPlacementEngine
 from repro.cluster.faults import FaultImpactStats, FaultSchedule
-from repro.cluster.scheduler import PlacementError, VMScheduler, validate_strategy
-from repro.cluster.server import ClusterServer, ServerConfig
+from repro.cluster.server import ServerConfig
 from repro.cluster.trace import ClusterTrace, TraceStream, VMTraceRecord
 from repro.core.control_plane.online import (  # noqa: F401
     OnlineControlConfig,
@@ -189,7 +186,7 @@ class SimulationResult:
     #: -1 means "never built".  Length alone is not a valid key: dropping a
     #: row and appending a different one keeps the count but changes content.
     _samples_cache_version: int = field(default=-1, repr=False, compare=False)
-    #: Columnar placement log (array engine): placed vm ids + server indices
+    #: Columnar placement log (replay loops): placed vm ids + server indices
     #: into ``_placement_server_ids``.  ``placements`` materialises the dict
     #: view lazily, so recording a placement in the hot loop is two list
     #: appends instead of a string-keyed dict insert.
@@ -211,7 +208,7 @@ class SimulationResult:
     def placements(self) -> Dict[str, str]:
         """vm_id -> server_id for every placed VM (differential-testing hook).
 
-        Built lazily from the columnar placement log when the array engine
+        Built lazily from the columnar placement log when a replay loop
         recorded it; a plain (mutable) dict otherwise.  Repeated placements of
         the same vm id keep the last server, like a direct dict insert would.
         """
@@ -462,8 +459,6 @@ class ClusterSimulator:
         pool_capacity_gb_per_group: float = float("inf"),
         constrain_memory: bool = True,
         sample_interval_s: float = 3600.0,
-        scheduler_strategy: str = "indexed",
-        engine: Optional[str] = None,
         record_placements: bool = True,
     ) -> None:
         if n_servers < 1:
@@ -472,12 +467,6 @@ class ClusterSimulator:
             raise ValueError("sample interval must be positive")
         if pool_size_sockets < 0:
             raise ValueError("pool size cannot be negative")
-        validate_strategy(scheduler_strategy)
-        #: "array" (default under the indexed strategy: struct-of-arrays hot
-        #: path) or "object" (ClusterServer/VMScheduler objects; required by
-        #: and default under strategy="linear").  Both produce byte-identical
-        #: results; the object path is kept for differential testing.
-        self.engine = resolve_engine(engine, scheduler_strategy)
         self.server_config = server_config or ServerConfig()
         if pool_size_sockets and pool_size_sockets % self.server_config.sockets != 0:
             raise ValueError(
@@ -488,7 +477,6 @@ class ClusterSimulator:
         self.pool_capacity_gb_per_group = pool_capacity_gb_per_group
         self.constrain_memory = constrain_memory
         self.sample_interval_s = sample_interval_s
-        self.scheduler_strategy = scheduler_strategy
         #: Recording vm_id -> server_id costs one dict insert per placement
         #: (and O(n_vms) memory); searches that never read it can turn it off.
         self.record_placements = record_placements
@@ -497,22 +485,6 @@ class ClusterSimulator:
     def _effective_config(self) -> ServerConfig:
         """The replayed server shape (unconstrained replays get huge DRAM)."""
         return effective_server_config(self.server_config, self.constrain_memory)
-
-    def _build_cluster(self) -> Tuple[List[ClusterServer], Dict[str, int], Dict[int, float]]:
-        config = self._effective_config()
-        servers = [
-            ClusterServer(server_id=f"server-{i:04d}", config=config)
-            for i in range(self.n_servers)
-        ]
-        server_pool_group: Dict[str, int] = {}
-        pool_free: Dict[int, float] = {}
-        if self.pool_size_sockets:
-            servers_per_group = max(1, self.pool_size_sockets // self.server_config.sockets)
-            for i, server in enumerate(servers):
-                group = i // servers_per_group
-                server_pool_group[server.server_id] = group
-                pool_free.setdefault(group, self.pool_capacity_gb_per_group)
-        return servers, server_pool_group, pool_free
 
     # -- main loop --------------------------------------------------------------------
     def run(self, trace: TraceInput, policy: Optional[PoolPolicy] = None,
@@ -538,9 +510,8 @@ class ClusterSimulator:
         departing far in the future do not dilute the time series with an
         emptying cluster.
 
-        With ``engine="array"`` (the default) the replay runs on the
-        struct-of-arrays engine (:mod:`repro.cluster.engine`) and takes one
-        of two targets:
+        The replay runs on the struct-of-arrays placement engine
+        (:mod:`repro.cluster.engine`) and takes one of two targets:
 
         * static streams and degenerate static traces (zero/negative
           lifetimes, zero-core VMs) run on the calendar-queue loop
@@ -552,17 +523,18 @@ class ClusterSimulator:
           traces to its inlined loop and online/fault replays to its
           engine-method events loop.
 
-        Results are byte-identical to the object path, which
-        ``engine="object"`` keeps for differential testing.
+        Static replays on either target are differential-tested byte for
+        byte against a brute-force reference replay
+        (``tests/reference_replay.py``).
 
-        ``online`` activates the online QoS/mitigation stage (array engine
-        only): after every grid sample a QoS tick scans live pool-exposed
-        VMs whose estimated slowdown exceeds the configured threshold and
-        migrates their pool share to local DRAM (see DESIGN.md section 10).
+        ``online`` activates the online QoS/mitigation stage: after every
+        grid sample a QoS tick scans live pool-exposed VMs whose estimated
+        slowdown exceeds the configured threshold and migrates their pool
+        share to local DRAM (see DESIGN.md section 10).
 
-        ``faults`` activates deterministic EMC fault injection (array
-        engine only): a :class:`~repro.cluster.faults.FaultSchedule` fires
-        timed fail/repair events for pool groups inside the merged event
+        ``faults`` activates deterministic EMC fault injection: a
+        :class:`~repro.cluster.faults.FaultSchedule` fires timed
+        fail/repair events for pool groups inside the merged event
         stream, degrading the group ledger and running the degradation
         ladder over affected VMs (DESIGN.md section 11).  Impact accounting
         lands on ``result.fault_stats``.  An unpooled cluster has no groups
@@ -575,186 +547,27 @@ class ClusterSimulator:
         byte-identical to the static replay and still carries zeroed
         ``online_stats`` / ``fault_stats``.
         """
-        if online is not None or faults is not None:
-            if self.engine != "array":
-                what = ("the online control loop" if online is not None
-                        else "fault injection")
-                raise ValueError(f"{what} requires engine='array'")
-        if self.engine == "array":
-            # pool_topology builds on this module, so import it lazily.
-            from repro.cluster.pool_topology import (
-                PoolTopology,
-                _inlinable,
-                replay_crossshard,
-            )
-            if (active_controls(online, faults) == (None, None)
-                    and not _inlinable([trace], [self.server_config])):
-                result = self._run_array_calendar(trace, policy)
-                attach_control_stats([result], online, faults)
-                return result
-            topology = PoolTopology.per_shard(
-                [self.n_servers], self.server_config.sockets,
-                self.pool_size_sockets)
-            results, _ledger = replay_crossshard(
-                [trace], [policy if self.pool_size_sockets else None],
-                [self.n_servers], [self.server_config], topology,
-                self.pool_capacity_gb_per_group, self.constrain_memory,
-                self.sample_interval_s, self.record_placements,
-                online=online, faults=faults)
-            return results[0]
-        use_pool = bool(self.pool_size_sockets)
-        streaming = not isinstance(trace, ClusterTrace)
-        servers, server_pool_group, pool_free = self._build_cluster()
-        scheduler = VMScheduler(
-            servers, pool_free, server_pool_group, strategy=self.scheduler_strategy
+        # pool_topology builds on this module, so import it lazily.
+        from repro.cluster.pool_topology import (
+            PoolTopology,
+            _inlinable,
+            replay_crossshard,
         )
-        result = SimulationResult()
-        buffer = result.sample_buffer
-
-        # Departure events: (time, sequence, vm_id, server).
-        departures: List[Tuple[float, int, str, ClusterServer]] = []
-        seq = 0
-        sample_interval = self.sample_interval_s
-        next_sample_time = 0.0
-        last_sample_time: Optional[float] = None
-        pool_used: Dict[int, float] = {g: 0.0 for g in pool_free}
-        pool_peak: Dict[int, float] = {g: 0.0 for g in pool_free}
-        record_placements = self.record_placements
-        placements = result.placements
-        total_cores = scheduler.total_cores
-        total_dram = self.n_servers * self.server_config.total_dram_gb
-        inf = float("inf")
-
-        def process_one_departure() -> None:
-            _, _, vm_id, server = heapq.heappop(departures)
-            group = server_pool_group.get(server.server_id)
-            if group is not None:
-                pool_gb = server.placement(vm_id)[3]
-                remaining = pool_used[group] - pool_gb
-                if remaining < 0.0:
-                    # Clamp the tiny negative float drift repeated +=/-= of
-                    # policy fractions accumulates; real imbalances stay loud.
-                    if remaining < -1e-6:
-                        raise RuntimeError(
-                            f"pool group {group} accounting went negative "
-                            f"({remaining} GB) -- simulator bug"
-                        )
-                    remaining = 0.0
-                pool_used[group] = remaining
-            scheduler.remove(vm_id, server)
-
-        def take_sample(time_s: float) -> None:
-            nonlocal last_sample_time
-            used_cores = scheduler.used_cores
-            stranded = scheduler.stranded_gb
-            if stranded < 0.0:
-                stranded = 0.0
-            buffer.append_row((
-                time_s,
-                used_cores / total_cores,
-                100.0 * used_cores / total_cores,
-                scheduler.used_local_gb,
-                sum(pool_used.values()),
-                stranded,
-                100.0 * stranded / total_dram,
-                scheduler.running_vms,
-            ))
-            last_sample_time = time_s
-
-        def advance_to(time_s: float) -> None:
-            """Apply all departure and sample events up to ``time_s``.
-
-            The merged stream pops whichever of the two pending event times is
-            smaller; on a tie the departure goes first, so a sample at *t*
-            counts exactly the VMs still running at *t*.
-            """
-            nonlocal next_sample_time
-            while True:
-                departure_time = departures[0][0] if departures else inf
-                if departure_time <= next_sample_time:
-                    if departure_time > time_s:
-                        return
-                    process_one_departure()
-                else:
-                    if next_sample_time > time_s:
-                        return
-                    take_sample(next_sample_time)
-                    next_sample_time += sample_interval
-
-        # Starting the order check at 0.0 is safe because VMTraceRecord
-        # rejects negative arrival times, and it doubles as the default
-        # horizon for an empty trace (matching arrival_span_s == 0.0).
-        last_arrival = 0.0
-        for _block, records, allocations in iter_policy_blocks(trace, policy,
-                                                               use_pool):
-            for index, record in enumerate(records):
-                arrival_s = record.arrival_s
-                if streaming and arrival_s < last_arrival:
-                    raise ValueError(
-                        f"stream records must be sorted by arrival time "
-                        f"({record.vm_id!r} arrives at {arrival_s} after "
-                        f"{last_arrival})"
-                    )
-                last_arrival = arrival_s
-                advance_to(arrival_s)
-
-                vm_pool_gb = 0.0
-                if allocations is not None:
-                    vm_pool_gb = allocations[index]
-                elif policy is not None and use_pool:
-                    vm_pool_gb = float(np.clip(policy(record), 0.0, record.memory_gb))
-                local_gb = record.memory_gb - vm_pool_gb
-
-                try:
-                    server = scheduler.place(
-                        record.vm_id, record.cores, local_gb, vm_pool_gb
-                    )
-                except PlacementError:
-                    result.rejected_vms += 1
-                    continue
-
-                result.placed_vms += 1
-                if record_placements:
-                    placements[record.vm_id] = server.server_id
-                result.total_memory_gb_allocated += record.memory_gb
-                result.total_pool_gb_allocated += vm_pool_gb
-                group = server_pool_group.get(server.server_id)
-                if group is not None and vm_pool_gb > 0:
-                    pool_used[group] += vm_pool_gb
-                    if pool_used[group] > pool_peak[group]:
-                        pool_peak[group] = pool_used[group]
-                seq += 1
-                heapq.heappush(
-                    departures, (record.departure_s, seq, record.vm_id, server)
-                )
-
-        # Drain remaining departures and finish sampling up to the horizon,
-        # then capture the final cluster state at the horizon exactly once.
-        # Unlike grid samples, the horizon sample always reflects *post*-
-        # arrival state (every arrival has been placed by now); if the grid
-        # landed exactly on the horizon, that earlier pre-arrival row is
-        # replaced so the series stays strictly time-ordered without
-        # understating the endpoint.
-        #
-        # Records are sorted by arrival on both input paths, so the last
-        # arrival seen is the trace's arrival span -- the stream case's only
-        # way to know it without materialising.
-        end_time = last_arrival
-        advance_to(end_time)
-        if last_sample_time is None or last_sample_time <= end_time:
-            if last_sample_time is not None and last_sample_time == end_time:
-                buffer.drop_last()
-            take_sample(end_time)
-        while departures:
-            process_one_departure()
-
-        for server in servers:
-            result.server_peak_local_gb[server.server_id] = server.peak_local_gb
-            result.server_peak_total_gb[server.server_id] = (
-                server.peak_local_gb + server.peak_pool_gb
-            )
-        result.pool_peak_gb = dict(pool_peak)
-        return result
+        if (active_controls(online, faults) == (None, None)
+                and not _inlinable([trace], [self.server_config])):
+            result = self._run_array_calendar(trace, policy)
+            attach_control_stats([result], online, faults)
+            return result
+        topology = PoolTopology.per_shard(
+            [self.n_servers], self.server_config.sockets,
+            self.pool_size_sockets)
+        results, _ledger = replay_crossshard(
+            [trace], [policy if self.pool_size_sockets else None],
+            [self.n_servers], [self.server_config], topology,
+            self.pool_capacity_gb_per_group, self.constrain_memory,
+            self.sample_interval_s, self.record_placements,
+            online=online, faults=faults)
+        return results[0]
 
     # -- array-engine hot loop ---------------------------------------------------------
     def _run_array_calendar(self, trace: TraceInput,
@@ -765,7 +578,7 @@ class ClusterSimulator:
         every other array replay is a one-shard ``replay_crossshard``.
 
         Same merged event stream, same event ordering, same arithmetic as the
-        object loop -- but the per-event work is fully inlined over local
+        engine's methods -- but the per-event work is fully inlined over local
         bindings of the engine's flat arrays:
 
         * block columns are bulk-converted to plain Python scalars once per
@@ -779,17 +592,14 @@ class ClusterSimulator:
           placement data in ``(time, seq, server, node, cores, local_gb,
           pool_gb)`` tuples, binned by coarse time window and Timsorted once
           per bin.  The ``(time, seq)`` prefix is unique, so the bin-by-bin
-          order is exactly the heap order the object loop pops -- at an
+          order is exactly the order a ``(time, seq)`` heap pops -- at an
           amortised cost per departure far below a heap sift.
 
-        Two exact-arithmetic shortcuts keep byte equality while dropping
-        work: a placement target always has a free core, so its
-        ``stranded_before`` is exactly ``0.0`` (the object path computes it
-        anyway), and a removal always leaves a free core, so its
-        ``stranded_after`` is exactly ``0.0``; adding/subtracting those
-        zeros is an IEEE no-op, so the branches can be skipped.  The object
-        path (``engine="object"``) and the engine's own method-based
-        implementation are pinned to this loop by differential tests.
+        A stranded-memory delta is only computed when a server is full
+        before or after the change: a VM with cores needs a free core to be
+        placed and frees one when it leaves, so otherwise the delta is
+        exactly ``0.0``.  The brute-force reference replay
+        (``tests/reference_replay.py``) pins this loop by differential tests.
         """
         use_pool = bool(self.pool_size_sockets)
         streaming = not isinstance(trace, ClusterTrace)
@@ -842,8 +652,8 @@ class ClusterSimulator:
         # ``dep_bins[b]`` holds unsorted events for time window
         # [b*bin_w, (b+1)*bin_w); ``active`` is the current window, sorted,
         # consumed through ``cursor``.  Same-window pushes insort into the
-        # unconsumed tail, so the global processing order is exactly the
-        # (time, seq) order of the object loop's heap.
+        # unconsumed tail, so the global processing order is exactly
+        # (time, seq) order.
         bin_w = _DEPARTURE_BIN_S
         dep_bins: Dict[int, List[Tuple[float, int, int, int, int, float, float]]] = {}
         active: List[Tuple[float, int, int, int, int, float, float]] = []
@@ -878,7 +688,7 @@ class ClusterSimulator:
             )
             n_block = len(vm_ids)
             if streaming and n_block:
-                # Bulk order check per block (same error as the object loop).
+                # Bulk order check per block.
                 prev = last_arrival
                 for index in range(n_block):
                     arrival = arrivals[index]
@@ -895,8 +705,8 @@ class ClusterSimulator:
             if allocations is None:
                 if policy is not None and use_pool:
                     # Legacy per-record callback, evaluated in record order
-                    # (decisions only see the record, so this matches the
-                    # object loop's interleaved calls).
+                    # (decisions only see the record, so evaluating a block
+                    # up front matches interleaved calls).
                     allocations = [
                         float(np.clip(policy(r), 0.0, r.memory_gb))
                         for r in records
@@ -1091,18 +901,8 @@ class ClusterSimulator:
                     pool_used_srv[sidx] = pool_srv
                     if pool_srv > peak_pool[sidx]:
                         peak_pool[sidx] = pool_srv
+                    # A pooled cluster puts every server in a group.
                     group = group_of[sidx]
-                    if group < 0:
-                        # Group-less pool request corner: the object path
-                        # transiently places, rolls usage back (peaks stay),
-                        # and counts a rejection.
-                        node_cores[pos] -= cores_r
-                        node_gb[pos] -= local_gb
-                        used_cores_srv[sidx] = new_cores - cores_r
-                        used_gb_srv[sidx] = new_gb - local_gb
-                        pool_used_srv[sidx] = pool_srv - vm_pool_gb
-                        rejected_vms += 1
-                        continue
                     pool_free[group] -= vm_pool_gb
                     group_used = pool_used[group] + vm_pool_gb
                     pool_used[group] = group_used

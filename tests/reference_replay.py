@@ -1,32 +1,20 @@
 """Brute-force reference replay: the oracle for placement differentials.
 
 :func:`reference_replay` replays a trace the slow, obvious way and returns
-the :class:`~repro.cluster.simulator.SimulationResult` fields the
-differential tests compare (placements, rejections, peaks, totals, sample
-rows).  ``ClusterSimulator.run`` must reproduce it byte for byte.
+a ``SimulationResult`` (placements, rejections, peaks, totals, sample
+rows) that ``ClusterSimulator.run`` must reproduce byte for byte.
 
 It keeps no indexes: each arrival scans every server for the best fit --
-fewest free cores, then least free local memory, then lowest server index
--- and places the VM on that server's fullest NUMA node that fits (lowest
-node on a tie).  A node fits when its used cores plus the request stay
-within a socket and its used GB stay within the socket's DRAM minus the
-request plus 1e-9; a pool request fits when it is at most the group's free
-pool GB plus 1e-9.
+fewest free cores, then least free local memory, then lowest index --
+among servers whose pool group has the requested pool GB (1e-9 GB slack)
+and that have a NUMA node with room for the cores and the local GB (1e-9
+GB slack); the VM goes to the fullest such node (lowest on a tie).
 
-Floats are updated in the order the simulator's placement engine applies
-them, so the two agree bit for bit:
-
-* place: node cores/GB, server cores/GB/pool, server peaks, group free
-  pool, cluster cores/GB, stranded GB by ``after - before``, running VMs;
-  then the group's used pool and its peak;
-* depart: group used pool minus the VM's share (negative drift clamped to
-  0.0), then the reverse of place;
-* sample: the departures due at or before ``t``, then the grid sample at
-  ``t``, then the arrival at ``t``; the horizon (last arrival) sample is
-  taken after the last arrival and replaces an on-grid row at the same
-  time.
-
-Stream inputs are checked for arrival order like the simulator does.
+Each float is updated by the same operations, in the same order, as in
+the placement engine, and the stranded GB moves by ``after - before`` on
+every change.  At equal times, departures come before the grid sample and
+the sample before the arrival; the horizon sample is taken after the last
+arrival and replaces a grid row at the same time.
 """
 
 import heapq
@@ -111,13 +99,24 @@ def reference_replay(trace, policy=None, **cluster):
         peak_local[i] = max(peak_local[i], used_gb[i])
         peak_pool[i] = max(peak_pool[i], pool_srv[i])
         if pool_gb > 0:
-            pool_free[group_of[i]] -= pool_gb
+            group = group_of[i]
+            pool_free[group] -= pool_gb
+            pool_used[group] += pool_gb
+            pool_peak[group] = max(pool_peak[group], pool_used[group])
         agg["cores"] += cores
         agg["gb"] += local_gb
         agg["stranded"] += stranded(i) - before
         agg["running"] += 1
 
     def remove(i, k, cores, local_gb, pool_gb):
+        group = group_of[i]
+        if group is not None:
+            remaining = pool_used[group] - pool_gb
+            if remaining < 0.0:  # clamp float drift; real imbalances raise
+                if remaining < -1e-6:
+                    raise RuntimeError(f"pool group {group} went negative")
+                remaining = 0.0
+            pool_used[group] = remaining
         before = stranded(i)
         node_cores[i][k] -= cores
         node_gb[i][k] -= local_gb
@@ -125,23 +124,11 @@ def reference_replay(trace, policy=None, **cluster):
         used_gb[i] -= local_gb
         pool_srv[i] -= pool_gb
         if pool_gb > 0:
-            pool_free[group_of[i]] += pool_gb
+            pool_free[group] += pool_gb
         agg["cores"] -= cores
         agg["gb"] -= local_gb
         agg["stranded"] += stranded(i) - before
         agg["running"] -= 1
-
-    def depart():
-        _t, _seq, i, k, cores, local_gb, pool_gb = heapq.heappop(departures)
-        group = group_of[i]
-        if group is not None:
-            remaining = pool_used[group] - pool_gb
-            if remaining < 0.0:
-                if remaining < -1e-6:
-                    raise RuntimeError(f"pool group {group} went negative")
-                remaining = 0.0
-            pool_used[group] = remaining
-        remove(i, k, cores, local_gb, pool_gb)
 
     def sample(t):
         cores, s = agg["cores"], max(agg["stranded"], 0.0)
@@ -159,7 +146,7 @@ def reference_replay(trace, policy=None, **cluster):
             if due <= next_sample:
                 if due > t:
                     return
-                depart()
+                remove(*heapq.heappop(departures)[2:])
             else:
                 if next_sample > t:
                     return
@@ -194,10 +181,6 @@ def reference_replay(trace, policy=None, **cluster):
                 result.placements[record.vm_id] = f"server-{i:04d}"
             result.total_memory_gb_allocated += record.memory_gb
             result.total_pool_gb_allocated += pool_gb
-            if group_of[i] is not None and pool_gb > 0:
-                pool_used[group_of[i]] += pool_gb
-                pool_peak[group_of[i]] = max(pool_peak[group_of[i]],
-                                             pool_used[group_of[i]])
             seq += 1
             heapq.heappush(departures, (record.departure_s, seq, i, k,
                                         record.cores, local_gb, pool_gb))
@@ -208,7 +191,7 @@ def reference_replay(trace, policy=None, **cluster):
             buffer.drop_last()
         sample(last_arrival)
     while departures:
-        depart()
+        remove(*heapq.heappop(departures)[2:])
     ids = [f"server-{i:04d}" for i in range(n)]
     result.server_peak_local_gb = dict(zip(ids, peak_local))
     result.server_peak_total_gb = {

@@ -1,7 +1,7 @@
 """Shared helpers for the static replay differentials.
 
 ``fixtures/object_engine.json`` pins the outputs of the retired
-object-engine replay (``VMScheduler`` over per-server objects) on the cases
+object-engine replay (a scheduler over per-server objects) on the cases
 in ``test_object_engine_fixture.py`` and on the cluster-scale benchmark
 trace.  :func:`digest` turns a ``SimulationResult`` into the same
 plain-data form, so a fixture entry and a fresh replay compare with ``==``.

@@ -1,9 +1,9 @@
-"""Unit tests for cluster servers, VM types, traces, and the trace generator."""
+"""Unit tests for server configs, VM types, traces, and the trace generator."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.server import ClusterServer, ServerConfig
+from repro.cluster.server import ServerConfig
 from repro.cluster.trace import ClusterTrace, VMTraceRecord
 from repro.cluster.tracegen import TraceGenConfig, TraceGenerator, generate_fleet
 from repro.cluster.vm_types import (
@@ -30,64 +30,6 @@ class TestServerConfig:
             ServerConfig(cores_per_socket=0)
         with pytest.raises(ValueError):
             ServerConfig(dram_per_socket_gb=0)
-
-
-class TestClusterServer:
-    def make(self):
-        return ClusterServer("s1", ServerConfig())
-
-    def test_placement_updates_counters(self):
-        server = self.make()
-        node = server.place("vm1", cores=8, local_gb=32.0, pool_gb=4.0)
-        assert node in (0, 1)
-        assert server.used_cores == 8
-        assert server.used_local_gb == pytest.approx(32.0)
-        assert server.pool_used_gb == pytest.approx(4.0)
-        assert server.n_vms == 1
-
-    def test_numa_fit_respected(self):
-        server = self.make()
-        # One socket has 24 cores; a 25-core VM cannot fit in any single node.
-        assert server.find_numa_node(25, 10.0) is None
-        assert server.find_numa_node(24, 10.0) is not None
-
-    def test_remove_restores_capacity(self):
-        server = self.make()
-        server.place("vm1", 8, 32.0, 0.0)
-        server.remove("vm1")
-        assert server.used_cores == 0
-        assert server.used_local_gb == 0.0
-        with pytest.raises(KeyError):
-            server.remove("vm1")
-
-    def test_duplicate_placement_rejected(self):
-        server = self.make()
-        server.place("vm1", 2, 8.0, 0.0)
-        with pytest.raises(ValueError):
-            server.place("vm1", 2, 8.0, 0.0)
-
-    def test_stranding_requires_full_cores(self):
-        server = self.make()
-        server.place("vm1", 24, 64.0, 0.0)
-        assert server.stranded_gb == 0.0
-        server.place("vm2", 24, 64.0, 0.0)
-        assert server.free_cores == 0
-        assert server.stranded_gb == pytest.approx(384.0 - 128.0)
-
-    def test_peak_tracking(self):
-        server = self.make()
-        server.place("vm1", 4, 100.0, 0.0)
-        server.place("vm2", 4, 50.0, 0.0)
-        server.remove("vm1")
-        assert server.peak_local_gb == pytest.approx(150.0)
-        assert server.used_local_gb == pytest.approx(50.0)
-
-    def test_best_fit_node_choice(self):
-        server = self.make()
-        server.place("vm1", 20, 10.0, 0.0)  # fills node to 20/24
-        node = server.place("vm2", 4, 10.0, 0.0)
-        # Best fit puts the 4-core VM on the fuller node.
-        assert server.node_used_cores[node] == 24
 
 
 class TestVMTypes:

@@ -1,22 +1,23 @@
-"""Differential tests for the array placement engine and the parallel
-capacity search: the struct-of-arrays hot path (engine="array") must be
-byte-identical to the object path, and parallel capacity-search probes must
-return exactly the sequential search's PoolSavings."""
+"""Tests for the placement engine and the parallel capacity search.
+
+* ``ArrayPlacementEngine`` unit behaviour: best-fit server and NUMA-node
+  choice, fit tolerances, pool-group capacity, and accounting.
+* Differentials: ``ClusterSimulator.run`` must be byte-identical to the
+  brute-force reference replay (``reference_replay.py``), and parallel
+  capacity-search probes must return exactly the sequential search's
+  ``PoolSavings``.
+"""
 
 import numpy as np
 import pytest
 
+from reference_replay import reference_replay
+from repro.analysis.sanitizer import SanitizerError
 from repro.cluster import pool_topology
-from repro.cluster.engine import (
-    ArrayPlacementEngine,
-    PLACEMENT_ENGINES,
-    resolve_engine,
-    validate_engine,
-)
+from repro.cluster.engine import ArrayPlacementEngine, PlacementError
 from repro.cluster.fleet import FleetSimulator, pond_policy_factory
 from repro.cluster.pool import FixedFractionPolicy, PoolDimensioner
-from repro.cluster.scheduler import PlacementError, VMScheduler
-from repro.cluster.server import ClusterServer, ServerConfig
+from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import ClusterTrace, VMTraceRecord
 from repro.cluster.tracegen import TraceGenConfig, TraceGenerator
@@ -37,121 +38,92 @@ def bulk_trace(seed, n_servers=10, duration_days=0.6, utilization=0.85):
     return TraceGenerator(cfg).generate_bulk()
 
 
-def assert_identical(array_result, object_result):
+def assert_identical(result, reference):
     """Byte equality of everything a simulation result exposes."""
-    assert array_result.placements == object_result.placements
-    assert array_result.placed_vms == object_result.placed_vms
-    assert array_result.rejected_vms == object_result.rejected_vms
-    assert array_result.server_peak_local_gb == object_result.server_peak_local_gb
-    assert array_result.server_peak_total_gb == object_result.server_peak_total_gb
-    assert array_result.pool_peak_gb == object_result.pool_peak_gb
-    assert array_result.total_pool_gb_allocated \
-        == object_result.total_pool_gb_allocated
-    assert array_result.total_memory_gb_allocated \
-        == object_result.total_memory_gb_allocated
-    assert (array_result.sample_buffer.rows()
-            == object_result.sample_buffer.rows()).all()
+    assert result.placements == reference.placements
+    assert result.placed_vms == reference.placed_vms
+    assert result.rejected_vms == reference.rejected_vms
+    assert result.server_peak_local_gb == reference.server_peak_local_gb
+    assert result.server_peak_total_gb == reference.server_peak_total_gb
+    assert result.pool_peak_gb == reference.pool_peak_gb
+    assert result.total_pool_gb_allocated == reference.total_pool_gb_allocated
+    assert result.total_memory_gb_allocated \
+        == reference.total_memory_gb_allocated
+    assert (result.sample_buffer.rows() == reference.sample_buffer.rows()).all()
 
 
 def run_both(trace_or_stream, policy=None, **kwargs):
+    """``(ClusterSimulator.run result, reference replay result)``."""
     kwargs.setdefault("sample_interval_s", 1800.0)
-    results = {}
-    for engine in PLACEMENT_ENGINES:
-        sim = ClusterSimulator(engine=engine, **kwargs)
-        results[engine] = sim.run(trace_or_stream, policy=policy)
-    return results["array"], results["object"]
-
-
-class TestEngineResolution:
-    def test_default_engine_is_array_under_indexed(self):
-        assert resolve_engine(None, "indexed") == "array"
-        assert ClusterSimulator(n_servers=1).engine == "array"
-
-    def test_linear_strategy_defaults_to_object(self):
-        assert resolve_engine(None, "linear") == "object"
-        sim = ClusterSimulator(n_servers=1, scheduler_strategy="linear")
-        assert sim.engine == "object"
-
-    def test_array_engine_rejects_linear_strategy(self):
-        with pytest.raises(ValueError):
-            resolve_engine("array", "linear")
-        with pytest.raises(ValueError):
-            ClusterSimulator(n_servers=1, scheduler_strategy="linear",
-                             engine="array")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            validate_engine("quantum")
-        with pytest.raises(ValueError):
-            ClusterSimulator(n_servers=1, engine="quantum")
-        with pytest.raises(ValueError):
-            PoolDimensioner(n_servers=1, engine="quantum")
-        with pytest.raises(ValueError):
-            FleetSimulator.sharded(1, TraceGenConfig(), engine="quantum")
+    return (ClusterSimulator(**kwargs).run(trace_or_stream, policy=policy),
+            reference_replay(trace_or_stream, policy, **kwargs))
 
 
 class TestArrayObjectDifferential:
+    """``ClusterSimulator.run`` == the brute-force reference replay (which
+    reproduces the retired object engine: test_object_engine_fixture)."""
+
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_memory_constrained_replay(self, seed):
         trace = bulk_trace(seed=seed)
-        array_result, object_result = run_both(trace, n_servers=10)
-        assert_identical(array_result, object_result)
+        result, reference = run_both(trace, n_servers=10)
+        assert_identical(result, reference)
 
     def test_rejection_heavy_replay(self):
         trace = bulk_trace(seed=7, n_servers=10, utilization=0.95)
-        array_result, object_result = run_both(trace, n_servers=3)
-        assert array_result.rejected_vms > 0
-        assert_identical(array_result, object_result)
+        result, reference = run_both(trace, n_servers=3)
+        assert result.rejected_vms > 0
+        assert_identical(result, reference)
 
     def test_pooled_replay_with_capacity_limit(self):
         trace = bulk_trace(seed=41, n_servers=8, utilization=0.9)
-        array_result, object_result = run_both(
+        result, reference = run_both(
             trace, policy=FixedFractionPolicy(0.4), n_servers=8,
             pool_size_sockets=8, pool_capacity_gb_per_group=600.0,
             constrain_memory=False,
         )
-        assert array_result.total_pool_gb_allocated > 0
-        assert_identical(array_result, object_result)
+        assert result.total_pool_gb_allocated > 0
+        assert_identical(result, reference)
 
     def test_pond_policy_batch_and_callback_paths(self):
         trace = bulk_trace(seed=23, n_servers=8, utilization=0.9)
         policy = PondTracePolicy(OPERATING_POINT, seed=3)
-        array_result, object_result = run_both(
+        result, reference = run_both(
             trace, policy=policy, n_servers=8, pool_size_sockets=16,
             constrain_memory=False,
         )
-        assert_identical(array_result, object_result)
+        assert_identical(result, reference)
         callback = PondTracePolicy(OPERATING_POINT, seed=3)
-        array_cb, object_cb = run_both(
+        result_cb, reference_cb = run_both(
             trace, policy=callback.__call__, n_servers=8, pool_size_sockets=16,
             constrain_memory=False,
         )
-        assert_identical(array_cb, object_cb)
-        assert array_cb.placements == array_result.placements
+        assert_identical(result_cb, reference_cb)
+        assert result_cb.placements == result.placements
 
     def test_precomputed_pool_array(self):
-        """A ``decide_batch`` policy's allocation array drives both
-        engines identically."""
+        """A ``decide_batch`` policy's allocation array drives the replay
+        and the reference identically."""
         trace = bulk_trace(seed=11, n_servers=6)
-        array_result, object_result = run_both(
+        result, reference = run_both(
             trace, policy=FixedFractionPolicy(0.3), n_servers=6,
             pool_size_sockets=8, constrain_memory=False,
         )
-        assert array_result.total_pool_gb_allocated > 0
-        assert_identical(array_result, object_result)
+        assert result.total_pool_gb_allocated > 0
+        assert_identical(result, reference)
 
     def test_streamed_replay(self):
         cfg = TraceGenConfig(cluster_id="engine-stream", n_servers=8,
                              duration_days=0.5, target_core_utilization=0.9,
                              seed=13)
         stream = TraceGenerator(cfg).stream(chunk_size=256)
-        array_result, object_result = run_both(stream, n_servers=8)
-        assert_identical(array_result, object_result)
-        # And streamed == materialised on the array engine.
+        result, reference = run_both(stream, n_servers=8)
+        assert_identical(result, reference)
+        # And streamed == materialised.
         materialised = ClusterSimulator(
-            n_servers=8, sample_interval_s=1800.0, engine="array"
+            n_servers=8, sample_interval_s=1800.0
         ).run(TraceGenerator(cfg).generate_bulk())
-        assert_identical(array_result, materialised)
+        assert_identical(result, materialised)
 
     def test_streamed_out_of_order_raises_same_error(self):
         records = [
@@ -168,10 +140,10 @@ class TestArrayObjectDifferential:
                 from repro.cluster.trace import TraceColumns
                 yield TraceColumns.from_records(records)
 
-        for engine in PLACEMENT_ENGINES:
-            sim = ClusterSimulator(n_servers=1, engine=engine)
-            with pytest.raises(ValueError, match="sorted by arrival"):
-                sim.run(BadStream())
+        with pytest.raises(ValueError, match="sorted by arrival"):
+            ClusterSimulator(n_servers=1).run(BadStream())
+        with pytest.raises(ValueError, match="sorted by arrival"):
+            reference_replay(BadStream(), n_servers=1)
 
     def test_horizon_variants(self):
         """The horizon is the last arrival: off the sample grid, and
@@ -185,9 +157,9 @@ class TestArrayObjectDifferential:
         extended = ClusterTrace(list(trace.records) + [tail],
                                 cluster_id=trace.cluster_id)
         for variant, horizon in ((trace, span), (extended, on_grid)):
-            array_result, object_result = run_both(variant, n_servers=4)
-            assert_identical(array_result, object_result)
-            assert array_result.samples[-1].time_s == horizon
+            result, reference = run_both(variant, n_servers=4)
+            assert_identical(result, reference)
+            assert result.samples[-1].time_s == horizon
 
 
 class TestCalendarVsOneShard:
@@ -212,95 +184,112 @@ class TestCalendarVsOneShard:
             pool_size_sockets)
 
 
-class TestVMSchedulerArrayFacade:
-    def test_placements_and_mirrored_objects_match_under_churn(self):
-        def build(engine):
-            servers = [ClusterServer(f"s{i}", ServerConfig()) for i in range(6)]
-            pool_free = {0: 500.0, 1: 500.0}
-            groups = {f"s{i}": i // 3 for i in range(6)}
-            return servers, VMScheduler(servers, pool_free, groups, engine=engine)
+class TestArrayPlacementEngine:
+    """Unit behaviour of the one placement engine."""
 
-        array_servers, array_sched = build("array")
-        object_servers, object_sched = build("object")
-        rng = np.random.default_rng(5)
-        live = []
-        for step in range(300):
-            if live and rng.uniform() < 0.35:
-                vm_id, a_srv, o_srv = live.pop(int(rng.integers(len(live))))
-                array_sched.remove(vm_id, a_srv)
-                object_sched.remove(vm_id, o_srv)
-                continue
-            cores = int(rng.choice([1, 2, 4, 8, 16]))
-            mem = float(cores * rng.choice([2.0, 4.0, 8.0]))
-            pool = float(rng.choice([0.0, 4.0]))
-            vm_id = f"vm-{step}"
-            try:
-                a_srv = array_sched.place(vm_id, cores, mem, pool)
-            except PlacementError:
-                a_srv = None
-            try:
-                o_srv = object_sched.place(vm_id, cores, mem, pool)
-            except PlacementError:
-                o_srv = None
-            assert (a_srv is None) == (o_srv is None)
-            if a_srv is None:
-                continue
-            assert a_srv.server_id == o_srv.server_id
-            live.append((vm_id, a_srv, o_srv))
-        assert array_sched.used_cores == object_sched.used_cores
-        assert array_sched.used_local_gb == object_sched.used_local_gb
-        assert array_sched.stranded_gb == object_sched.stranded_gb
-        assert array_sched.running_vms == object_sched.running_vms
-        assert array_sched.pool_free_gb == object_sched.pool_free_gb
-        # The facade mirrors every mutation onto the server objects.
-        for a_srv, o_srv in zip(array_servers, object_servers):
-            assert a_srv.summary() == o_srv.summary()
+    @staticmethod
+    def make(n_servers=2, pool_free=None, **config):
+        groups = [0] * n_servers if pool_free is not None else None
+        return ArrayPlacementEngine(n_servers, ServerConfig(**config),
+                                    group_of=groups, pool_free_gb=pool_free)
 
-    def test_snapshot_of_preplaced_servers(self):
-        servers = [ClusterServer(f"s{i}", ServerConfig()) for i in range(2)]
-        servers[0].place("warm", 20, 64.0, 0.0)
-        scheduler = VMScheduler(servers, engine="array")
-        assert scheduler.select_server(4, 16.0, 0.0).server_id == "s0"
-        assert scheduler.used_cores == 20
-        scheduler.remove("warm", servers[0])
-        assert scheduler.used_cores == 0
+    def test_placement_updates_counters(self):
+        engine = self.make(1, pool_free={0: 100.0})
+        handle = engine.place(8, 32.0, 4.0)
+        assert engine.vm_node[handle] in (0, 1)
+        assert engine.used_cores == engine.used_cores_srv[0] == 8
+        assert engine.used_local_gb == engine.used_gb_srv[0] == 32.0
+        assert engine.pool_used_srv[0] == engine.pool_used_gb[0] == 4.0
+        assert engine.running_vms == 1
 
-    def test_heterogeneous_servers_rejected(self):
-        servers = [
-            ClusterServer("s0", ServerConfig()),
-            ClusterServer("s1", ServerConfig(cores_per_socket=12)),
-        ]
-        with pytest.raises(ValueError, match="homogeneous"):
-            VMScheduler(servers, engine="array")
+    def test_best_fit_node_choice(self):
+        """The fullest NUMA node that still fits wins."""
+        engine = self.make(1)
+        engine.place(20, 10.0, 0.0)  # fills one node to 20/24 cores
+        handle = engine.place(4, 10.0, 0.0)
+        assert engine.node_used_cores[engine.vm_node[handle]] == 24
+
+    def test_numa_fit_respected(self):
+        # One socket has 24 cores: a 25-core VM fits no single node.
+        engine = self.make(1)
+        assert engine.place(25, 10.0, 0.0) == -1
+        assert engine.place(24, 10.0, 0.0) >= 0
+
+    def test_fit_tolerance_is_1e9_gb(self):
+        """A node fits a request up to 1e-9 GB over its free DRAM."""
+        engine = self.make(1, sockets=1, dram_per_socket_gb=64.0)
+        assert engine.place(1, 64.0 + 0.5e-9, 0.0) >= 0
+        engine = self.make(1, sockets=1, dram_per_socket_gb=64.0)
+        assert engine.place(1, 64.0 + 1e-8, 0.0) == -1
+
+    def test_best_fit_prefers_fuller_server(self):
+        engine = self.make(2)
+        engine.place(20, 64.0, 0.0)  # lands on server 0
+        handle = engine.place(4, 16.0, 0.0)
+        assert engine.vm_server[handle] == 0
+
+    def test_placement_error_when_nothing_fits(self):
+        engine = self.make(1)
+        assert engine.place(1000, 16.0, 0.0) == -1
+        assert engine.running_vms == 0
+
+    def test_pool_capacity_limits_placement(self):
+        """A request is rejected when its pool group lacks capacity."""
+        engine = self.make(1, pool_free={0: 8.0})
+        assert engine.place(4, 8.0, 32.0) == -1
+        assert engine.place(4, 8.0, 8.0 + 0.5e-9) >= 0
+
+    def test_pool_accounting_on_place_and_remove(self):
+        """``remove`` returns the VM's pool memory to its group."""
+        engine = self.make(2, pool_free={0: 100.0})
+        handle = engine.place(4, 8.0, 32.0)
+        assert engine.pool_free_gb[0] == 68.0
+        engine.remove(handle)
+        assert engine.pool_free_gb[0] == 100.0
+        assert engine.pool_used_gb[0] == 0.0
 
     def test_pool_request_without_group_rejected(self):
-        servers = [ClusterServer("s0", ServerConfig())]
-        scheduler = VMScheduler(servers, engine="array")
+        engine = self.make(1)
+        assert engine.place(2, 4.0, 4.0) == -1
+        # A request within the 1e-9 GB slack passes the pool check but
+        # finds no group to draw from.
         with pytest.raises(PlacementError):
-            scheduler.place("vm1", 2, 4.0, 4.0)
-        assert servers[0].used_cores == 0
+            engine.place(2, 4.0, 0.5e-9)
+        # The failed placement must not leak core/memory accounting.
+        assert engine.used_cores_srv[0] == engine.used_cores == 0
+        assert engine.used_gb_srv[0] == 0.0
 
-    def test_wrong_server_remove_leaves_state_intact(self):
-        servers = [ClusterServer(f"s{i}", ServerConfig()) for i in range(2)]
-        scheduler = VMScheduler(servers, engine="array")
-        placed_on = scheduler.place("vm1", 4, 8.0, 0.0)
-        other = servers[1] if placed_on is servers[0] else servers[0]
-        with pytest.raises(KeyError):
-            scheduler.remove("vm1", other)
-        # Engine and mirror are still in sync: the VM is removable properly.
-        assert scheduler.running_vms == 1
-        scheduler.remove("vm1", placed_on)
-        assert scheduler.running_vms == 0
-        assert scheduler.used_cores == 0
-
-    def test_engine_select_matches_place(self):
-        engine = ArrayPlacementEngine.for_cluster(4, ServerConfig())
-        idx = engine.select(4, 16.0, 0.0)
-        handle = engine.place(4, 16.0, 0.0)
-        assert engine.vm_server[handle] == idx
+    def test_remove_restores_capacity(self):
+        engine = self.make(2)
+        handle = engine.place(8, 32.0, 0.0)
         engine.remove(handle)
-        assert engine.running_vms == 0
-        assert engine.used_cores == 0
+        assert engine.used_cores == engine.used_local_gb == 0
+        # REPRO_SANITIZE=1 diagnoses the double remove before the engine.
+        with pytest.raises((KeyError, SanitizerError)):
+            engine.remove(handle)
+        # State is intact: the freed slot is reusable.
+        assert engine.place(8, 32.0, 0.0) == handle
+        assert engine.running_vms == 1
+
+    def test_stranding_requires_full_cores(self):
+        engine = self.make(1)
+        engine.place(24, 64.0, 0.0)
+        assert engine.stranded_gb == 0.0
+        engine.place(24, 64.0, 0.0)
+        assert engine.used_cores_srv[0] == 48
+        assert engine.stranded_gb == 384.0 - 128.0
+
+    def test_peak_tracking(self):
+        engine = self.make(1)
+        first = engine.place(4, 100.0, 0.0)
+        engine.place(4, 50.0, 0.0)
+        engine.remove(first)
+        assert engine.peak_local_gb[0] == 150.0
+        assert engine.used_gb_srv[0] == 50.0
+
+    def test_empty_server_list_rejected(self):
+        with pytest.raises(ValueError):
+            ArrayPlacementEngine(0, ServerConfig())
 
 
 class TestParallelCapacitySearch:

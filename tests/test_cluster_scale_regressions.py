@@ -1,15 +1,17 @@
 """Regression tests for the simulator sampling/caching fixes and the indexed
-scheduler hot path (sample/departure ordering, duplicate horizon samples,
-``id()``-keyed caches, CSV defaults, and indexed-vs-linear equivalence)."""
+placement hot path (sample/departure ordering, duplicate horizon samples,
+``id()``-keyed caches, CSV defaults, and equivalence of the indexed bucket
+walk with a brute-force linear scan)."""
 
 import gc
 
 import numpy as np
 import pytest
 
+from reference_replay import reference_replay
+from repro.cluster.engine import ArrayPlacementEngine
 from repro.cluster.pool import PoolDimensioner, fixed_fraction_policy
-from repro.cluster.scheduler import VMScheduler
-from repro.cluster.server import ClusterServer, ServerConfig
+from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import ClusterTrace, VMTraceRecord
 from repro.cluster.tracegen import TraceGenConfig, TraceGenerator
@@ -202,15 +204,14 @@ class TestTraceCsvDefaults:
 
 
 class TestIndexedSchedulerEquivalence:
+    """The indexed bucket walk places like a brute-force linear scan."""
+
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_differential_randomized_trace(self, seed):
         trace = bulk_trace(seed=seed)
-        results = {}
-        for strategy in ("indexed", "linear"):
-            sim = ClusterSimulator(n_servers=10, sample_interval_s=1800.0,
-                                   scheduler_strategy=strategy)
-            results[strategy] = sim.run(trace)
-        indexed, linear = results["indexed"], results["linear"]
+        kwargs = dict(n_servers=10, sample_interval_s=1800.0)
+        indexed = ClusterSimulator(**kwargs).run(trace)
+        linear = reference_replay(trace, **kwargs)
         assert indexed.placements == linear.placements
         assert indexed.rejected_vms == linear.rejected_vms
         assert indexed.server_peak_local_gb == linear.server_peak_local_gb
@@ -218,59 +219,51 @@ class TestIndexedSchedulerEquivalence:
 
     def test_differential_with_pool_policy(self):
         trace = bulk_trace(seed=41, n_servers=8, utilization=0.9)
-        results = {}
-        for strategy in ("indexed", "linear"):
-            sim = ClusterSimulator(n_servers=8, pool_size_sockets=8,
-                                   pool_capacity_gb_per_group=600.0,
-                                   constrain_memory=False,
-                                   sample_interval_s=1800.0,
-                                   scheduler_strategy=strategy)
-            results[strategy] = sim.run(trace, policy=fixed_fraction_policy(0.4))
-        indexed, linear = results["indexed"], results["linear"]
+        kwargs = dict(n_servers=8, pool_size_sockets=8,
+                      pool_capacity_gb_per_group=600.0, constrain_memory=False,
+                      sample_interval_s=1800.0)
+        policy = fixed_fraction_policy(0.4)
+        indexed = ClusterSimulator(**kwargs).run(trace, policy=policy)
+        linear = reference_replay(trace, policy, **kwargs)
         assert indexed.placements == linear.placements
         assert indexed.pool_peak_gb == linear.pool_peak_gb
         assert (indexed.sample_buffer.rows() == linear.sample_buffer.rows()).all()
 
     def test_select_server_matches_after_manual_churn(self):
-        servers = [ClusterServer(f"s{i}", ServerConfig()) for i in range(6)]
-        indexed = VMScheduler(servers, strategy="indexed")
-        shadow = [ClusterServer(f"s{i}", ServerConfig()) for i in range(6)]
-        linear = VMScheduler(shadow, strategy="linear")
+        """Under random place/remove churn the engine picks the server a
+        linear best-fit scan picks: fewest free cores, then least free
+        memory, then lowest index, among servers with a fitting node."""
+        config = ServerConfig()
+        engine = ArrayPlacementEngine(6, config)
+
+        def linear_pick(cores, mem):
+            fits = [
+                (config.total_cores - engine.used_cores_srv[i],
+                 config.total_dram_gb - engine.used_gb_srv[i], i)
+                for i in range(6)
+                if any(engine.node_used_cores[2 * i + k] + cores
+                       <= config.cores_per_socket
+                       and engine.node_used_gb[2 * i + k]
+                       <= config.dram_per_socket_gb - mem + 1e-9
+                       for k in range(2))
+            ]
+            return min(fits)[2] if fits else -1
+
         rng = np.random.default_rng(5)
         live = []
         for step in range(300):
             if live and rng.uniform() < 0.35:
-                vm_id, a, b = live.pop(int(rng.integers(len(live))))
-                indexed.remove(vm_id, a)
-                linear.remove(vm_id, b)
+                engine.remove(live.pop(int(rng.integers(len(live)))))
                 continue
             cores = int(rng.choice([1, 2, 4, 8, 16]))
             mem = float(cores * rng.choice([2.0, 4.0, 8.0]))
-            vm_id = f"vm-{step}"
-            try:
-                a = indexed.place(vm_id, cores, mem, 0.0)
-            except Exception:
-                a = None
-            try:
-                b = linear.place(vm_id, cores, mem, 0.0)
-            except Exception:
-                b = None
-            if a is None or b is None:
-                assert a is None and b is None
-                continue
-            assert a.server_id == b.server_id
-            live.append((vm_id, a, b))
-        assert indexed.used_cores == linear.used_cores
-        assert indexed.running_vms == linear.running_vms
-
-    def test_strategy_validation(self):
-        servers = [ClusterServer("s0", ServerConfig())]
-        with pytest.raises(ValueError):
-            VMScheduler(servers, strategy="quantum")
-        with pytest.raises(ValueError):
-            ClusterSimulator(n_servers=1, scheduler_strategy="quantum")
-        with pytest.raises(ValueError):
-            PoolDimensioner(n_servers=1, scheduler_strategy="quantum")
+            expected = linear_pick(cores, mem)
+            handle = engine.place(cores, mem, 0.0)
+            assert (engine.vm_server[handle] if handle >= 0 else -1) == expected
+            if handle >= 0:
+                live.append(handle)
+        assert engine.running_vms == len(live)
+        assert engine.used_cores == sum(engine.used_cores_srv)
 
 
 class TestAccountingInvariants:

@@ -1,11 +1,9 @@
-"""Tests for the cluster scheduler, simulator, stranding analysis, and pooling."""
+"""Tests for the cluster simulator, stranding analysis, and pooling."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.pool import PoolDimensioner, fixed_fraction_policy
-from repro.cluster.scheduler import PlacementError, VMScheduler
-from repro.cluster.server import ClusterServer, ServerConfig
 from repro.cluster.simulator import ClusterSimulator, SampleBuffer
 from repro.cluster.stranding import StrandingAnalyzer, stranding_vs_utilization
 from repro.cluster.trace import ClusterTrace, VMTraceRecord
@@ -35,52 +33,6 @@ class ConstantBatchPolicy:
 
     def decide_batch(self, trace):
         return np.full(len(trace) + self.extra, self.gb)
-
-
-class TestVMScheduler:
-    def make_servers(self, n=2):
-        return [ClusterServer(f"s{i}", ServerConfig()) for i in range(n)]
-
-    def test_best_fit_prefers_fuller_server(self):
-        servers = self.make_servers(2)
-        servers[0].place("warm", 20, 64.0, 0.0)
-        scheduler = VMScheduler(servers)
-        chosen = scheduler.select_server(4, 16.0, 0.0)
-        assert chosen.server_id == "s0"
-
-    def test_placement_error_when_nothing_fits(self):
-        servers = self.make_servers(1)
-        scheduler = VMScheduler(servers)
-        with pytest.raises(PlacementError):
-            scheduler.select_server(1000, 16.0, 0.0)
-
-    def test_pool_accounting_on_place_and_remove(self):
-        servers = self.make_servers(2)
-        pool_free = {0: 100.0}
-        groups = {s.server_id: 0 for s in servers}
-        scheduler = VMScheduler(servers, pool_free, groups)
-        server = scheduler.place("vm1", 4, 8.0, 32.0)
-        assert pool_free[0] == pytest.approx(68.0)
-        scheduler.remove("vm1", server)
-        assert pool_free[0] == pytest.approx(100.0)
-
-    def test_pool_capacity_limits_placement(self):
-        servers = self.make_servers(1)
-        scheduler = VMScheduler(servers, {0: 8.0}, {"s0": 0})
-        with pytest.raises(PlacementError):
-            scheduler.place("vm1", 4, 8.0, 32.0)
-
-    def test_pool_request_without_group_rejected(self):
-        servers = self.make_servers(1)
-        scheduler = VMScheduler(servers)
-        with pytest.raises(PlacementError):
-            scheduler.place("vm1", 2, 4.0, 4.0)
-        # The failed placement must not leak core/memory accounting.
-        assert servers[0].used_cores == 0
-
-    def test_empty_server_list_rejected(self):
-        with pytest.raises(ValueError):
-            VMScheduler([])
 
 
 class TestClusterSimulator:

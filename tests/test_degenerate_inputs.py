@@ -3,13 +3,14 @@
 These shapes show up at the edges of real studies (a cluster with no
 arrivals in its window, a trace filtered down to one VM, a chunk size tuned
 for a bigger fleet) and must replay cleanly -- and identically -- through
-both placement engines, the fleet runner, and the cross-shard topology
-path.
+``ClusterSimulator.run``, the brute-force reference replay, the fleet
+runner, and the cross-shard topology path.
 """
 
 import numpy as np
 import pytest
 
+from reference_replay import reference_replay
 from repro.cluster.fleet import (
     FleetSimulator,
     PoolTopology,
@@ -26,20 +27,23 @@ SINGLE = ClusterTrace([
                   lifetime_s=7200.0, cores=2, memory_gb=16.0),
 ], cluster_id="one")
 
-ENGINES = ("array", "object")
+#: ``ClusterSimulator.run`` and the reference replay it must match.
+ENGINES = ("array", "reference")
 
 
-def simulator(engine, **kwargs):
-    defaults = dict(n_servers=3, pool_size_sockets=2,
-                    constrain_memory=False, sample_interval_s=600.0)
-    defaults.update(kwargs)
-    return ClusterSimulator(engine=engine, **defaults)
+def replay(engine, trace, policy=None, **kwargs):
+    cluster = dict(n_servers=3, pool_size_sockets=2,
+                   constrain_memory=False, sample_interval_s=600.0)
+    cluster.update(kwargs)
+    if engine == "reference":
+        return reference_replay(trace, policy, **cluster)
+    return ClusterSimulator(**cluster).run(trace, policy)
 
 
 class TestClusterSimulatorDegenerate:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_trace(self, engine):
-        result = simulator(engine).run(EMPTY, policy=FixedFractionPolicy(0.3))
+        result = replay(engine, EMPTY, FixedFractionPolicy(0.3))
         assert result.placed_vms == 0
         assert result.rejected_vms == 0
         # One horizon sample at t=0 capturing the empty cluster.
@@ -51,14 +55,14 @@ class TestClusterSimulatorDegenerate:
 
     def test_empty_trace_engines_identical(self):
         rows = [
-            simulator(engine).run(EMPTY).sample_buffer.rows()
+            replay(engine, EMPTY).sample_buffer.rows()
             for engine in ENGINES
         ]
         assert np.array_equal(rows[0], rows[1])
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_single_record_trace(self, engine):
-        result = simulator(engine).run(SINGLE, policy=FixedFractionPolicy(0.5))
+        result = replay(engine, SINGLE, FixedFractionPolicy(0.5))
         assert result.placed_vms == 1
         assert result.total_memory_gb_allocated == 16.0
         assert result.total_pool_gb_allocated == 8.0
@@ -70,7 +74,7 @@ class TestClusterSimulatorDegenerate:
 
     def test_single_record_engines_identical(self):
         results = [
-            simulator(engine).run(SINGLE, policy=FixedFractionPolicy(0.5))
+            replay(engine, SINGLE, FixedFractionPolicy(0.5))
             for engine in ENGINES
         ]
         assert results[0].server_peak_local_gb == results[1].server_peak_local_gb
@@ -83,10 +87,10 @@ class TestClusterSimulatorDegenerate:
         cfg = TraceGenConfig(cluster_id="tiny", n_servers=3,
                              duration_days=0.1, seed=4)
         trace = TraceGenerator(cfg).generate_bulk()
-        direct = simulator(engine).run(trace, policy=FixedFractionPolicy(0.3))
-        streamed = simulator(engine).run(
-            trace.stream(chunk_size=10 * max(1, len(trace))),
-            policy=FixedFractionPolicy(0.3),
+        direct = replay(engine, trace, FixedFractionPolicy(0.3))
+        streamed = replay(
+            engine, trace.stream(chunk_size=10 * max(1, len(trace))),
+            FixedFractionPolicy(0.3),
         )
         assert streamed.placed_vms == direct.placed_vms
         assert streamed.server_peak_local_gb == direct.server_peak_local_gb
@@ -97,11 +101,10 @@ class TestClusterSimulatorDegenerate:
     @pytest.mark.parametrize("stream", [False, True])
     def test_unpooled_engines_identical(self, trace, stream):
         """Unpooled one-shard replays (and the calendar loop for streams)
-        match the object engine on the edge traces."""
+        match the reference replay on the edge traces."""
         results = [
-            simulator(engine, pool_size_sockets=0).run(
-                trace.stream(chunk_size=8) if stream else trace,
-                policy=FixedFractionPolicy(0.5))
+            replay(engine, trace.stream(chunk_size=8) if stream else trace,
+                   FixedFractionPolicy(0.5), pool_size_sockets=0)
             for engine in ENGINES
         ]
         assert results[0].placed_vms == results[1].placed_vms == len(trace)
@@ -114,7 +117,7 @@ class TestClusterSimulatorDegenerate:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_stream(self, engine):
-        result = simulator(engine).run(EMPTY.stream(chunk_size=8))
+        result = replay(engine, EMPTY.stream(chunk_size=8))
         assert result.placed_vms == 0
         assert result.n_samples == 1
 

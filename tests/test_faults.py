@@ -63,8 +63,7 @@ def trace():
 
 def make_simulator(**kwargs):
     defaults = dict(n_servers=24, pool_size_sockets=8,
-                    constrain_memory=False, sample_interval_s=3600.0,
-                    engine="array")
+                    constrain_memory=False, sample_interval_s=3600.0)
     defaults.update(kwargs)
     return ClusterSimulator(**defaults)
 
@@ -163,11 +162,6 @@ class TestFaultSchedule:
         sched = FaultSchedule([FaultEvent(0.0, "fail", 99)])
         with pytest.raises(ValueError, match="do not exist"):
             make_simulator().run(trace, policy, faults=sched)
-
-    def test_object_engine_rejected(self, trace, policy):
-        with pytest.raises(ValueError, match="array"):
-            make_simulator(engine="object").run(
-                trace, policy, faults=FaultSchedule())
 
 
 class TestLedgerDegradation:
@@ -430,8 +424,7 @@ def tight_fault_run(retry_budget=1, events=None):
     sim = ClusterSimulator(n_servers=12, server_config=srv,
                            pool_size_sockets=8,
                            pool_capacity_gb_per_group=500.0,
-                           constrain_memory=True, sample_interval_s=3600.0,
-                           engine="array")
+                           constrain_memory=True, sample_interval_s=3600.0)
     return sim.run(trace, StaticFractionPolicy(fraction=0.6), faults=sched)
 
 
@@ -640,7 +633,7 @@ class TestFleetDeterminism:
         solo = ClusterSimulator(
             n_servers=cfg.n_servers, server_config=cfg.server_config,
             pool_size_sockets=8, pool_capacity_gb_per_group=500.0,
-            constrain_memory=True, sample_interval_s=3600.0, engine="array",
+            constrain_memory=True, sample_interval_s=3600.0,
         ).run(TraceGenerator(cfg).generate_bulk(),
               StaticFractionPolicy(fraction=0.4),
               faults=sched.for_shard(1))

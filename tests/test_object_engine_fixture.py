@@ -1,9 +1,9 @@
 """Pinned outputs of the retired object-engine replay.
 
 Static replays used to run on two placement engines: the struct-of-arrays
-engine ``ClusterSimulator.run`` uses today, and an object engine
-(``VMScheduler`` over per-server objects, with an indexed and a full-scan
-server selection) kept only as a differential reference.
+engine ``ClusterSimulator.run`` uses today, and an object engine (a
+scheduler over per-server objects, with an indexed and a full-scan server
+selection) kept only as a differential reference.
 ``fixtures/object_engine.json`` holds the object engine's outputs on the
 cases below, written before it was deleted.  Entries ending in
 ``@full_scan`` were replayed with the full-scan selection and must equal
@@ -84,7 +84,7 @@ def case(trace, policy=None, **cluster):
     return dict(trace=trace, policy=policy, cluster=cluster)
 
 
-#: name -> builder of ``{"trace", "policy", "cluster"}``; ``cluster`` holds
+#: name -> function returning ``{"trace", "policy", "cluster"}``; ``cluster`` holds
 #: ``ClusterSimulator`` keyword arguments.
 CASES = {
     **{f"constrained_seed{seed}": (

@@ -4,9 +4,9 @@ Lock-down for the ``online=OnlineControlConfig(...)`` replay stage:
 
 * **Differential**: with mitigation disabled (QoS threshold ``inf``) the
   online loop must be byte-identical to the static replay of the same
-  policy -- sample rows, peaks, placements, counters -- on the array
-  engine, against the object engine's buffers, and through the
-  cross-shard topology pump (per-shard and spanning).
+  policy -- sample rows, peaks, placements, counters -- through
+  ``ClusterSimulator.run``, against the brute-force reference replay, and
+  through the cross-shard topology pump (per-shard and spanning).
 * **Determinism**: bit-reproducible across process-pool shard fan-out and
   under ``PYTHONHASHSEED`` variation (the mitigations fire from model
   predictions keyed on VM digests, so any hash()-order leak would show).
@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import repro
+from reference_replay import reference_replay
 from repro.cluster import (
     ClusterSimulator,
     TraceGenConfig,
@@ -83,12 +84,12 @@ def assert_results_identical(a, b):
     assert a.total_memory_gb_allocated == b.total_memory_gb_allocated
 
 
-def make_simulator(engine="array", **kwargs):
-    defaults = dict(n_servers=24, pool_size_sockets=8,
-                    constrain_memory=False, sample_interval_s=3600.0,
-                    engine=engine)
-    defaults.update(kwargs)
-    return ClusterSimulator(**defaults)
+CLUSTER = dict(n_servers=24, pool_size_sockets=8, constrain_memory=False,
+               sample_interval_s=3600.0)
+
+
+def make_simulator(**kwargs):
+    return ClusterSimulator(**dict(CLUSTER, **kwargs))
 
 
 class TestDisabledMitigationIsStatic:
@@ -113,11 +114,11 @@ class TestDisabledMitigationIsStatic:
         assert stats.mitigated_vm_ids == []
 
     def test_matches_object_engine_buffers(self, trace, policy):
-        """The online loop (array-only) reproduces the object engine's
-        sample buffer too, via the pinned array==object differential."""
-        static_obj = make_simulator(engine="object").run(trace, policy)
+        """The online replay reproduces the brute-force reference replay
+        (which the retired object engine's pinned outputs also match)."""
+        reference = reference_replay(trace, policy, **CLUSTER)
         online = make_simulator().run(trace, policy, online=DISABLED)
-        assert_results_identical(static_obj, online)
+        assert_results_identical(reference, online)
 
     def test_constrained_replay_byte_identity(self, trace, policy, forbid):
         kwargs = dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)
@@ -125,10 +126,6 @@ class TestDisabledMitigationIsStatic:
         forbid(pool_topology, "_replay_crossshard_events")
         online = make_simulator(**kwargs).run(trace, policy, online=DISABLED)
         assert_results_identical(static, online)
-
-    def test_object_engine_rejected(self, trace, policy):
-        with pytest.raises(ValueError, match="array"):
-            make_simulator(engine="object").run(trace, policy, online=DISABLED)
 
     @pytest.mark.parametrize("topology", ["per_shard", "spanning"])
     def test_crossshard_topologies(self, policy, topology, crossshard_case,

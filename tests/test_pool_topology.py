@@ -3,8 +3,7 @@
 The load-bearing guarantees:
 
 * the degenerate per-shard topology reproduces the classic shardwise
-  ``FleetSimulator.run`` / ``capacity_search`` results **byte-identically**
-  (the ``engine="object"`` / ``strategy="linear"`` differential pattern);
+  ``FleetSimulator.run`` / ``capacity_search`` results **byte-identically**;
 * a spanning group is genuinely fleet-owned: concurrent demand from two
   shards adds up in its peak, and its finite capacity is contended across
   shard boundaries at simulation time.
@@ -102,22 +101,6 @@ class TestTopologyShape:
                 2, base_config(n_servers=2), pool_size_sockets=8,
                 pool_topology=topo,
             )
-
-    def test_object_engine_rejected_with_topology(self):
-        # replay_crossshard only exists on the array engine; configuring the
-        # object/linear differential paths with a topology must fail loudly
-        # instead of silently replaying on the array engine.
-        topo = PoolTopology.per_shard([6, 6], 2, 4)
-        with pytest.raises(ValueError, match="array engine"):
-            FleetSimulator.sharded(2, base_config(), pool_topology=topo,
-                                   engine="object")
-        with pytest.raises(ValueError, match="array engine"):
-            FleetSimulator.sharded(2, base_config(), pool_topology=topo,
-                                   scheduler_strategy="linear")
-        fleet = FleetSimulator.sharded(2, base_config(), engine="object",
-                                       pool_size_sockets=4)
-        with pytest.raises(ValueError, match="array engine"):
-            fleet.capacity_search(pool_topology=topo)
 
     def test_ledger_capacity_validation(self):
         topo = PoolTopology.per_shard([2], 2, 2)
