@@ -251,8 +251,14 @@ class TestArrayPlacementEngine:
     def test_pool_request_without_group_rejected(self):
         engine = self.make(1)
         assert engine.place(2, 4.0, 4.0) == -1
-        # A request within the 1e-9 GB slack passes the pool check but
-        # finds no group to draw from.
+        # The failed placement must not leak core/memory accounting.
+        assert engine.used_cores_srv[0] == engine.used_cores == 0
+        assert engine.used_gb_srv[0] == 0.0
+
+    def test_pool_request_within_slack_without_group_raises(self):
+        """A request within the 1e-9 GB slack passes the pool check but
+        finds no group to draw from."""
+        engine = self.make(1)
         with pytest.raises(PlacementError):
             engine.place(2, 4.0, 0.5e-9)
         # The failed placement must not leak core/memory accounting.
