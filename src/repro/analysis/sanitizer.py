@@ -24,10 +24,9 @@ mutation that broke the ledger rather than the replay that later noticed.
 
 The wrappers only see the engine-method path (the cross-shard events
 loop, which also runs every online or faulted single-cluster replay).  The
-inlined hot loops (``ClusterSimulator._run_array_calendar``,
-``_replay_crossshard_inlined``) bypass them by design; differential tests
-pin those byte-identical to the method path, so sanitizing the method path
-covers them too.
+inlined hot loop (``_replay_crossshard_inlined``, which runs every static
+replay) bypasses them by design; differential tests pin it byte-identical
+to the method path, so sanitizing the method path covers it too.
 
 Overhead is a few dict walks per mutation -- fine for tests, not for
 benchmarks; that is why it is opt-in.

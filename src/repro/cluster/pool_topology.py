@@ -26,16 +26,15 @@ single-cluster simulator:
   shards contending for one group contend at simulation time, not
   shard-serially.
 
-Ordering contract (the same as ``ClusterSimulator``'s calendar loop and
-the brute-force reference replay in ``tests/reference_replay.py``): at
-equal timestamps the order is departures, then samples, then arrivals,
-with deterministic shard-index tie-breaks; per shard, the relative
-event order is exactly a single cluster's, which is why the degenerate
-per-shard topology reproduces ``FleetSimulator``'s classic results
-byte-for-byte (enforced by ``tests/test_pool_topology.py``).  A single
-cluster is the one-shard case: ``ClusterSimulator.run`` replays every
-materialised static trace and every online or faulted replay through
-:func:`replay_crossshard`.
+Ordering contract (the same as the brute-force reference replay in
+``tests/reference_replay.py``): at equal timestamps the order is
+departures, then samples, then arrivals, with deterministic shard-index
+tie-breaks; per shard, the relative event order is exactly a single
+cluster's, which is why the degenerate per-shard topology reproduces
+``FleetSimulator``'s classic results byte-for-byte (enforced by
+``tests/test_pool_topology.py``).  A single cluster is the one-shard case:
+``ClusterSimulator.run`` replays everything -- materialised traces,
+streams, online and faulted replays -- through :func:`replay_crossshard`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,8 @@ from __future__ import annotations
 import gc
 import heapq
 from bisect import bisect_left, bisect_right, insort
-from itertools import chain
+from itertools import compress, repeat
+from operator import is_not
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -399,16 +399,40 @@ class PoolGroupLedger:
         return cls(caps)
 
 
+def _check_arrival_order(arrivals: np.ndarray, vm_ids: Sequence[str],
+                         previous: float) -> float:
+    """Raise unless one stream block continues in arrival order.
+
+    ``previous`` is the prior block's last arrival (``0.0`` before the
+    first block).  The error names the first record that arrives before
+    its predecessor.  Returns the block's last arrival, or ``previous``
+    for an empty block.
+    """
+    n = arrivals.shape[0]
+    if not n:
+        return previous
+    prior = np.empty(n, dtype=np.float64)
+    prior[0] = previous
+    prior[1:] = arrivals[:-1]
+    late = np.flatnonzero(arrivals < prior)
+    if late.size:
+        index = int(late[0])
+        raise ValueError(
+            f"stream records must be sorted by arrival time "
+            f"({vm_ids[index]!r} arrives at {float(arrivals[index])} after "
+            f"{float(prior[index])})"
+        )
+    return float(arrivals[n - 1])
+
+
 def _shard_arrival_events(
-    shard: int,
     trace: TraceInput,
     policy,
-    use_pool: bool,
     with_slowdowns: bool = False,
 ) -> Iterator[Tuple[float, float, int, float, str, float]]:
     """One shard's ``(arrival, departure, cores, memory, vm_id, pool_gb)``
-    stream, in arrival order, with pool allocations resolved exactly like
-    ``ClusterSimulator``'s calendar loop (shared :func:`iter_policy_blocks`).
+    stream for the events loop, in arrival order, with pool allocations
+    from the shared :func:`iter_policy_blocks`.
 
     With ``with_slowdowns`` (the online replay's mitigation path) each
     tuple carries a seventh element: the VM's estimated slowdown percent
@@ -416,42 +440,18 @@ def _shard_arrival_events(
     per block."""
     streaming = not isinstance(trace, ClusterTrace)
     last_arrival = 0.0
-    for block, records, allocations in iter_policy_blocks(
-        trace, policy, use_pool
-    ):
-        vm_ids, arrivals, departs, cores_col, memory_col = (
-            block_replay_columns(block, records)
-        )
-        n_block = len(vm_ids)
-        if streaming and n_block:
-            prev = last_arrival
-            for index in range(n_block):
-                arrival = arrivals[index]
-                if arrival < prev:
-                    raise ValueError(
-                        f"stream records must be sorted by arrival time "
-                        f"({vm_ids[index]!r} arrives at {arrival} after "
-                        f"{prev})"
-                    )
-                prev = arrival
-            last_arrival = prev
-        if allocations is None:
-            if policy is not None and use_pool:
-                allocations = [
-                    float(np.clip(policy(r), 0.0, r.memory_gb)) for r in records
-                ]
-            else:
-                allocations = [0.0] * n_block
-        if with_slowdowns and n_block:
-            slowdowns = estimate_slowdown_batch(
-                policy, block,
-                np.asarray(allocations, dtype=np.float64),
-            ).tolist()
-            yield from zip(arrivals, departs, cores_col, memory_col, vm_ids,
-                           allocations, slowdowns)
-        else:
-            yield from zip(arrivals, departs, cores_col, memory_col, vm_ids,
-                           allocations)
+    for block, records, allocations in iter_policy_blocks(trace, policy, True):
+        vm_ids, arrivals, departs, cores, memory = (
+            block_replay_columns(block, records))
+        if streaming:
+            last_arrival = _check_arrival_order(arrivals, vm_ids, last_arrival)
+        columns = [arrivals.tolist(), departs.tolist(), cores.tolist(),
+                   memory.tolist(), vm_ids, allocations]
+        if with_slowdowns and allocations:
+            columns.append(estimate_slowdown_batch(
+                policy, block, np.asarray(allocations, dtype=np.float64),
+            ).tolist())
+        yield from zip(*columns)
 
 
 #: Event kinds in the merged heap; at equal timestamps departures fire first,
@@ -464,9 +464,9 @@ _KIND_SAMPLE = 2
 _KIND_HORIZON = 3
 _KIND_ARRIVAL = 4  # sentinel used only in pump limits; arrivals are not heaped
 
-#: Merged arrival rows the inlined loop converts to Python scalars at a
-#: time (see :func:`_merged_slices`).  Purely a memory knob: results do not
-#: depend on it.
+#: Merged arrival rows per block of a materialised fleet in the inlined
+#: loop (see :func:`_materialised_blocks`).  Purely a memory knob: results
+#: do not depend on it.
 _ARRIVAL_SLICE_ROWS = 16384
 
 
@@ -495,20 +495,19 @@ def replay_crossshard(
     byte-identical to running each shard through ``ClusterSimulator`` on its
     own (same floats, same sample rows, same peaks): disjoint shards never
     read each other's state, and per shard the event order and arithmetic
-    match ``ClusterSimulator``'s calendar loop operation for operation.  Shard results of spanning topologies report
-    ``pool_peak_gb = {}`` -- a spanned group's peak belongs to the fleet,
-    not to any one shard (read it off the returned ledger).
+    are a one-shard replay's, operation for operation.  Shard results of
+    spanning topologies report ``pool_peak_gb = {}`` -- a spanned group's
+    peak belongs to the fleet, not to any one shard (read it off the
+    returned ledger).
 
-    The replay has two loops.  Static replays of materialised traces whose
-    departures all fall strictly after their arrivals (and whose VMs all
-    request at least one core), on a fleet of shards sharing one server
-    SKU, run on the **inlined** merged loop
-    (:func:`_replay_crossshard_inlined`): the event heap is replaced by a
-    precomputed global event order and the per-event engine method calls
-    by hoisted locals (the loop hoists the SKU shape into scalars, hence the
-    uniformity requirement).  Everything else -- online or faulted replays,
-    streams, hand-built column blocks, degenerate lifetimes, zero-core VMs
-    or mixed-SKU fleets -- runs on the engine-method event loop
+    The replay has two loops.  Static replays on a fleet of shards sharing
+    one server SKU, of materialised traces or of a one-shard stream, run
+    on the **inlined** merged loop (:func:`_replay_crossshard_inlined`):
+    the event heap is replaced by per-block presorted departures and the
+    per-event engine method calls by hoisted locals (the loop hoists the
+    SKU shape into scalars, hence the uniformity requirement).  Everything
+    else -- online or faulted replays, multi-shard streams and mixed-SKU
+    fleets -- runs on the engine-method event loop
     (:func:`_replay_crossshard_events`), which also serves as the
     differential reference pinning the inlined loop's byte-identical
     results.  ``ClusterSimulator.run`` calls this function as a one-shard
@@ -563,28 +562,17 @@ def _inlinable(inputs: Sequence[TraceInput],
                server_configs: Sequence[ServerConfig]) -> bool:
     """Whether a static replay may take :func:`_replay_crossshard_inlined`.
 
-    Requires one server SKU fleet-wide and materialised traces whose
-    departures all fall strictly after their arrivals and whose VMs all
-    request at least one core.
+    Requires one server SKU fleet-wide, and materialised traces or a
+    one-shard stream (the loop merges shards by presorting, which needs
+    every shard's arrivals up front).
     """
     if len({
         (cfg.sockets, cfg.cores_per_socket, cfg.dram_per_socket_gb)
         for cfg in server_configs
     }) > 1:
         return False
-    for trace in inputs:
-        if not isinstance(trace, ClusterTrace):
-            return False
-        columns = trace.columns()
-        arrivals = columns.arrival_s
-        if arrivals is None:
-            return False
-        if arrivals.shape[0] and not (
-            bool((columns.departure_s > arrivals).all())
-            and int(columns.cores.min()) >= 1
-        ):
-            return False
-    return True
+    return len(inputs) == 1 or all(
+        isinstance(trace, ClusterTrace) for trace in inputs)
 
 
 def _validate_crossshard_args(inputs, policies, n_servers_per_shard,
@@ -646,8 +634,8 @@ def _replay_crossshard_events(
     Events live in an explicit heap and every placement/removal goes through
     :class:`ArrayPlacementEngine` methods.  This is the loop the inlined
     fast path (:func:`_replay_crossshard_inlined`) is differentially pinned
-    against; it also handles inputs the fast path cannot (streams,
-    hand-built blocks, degenerate lifetimes, zero-core VMs) and is the only
+    against; it also handles inputs the fast path cannot (multi-shard
+    streams, mixed-SKU fleets) and is the only
     loop that carries the online QoS/mitigation stage (``online=...``:
     per-shard QoS ticks fire after that shard's grid samples) and EMC fault
     injection (``faults=...``).  Its ``pump`` is the one hand-scheduled
@@ -804,7 +792,7 @@ def _replay_crossshard_events(
 
     # -- k-way arrival merge (ties broken by shard index) -------------------
     arrival_iters = [
-        _shard_arrival_events(shard, inputs[shard], policies[shard], True,
+        _shard_arrival_events(inputs[shard], policies[shard],
                               with_slowdowns=mitigate)
         for shard in range(n_shards)
     ]
@@ -892,46 +880,108 @@ def _replay_crossshard_events(
     return results, ledger
 
 
-def _shard_allocations(trace: ClusterTrace, policy) -> np.ndarray:
-    """One materialised shard's pool allocations, resolved exactly like
-    :func:`_shard_arrival_events` resolves them for the events loop."""
-    _block, records, allocations = next(iter(iter_policy_blocks(
-        trace, policy, True)))
-    if allocations is None:
-        if policy is None:
-            return np.zeros(len(records))
-        # min/max matches np.clip bit-for-bit for finite values
-        # (block_replay_columns' clamp), without the ufunc dispatch.
-        allocations = [
-            float(min(max(policy(r), 0.0), r.memory_gb)) for r in records
-        ]
-    return np.asarray(allocations, dtype=np.float64)
+#: The inlined loop reads ``(rows, arrivals, departures, cores, ends)``
+#: blocks: ``rows`` yields ``(shard, arrival, cores, memory_gb, pool_gb,
+#: vm_id)`` tuples of plain scalars; the arrays hold the same rows' columns
+#: for the departure presort and the cold-branch guards; ``ends`` lists the
+#: ``(horizon, shard)`` pairs that become pending at the block's start.
+#: The last block is the sentinel: one row arriving at ``+inf``, whose pump
+#: drains every remaining departure, grid sample and horizon.
+_SENTINEL_ROWS = ((0, float("inf"), 0, 0.0, 0.0, None),)
+_NO_TIMES = np.empty(0, dtype=np.float64)
+_NO_CORES = np.empty(0, dtype=np.int64)
 
 
-def _presorted_departures(
-    departures: np.ndarray,
-) -> Tuple[List[int], List[float]]:
-    """(merged positions, times) of every departure, in drain order.
+def _materialised_blocks(traces: Sequence[ClusterTrace], policies,
+                         record_placements: bool):
+    """``(rows per shard, last arrival per shard, blocks)`` of a fleet.
 
-    A stable argsort orders equal times by merged position.
+    A stable ``np.lexsort`` over ``(arrival, shard)`` reproduces the events
+    loop's k-way merge exactly (its heap holds one entry per shard at a
+    time, so ties resolve by shard, then by per-shard stream order).  The
+    merged rows reach the inlined loop in blocks of
+    ``_ARRIVAL_SLICE_ROWS``, converted to Python scalars one block at a
+    time, so they never exist as whole lists.  Empty shards' horizons
+    (time 0) ride on the first block.
     """
-    drain = np.argsort(departures, kind="stable")
-    return drain.tolist(), departures[drain].tolist()
+    columns = [trace.columns() for trace in traces]
+    counts = [c.arrival_s.shape[0] for c in columns]
+    horizons = [float(c.arrival_s[n - 1]) if n else 0.0
+                for c, n in zip(columns, counts)]
+    allocations = np.concatenate([
+        np.asarray(next(iter_policy_blocks(trace, policy, True))[2],
+                   dtype=np.float64)
+        for trace, policy in zip(traces, policies)
+    ])
+    arrival = np.concatenate([c.arrival_s for c in columns])
+    shard = np.repeat(np.arange(len(traces), dtype=np.int64), counts)
+    order = np.lexsort((shard, arrival))
+    departure = np.concatenate([c.departure_s for c in columns])
+    cores = np.concatenate([c.cores for c in columns])
+    memory = np.concatenate([c.memory_gb for c in columns])
+    vm_ids = None
+    if record_placements:
+        vm_ids = np.array(
+            [vm_id for c in columns for vm_id in c.vm_ids], dtype=object)
+
+    def blocks():
+        ends = tuple((0.0, s) for s, n in enumerate(counts) if not n)
+        step = _ARRIVAL_SLICE_ROWS
+        for lo in range(0, order.shape[0], step):
+            rows = order[lo:lo + step]
+            b_arrival = arrival[rows]
+            b_cores = cores[rows]
+            yield (zip(shard[rows].tolist(), b_arrival.tolist(),
+                       b_cores.tolist(), memory[rows].tolist(),
+                       allocations[rows].tolist(),
+                       repeat(None) if vm_ids is None
+                       else vm_ids[rows].tolist()),
+                   b_arrival, departure[rows], b_cores, ends)
+            ends = ()
+        yield _SENTINEL_ROWS, _NO_TIMES, _NO_TIMES, _NO_CORES, ends
+
+    return counts, horizons, blocks()
 
 
-def _merged_slices(order: np.ndarray,
-                   columns: Sequence[np.ndarray]) -> Iterator[Iterator[tuple]]:
-    """The rows of ``columns`` taken in ``order``, one ``zip`` per slice.
+def _stream_blocks(trace: TraceInput, policy):
+    """The blocks of a one-shard stream: one per chunk, read once.
 
-    Each slice of ``_ARRIVAL_SLICE_ROWS`` rows is converted to Python
-    scalars only when the loop reaches it, so the merged arrival columns
-    never exist as whole lists.  ``tolist`` yields the same scalars either
-    way.
+    The shard's horizon (its last arrival; 0 for an empty stream) rides on
+    the sentinel block: only then is the stream known to have run out.
     """
-    step = _ARRIVAL_SLICE_ROWS
-    for lo in range(0, order.shape[0], step):
-        rows = order[lo:lo + step]
-        yield zip(*[column[rows].tolist() for column in columns])
+    last = 0.0
+    for block, records, allocations in iter_policy_blocks(trace, policy, True):
+        vm_ids, arrival, departure, cores, memory = (
+            block_replay_columns(block, records))
+        last = _check_arrival_order(arrival, vm_ids, last)
+        yield (zip(repeat(0), arrival.tolist(), cores.tolist(),
+                   memory.tolist(), allocations, vm_ids),
+               arrival, departure, cores, ())
+    yield _SENTINEL_ROWS, _NO_TIMES, _NO_TIMES, _NO_CORES, ((last, 0),)
+
+
+def _full_bucket(used_cores: List[int], used_gb: List[float], stc: int,
+                 std: float, first: int, count: int) -> List[Tuple[float, int]]:
+    """Canonical full-server bucket of servers ``first .. first+count-1``.
+
+    A full server's key is its current state, so sorting the recomputed
+    keys reproduces the engine's index.  A module-level function (like
+    :func:`_bucket_keys`) so the inlined loop's hot locals are never closed
+    over: a closure would make them cell variables.
+    """
+    return sorted(
+        (std - used_gb[i], i)
+        for i in range(first, first + count)
+        if used_cores[i] >= stc
+    )
+
+
+def _bucket_keys(eng: ArrayPlacementEngine) -> List[Tuple[int, float]]:
+    """Every server's ``(free cores, free GB)`` bucket key."""
+    stc = eng.server_total_cores
+    std = eng.server_total_dram_gb
+    return [(stc - cores, std - gb)
+            for cores, gb in zip(eng.used_cores_srv, eng.used_gb_srv)]
 
 
 def _replay_crossshard_inlined(
@@ -948,22 +998,22 @@ def _replay_crossshard_inlined(
     """The inlined cross-shard merged loop (heap-free, flat fleet state).
 
     Replaces :func:`_replay_crossshard_events`' event heap and per-event
-    engine method calls with structures computed once up front, exploiting
-    what a materialised uniform-SKU fleet already knows:
+    engine method calls with plain locals, for a uniform-SKU fleet of
+    materialised traces or a one-shard stream:
 
-    * **arrival merge**: a stable ``np.lexsort`` over ``(arrival, shard)``
-      reproduces the k-way merge heap's order exactly (the heap holds one
-      entry per shard at a time, so ties resolve by shard, then by per-shard
-      stream order); the merged rows reach the loop in fixed-size slices
-      (:func:`_merged_slices`) instead of as whole Python lists;
-    * **departures**: a stable argsort of the merged-order departure column
-      is the heap's ``(time, seq)`` order -- the global placement sequence
-      *is* the merged arrival position.  A placement stores its payload at
-      its merged position; the drain walks the precomputed order through a
-      pointer, batched by one ``bisect_right`` per pump bound, and clears
-      each slot it drains.  A payload still ``None`` at drain time is a
-      rejected VM (the dispatcher guarantees ``departure > arrival``, so
-      "not yet arrived" is impossible);
+    * **arrival blocks**: the loop reads merged arrival rows one block at a
+      time -- fixed-size slices of a materialised fleet's lexsorted merge
+      (:func:`_materialised_blocks`), or one block per chunk of a stream
+      (:func:`_stream_blocks`) -- and ends with a sentinel block whose one
+      row arrives at ``+inf``: its pump is the final drain;
+    * **departures**: at each block start, the block's departures are
+      sorted together with the payloads earlier blocks have not drained
+      yet, equal times in placement sequence (carried payloads first, then
+      the block's rows in order), which is the events loop's ``(time,
+      seq)`` heap order in O(block + live VMs) memory.  A placement stores its payload in its row's slot; the drain
+      walks the presorted order through a pointer, batched by one
+      ``bisect_right`` per pump bound, and clears each slot it drains.
+      Rejected, drained and not-yet-placed slots are ``None``;
     * **flat fleet state**: every shard engine's per-server and per-NUMA-node
       lists are concatenated into fleet-wide locals (a shard's server ``i``
       becomes fleet index ``offset + i``), so the hot loop reads plain
@@ -977,28 +1027,37 @@ def _replay_crossshard_inlined(
     * **grid samples and horizons**: every shard's grid is the same
       ``k * sample_interval_s`` sequence, so one shared clock plus per-shard
       alive flags replaces per-shard heap entries (shards fire in shard
-      order at each tick, exactly the heap's tie-break); horizons activate
-      when their shard's last arrival is processed, matching the heap push,
-      and wait in a tiny heap of their own whose min is cached in a local;
+      order at each tick, exactly the heap's tie-break); horizons become
+      pending when their shard's last arrival is processed, matching the
+      heap push, and wait in a tiny heap of their own whose min is cached
+      in a local;
     * the per-event arithmetic is statement-for-statement
       :meth:`ArrayPlacementEngine.place` / ``remove``, with two structural
-      cuts: **full-server elision** -- the best-fit walk starts at ``free
-      >= cores >= 1``, so ``buckets[0]`` is never read; a placement that
-      fills a server skips the insort and a departure from a full server
-      skips the delete, and ``buckets[0]`` is rebuilt canonically per shard
-      at the end -- and a **GC pause** for the duration of the loop (the
-      payload and bucket-key tuples allocated per event otherwise trigger
-      young-generation scans over long-lived state).  Departures of VMs
-      that drew no pool memory skip the pool ledger block entirely: every
-      write in it is a float no-op for ``pool_gb == 0`` (``x - 0.0 == x``;
-      the quantities involved are never ``-0.0``), so results are
-      unchanged.
+      cuts: **full-server elision** -- a placement that fills a server
+      skips the insort and a departure from a full server skips the
+      delete, so ``buckets[0]`` goes stale and is rebuilt canonically per
+      shard at the end -- and a **GC pause** for the duration of the loop
+      (the payload and bucket-key tuples allocated per event otherwise
+      trigger young-generation scans over long-lived state).  Departures of
+      VMs that drew no pool memory skip the pool ledger block entirely:
+      every write in it is a float no-op for ``pool_gb == 0``
+      (``x - 0.0 == x``; the quantities involved are never ``-0.0``), so
+      results are unchanged.
 
-    Every static materialised ``ClusterSimulator`` replay runs here as a
-    one-shard fleet.  Byte-identical to the events loop by construction and
-    pinned by the differential suite in ``tests/test_pool_topology.py`` and
-    against ``ClusterSimulator``'s calendar loop in
-    ``tests/test_cluster_engine.py``.
+    Two row kinds only validation-bypassing records produce take cold
+    branches, guarded per block: a VM departing at or before its arrival
+    rewinds the drain pointer to its presorted rank (every slot between
+    there and the old pointer is ``None``, so only this VM re-fires), and a
+    zero-core VM, whose walk starts at ``buckets[0]``, rebuilds its shard's
+    stale full-server bucket first.  The stranded-memory updates on the
+    full-server branches are the general ones, so a zero-core VM on a full
+    server is counted once.
+
+    Every static ``ClusterSimulator`` replay runs here as a one-shard
+    fleet.  Byte-identical to the events loop by construction; pinned by
+    the differential suites in ``tests/test_pool_topology.py`` and
+    ``tests/test_replay_fuzz.py`` and, through ``ClusterSimulator.run``,
+    against the brute-force reference replay.
     """
     n_shards = len(inputs)
     ledger, engines, results, shard_groups, total_cores, total_dram = (
@@ -1064,52 +1123,48 @@ def _replay_crossshard_inlined(
     total_pool = [0.0] * n_shards
     placed_ids: List[List[str]] = [[] for _ in range(n_shards)]
     placed_srv: List[List[int]] = [[] for _ in range(n_shards)]
+    last_sample: List[Optional[float]] = [None] * n_shards
 
-    # -- merged arrival order and global presorted departures ----------------
-    # Only the merged columns outlive this block (the hot loop reads them
-    # in slices); per-shard temporaries die here, before the loop's peak.
-    columns = [trace.columns() for trace in inputs]
-    vm_ids_by_shard: List[Sequence[str]] = [c.vm_ids for c in columns]
-    remaining = [c.arrival_s.shape[0] for c in columns]
-    horizons = [
-        float(c.arrival_s[n_s - 1]) if n_s else 0.0
-        for c, n_s in zip(columns, remaining)
-    ]
-    alloc_all = np.concatenate([
-        _shard_allocations(inputs[shard], policies[shard])
-        for shard in range(n_shards)
-    ])
-    arrival_all = np.concatenate([c.arrival_s for c in columns])
-    shard_all = np.repeat(np.arange(n_shards, dtype=np.int64), remaining)
-    # Stable sort by (arrival, shard): the merge heap holds one entry per
-    # shard, so equal arrivals tie-break by shard and, within a shard, by
-    # stream order -- which lexsort's stability preserves.
-    order = np.lexsort((shard_all, arrival_all))
-    cores_all = np.concatenate([c.cores for c in columns])
-    #: Columns of the merged arrival rows, read in ``order`` one slice at
-    #: a time by the hot loop.
-    merged_columns = (shard_all, arrival_all, cores_all,
-                      np.concatenate([c.memory_gb for c in columns]),
-                      alloc_all)
-    m_pos = (
-        np.concatenate([np.arange(n_s) for n_s in remaining])[order].tolist()
-        if record_placements else None
-    )
-    # Ties in departure time resolve by merged position == global placement
-    # sequence (rejected VMs leave a None payload and simply drain as
-    # no-ops), exactly the events loop's (time, seq) heap prefix.
-    dep_order, dep_times = _presorted_departures(
-        np.concatenate([c.departure_s for c in columns])[order])
-    n_total = order.shape[0]
-    #: Reused walk ranges (one allocation per distinct core count, not
-    #: one per placement); indices past the last bucket walk nothing.
-    max_cr = int(cores_all.max()) if n_total else 0
-    walk_ranges = [
-        range(c, n_buckets) for c in range(max(n_buckets, max_cr + 1))
-    ]
-    payload: List[Optional[Tuple[int, int, int, int, float, float]]] = (
-        [None] * n_total
-    )
+    def emit(shard: int, time_s: float, agg_cores=agg_cores, agg_gb=agg_gb,
+             agg_stranded=agg_stranded, agg_running=agg_running,
+             pool_used=pool_used) -> None:
+        """Append one grid or horizon sample row to ``shard``'s result.
+
+        The hot loop's lists come in as defaults: closing over them would
+        make them cell variables, which every hot-loop access pays for.
+        """
+        stranded = agg_stranded[shard]
+        if stranded < 0.0:
+            stranded = 0.0
+        used_pool_gb = 0.0
+        for g in shard_groups[shard]:
+            used_pool_gb += pool_used[g]
+        append_rows[shard]((
+            time_s,
+            agg_cores[shard] / total_cores[shard],
+            100.0 * agg_cores[shard] / total_cores[shard],
+            agg_gb[shard],
+            used_pool_gb,
+            stranded,
+            100.0 * stranded / total_dram[shard],
+            agg_running[shard],
+        ))
+        last_sample[shard] = time_s
+
+    if isinstance(inputs[0], ClusterTrace):
+        remaining, horizons, blocks = _materialised_blocks(
+            inputs, policies, record_placements)
+    else:
+        # A one-shard stream: its row count is unknown, so the countdown
+        # below (from 0, going negative) never pushes its horizon; the
+        # sentinel block carries it.
+        remaining, horizons = [0], [0.0]
+        blocks = _stream_blocks(inputs[0], policies[0])
+
+    #: Walk ranges, one per requested core count (reused, not allocated per
+    #: placement; grown per block); indices past the last bucket walk
+    #: nothing.
+    walk_ranges = [range(c, n_buckets) for c in range(n_buckets)]
 
     bisect = bisect_left
     bisect_r = bisect_right
@@ -1118,130 +1173,106 @@ def _replay_crossshard_inlined(
     heappop = heapq.heappop
     inf = float("inf")
 
-    n_dep = n_total
+    # -- departure drain state, rebuilt at every block start -----------------
+    payload: List[Optional[Tuple[int, int, int, int, float, float]]] = []
+    dep_order: List[int] = []
+    dep_times: List[float] = []
+    sorted_times = _NO_TIMES  # ``dep_times`` as an array
     p = 0
-    next_dep = dep_times[0] if n_dep else inf
-    next_sample_time = 0.0
-    last_sample: List[Optional[float]] = [None] * n_shards
     alive = [True] * n_shards
     n_alive = n_shards
-    #: Horizons become pending when their shard's arrivals are exhausted
-    #: (matching the events loop's push-after-last-arrival).  ``t_h`` caches
-    #: the heap min (the heap changes at most ``2 * n_shards`` times, so
-    #: maintaining the cache is far cheaper than peeking every pump round).
+    #: Pending horizons (time, shard); ``t_h`` caches the heap min (the heap
+    #: changes at most ``2 * n_shards`` times, so maintaining the cache is
+    #: far cheaper than peeking every pump round).
     hor_heap: List[Tuple[float, int]] = []
-    for shard in range(n_shards):
-        if not remaining[shard]:
-            heappush(hor_heap, (0.0, shard))
-    t_h = hor_heap[0][0] if hor_heap else inf
+    t_h = inf
     #: Cached next grid tick (``inf`` once every shard's horizon passed).
     t_s = 0.0
-    # next_event folds the pump-entry test into one compare per arrival
-    # (the grid starts at 0.0, so the first arrival always pumps).
-    next_event = next_dep if next_dep <= next_sample_time else next_sample_time
-    if t_h < next_event:
-        next_event = t_h
 
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        k = -1
-        for s, arrival_s, cores_r, memory_gb, vm_pool_gb in chain.from_iterable(
-            _merged_slices(order, merged_columns)
-        ):
-            k += 1
-            # -- pump: all heaped-order events strictly before this arrival --
-            if next_event <= arrival_s:
-                nxt = t_s if t_s <= t_h else t_h
-                if arrival_s < nxt:
-                    # Fast path: only departures fire before this
-                    # arrival (grid ticks and horizons are rare
-                    # next to departure pumps), so skip the full
-                    # pump round-trip machinery.
-                    end = bisect_r(dep_times, arrival_s, p)
-                    for m in dep_order[p:end]:
-                        entry = payload[m]
-                        if entry is None:
-                            continue  # rejected VM: nothing placed
-                        payload[m] = None  # drained; never read again
-                        # -- departure (ArrayPlacementEngine.remove) -----
-                        ds, sidx, pos, d_cores, d_local, d_pool = entry
-                        if d_pool:
-                            # place() rejects pool draws on group-less
-                            # servers, so a pool-carrying payload always
-                            # has a real group.
-                            group = group_of[sidx]
-                            remaining_gb = pool_used[group] - d_pool
-                            if remaining_gb < 0.0:
-                                # Clamp tiny negative float drift; real
-                                # imbalances stay loud.
-                                if remaining_gb < -1e-6:
-                                    raise RuntimeError(
-                                        f"pool group {group} accounting "
-                                        f"went negative ({remaining_gb} "
-                                        f"GB) -- simulator bug"
-                                    )
-                                remaining_gb = 0.0
-                            pool_used[group] = remaining_gb
-                            pool_free[group] += d_pool
-                            pool_used_srv[sidx] -= d_pool
-                        before_cores = used_cores_srv[sidx]
-                        old_gb = used_gb_srv[sidx]
-                        node_cores[pos] -= d_cores
-                        node_gb[pos] -= d_local
-                        new_cores = before_cores - d_cores
-                        used_cores_srv[sidx] = new_cores
-                        new_gb = old_gb - d_local
-                        used_gb_srv[sidx] = new_gb
-                        agg_cores[ds] -= d_cores
-                        agg_gb[ds] -= d_local
-                        buckets = buckets_l[ds]
-                        if before_cores >= stc:
-                            # stranded_after is exactly 0.0; full servers
-                            # are unindexed (full-server elision).
-                            agg_stranded[ds] += 0.0 - (std - old_gb)
-                        else:
-                            bucket = buckets[stc - before_cores]
-                            del bucket[
-                                bisect(bucket, (std - old_gb, sidx))
-                            ]
-                        insort_(
-                            buckets[stc - new_cores], (std - new_gb, sidx)
-                        )
-                        agg_running[ds] -= 1
-                    p = end
-                    next_dep = dep_times[p] if p < n_dep else inf
-                    next_event = next_dep if next_dep <= nxt else nxt
-                else:
+        for rows, arrivals, departures, cores, ends in blocks:
+            for end_time, shard in ends:
+                heappush(hor_heap, (end_time, shard))
+            t_h = hor_heap[0][0] if hor_heap else inf
+
+            # -- presort: this block's departures + undrained payloads -------
+            # Slots hold the carried payloads, then the block's rows (row
+            # ``j`` is slot ``n_carry + j``), so slot order is placement
+            # sequence and a stable sort of the slots' departure times is
+            # the events loop's (time, seq) order.
+            entries = list(map(payload.__getitem__, dep_order[p:]))
+            pending = np.fromiter(map(is_not, entries, repeat(None)),
+                                  dtype=bool, count=len(entries))
+            payload = list(compress(entries, pending.tolist()))
+            n_carry = len(payload)
+            n_block = departures.shape[0]
+            payload += repeat(None, n_block)
+            times = np.concatenate((sorted_times[p:][pending], departures))
+            drain = np.argsort(times, kind="stable")
+            sorted_times = times[drain]
+            dep_times = sorted_times.tolist()
+            dep_order = drain.tolist()
+            n_dep = n_block + n_carry
+            p = 0
+            next_dep = dep_times[0] if n_dep else inf
+            nxt = t_s if t_s <= t_h else t_h
+            # next_event folds the pump-entry test into one compare per
+            # arrival (the grid starts at 0.0, so the first arrival pumps).
+            next_event = next_dep if next_dep <= nxt else nxt
+
+            # -- cold-branch guards (validation-bypassing rows only) ---------
+            rewinds = None
+            zero_core = False
+            if n_block:
+                late = np.flatnonzero(departures <= arrivals)
+                if late.size:
+                    rank = np.empty(n_dep, dtype=np.int64)
+                    rank[drain] = np.arange(n_dep)
+                    late += n_carry
+                    rewinds = dict(zip(late.tolist(), rank[late].tolist()))
+                zero_core = int(cores.min()) < 1
+                top = int(cores.max())
+                if top >= len(walk_ranges):
+                    walk_ranges.extend(
+                        range(c, n_buckets)
+                        for c in range(len(walk_ranges), top + 1))
+
+            k = n_carry - 1  # the slot of the current row
+            for s, arrival_s, cores_r, memory_gb, vm_pool_gb, vm_id in rows:
+                k += 1
+                # -- pump: every heaped-order event before this arrival ------
+                if next_event <= arrival_s:
                     while True:
-                        # Grid sample (kind 1) outranks horizon (kind 2) at ties.
-                        fire_sample = t_s <= t_h
-                        nxt_t = t_s if fire_sample else t_h
-                        bound = nxt_t if nxt_t <= arrival_s else arrival_s
+                        # A grid sample outranks a horizon at equal times.
+                        nxt = t_s if t_s <= t_h else t_h
+                        bound = nxt if nxt <= arrival_s else arrival_s
                         if next_dep <= bound:
                             end = bisect_r(dep_times, bound, p)
                             for m in dep_order[p:end]:
                                 entry = payload[m]
                                 if entry is None:
-                                    continue  # rejected VM: nothing placed
+                                    continue  # rejected, drained or unplaced
                                 payload[m] = None
-                                # -- departure (ArrayPlacementEngine.remove) -----
+                                # -- departure (ArrayPlacementEngine.remove) -
                                 ds, sidx, pos, d_cores, d_local, d_pool = entry
                                 if d_pool:
                                     # place() rejects pool draws on group-less
-                                    # servers, so a pool-carrying payload always
-                                    # has a real group.
+                                    # servers, so a pool-carrying payload
+                                    # always has a real group.
                                     group = group_of[sidx]
                                     remaining_gb = pool_used[group] - d_pool
                                     if remaining_gb < 0.0:
-                                        # Clamp tiny negative float drift; real
-                                        # imbalances stay loud.
+                                        # Clamp tiny negative float drift;
+                                        # real imbalances stay loud.
                                         if remaining_gb < -1e-6:
                                             raise RuntimeError(
-                                                f"pool group {group} accounting "
-                                                f"went negative ({remaining_gb} "
-                                                f"GB) -- simulator bug"
+                                                f"pool group {group} "
+                                                f"accounting went negative "
+                                                f"({remaining_gb} GB) -- "
+                                                f"simulator bug"
                                             )
                                         remaining_gb = 0.0
                                     pool_used[group] = remaining_gb
@@ -1259,46 +1290,34 @@ def _replay_crossshard_inlined(
                                 agg_gb[ds] -= d_local
                                 buckets = buckets_l[ds]
                                 if before_cores >= stc:
-                                    # stranded_after is exactly 0.0; full servers
-                                    # are unindexed (full-server elision).
-                                    agg_stranded[ds] += 0.0 - (std - old_gb)
+                                    # Full servers are unindexed (full-server
+                                    # elision); only a zero-core VM leaves
+                                    # one still full.
+                                    agg_stranded[ds] += (
+                                        std - new_gb if new_cores >= stc
+                                        else 0.0
+                                    ) - (std - old_gb)
                                 else:
                                     bucket = buckets[stc - before_cores]
                                     del bucket[
                                         bisect(bucket, (std - old_gb, sidx))
                                     ]
-                                insort_(
-                                    buckets[stc - new_cores], (std - new_gb, sidx)
-                                )
+                                insort_(buckets[stc - new_cores],
+                                        (std - new_gb, sidx))
                                 agg_running[ds] -= 1
                             p = end
                             next_dep = dep_times[p] if p < n_dep else inf
-                        if nxt_t > arrival_s:
+                        if nxt > arrival_s or nxt == inf:
+                            # (``nxt == inf`` ends the sentinel's pump:
+                            # every horizon has fired.)
                             break
-                        if fire_sample:
-                            # Grid tick: alive shards sample in shard order (the
-                            # heap's tie-break for equal-time sample events).
+                        if t_s <= t_h:
+                            # Grid tick: alive shards sample in shard order
+                            # (the heap's tie-break for equal-time samples).
                             for gs in range(n_shards):
                                 if alive[gs]:
-                                    stranded = agg_stranded[gs]
-                                    if stranded < 0.0:
-                                        stranded = 0.0
-                                    used_pool_gb = 0.0
-                                    for g in shard_groups[gs]:
-                                        used_pool_gb += pool_used[g]
-                                    append_rows[gs]((
-                                        t_s,
-                                        agg_cores[gs] / total_cores[gs],
-                                        100.0 * agg_cores[gs] / total_cores[gs],
-                                        agg_gb[gs],
-                                        used_pool_gb,
-                                        stranded,
-                                        100.0 * stranded / total_dram[gs],
-                                        agg_running[gs],
-                                    ))
-                                    last_sample[gs] = t_s
-                            next_sample_time = t_s + sample_interval_s
-                            t_s = next_sample_time
+                                    emit(gs, t_s)
+                            t_s += sample_interval_s
                         else:
                             h, hs = heappop(hor_heap)
                             t_h = hor_heap[0][0] if hor_heap else inf
@@ -1306,274 +1325,180 @@ def _replay_crossshard_inlined(
                             if ls is None or ls <= h:
                                 if ls == h:
                                     results[hs].sample_buffer.drop_last()
-                                stranded = agg_stranded[hs]
-                                if stranded < 0.0:
-                                    stranded = 0.0
-                                used_pool_gb = 0.0
-                                for g in shard_groups[hs]:
-                                    used_pool_gb += pool_used[g]
-                                append_rows[hs]((
-                                    h,
-                                    agg_cores[hs] / total_cores[hs],
-                                    100.0 * agg_cores[hs] / total_cores[hs],
-                                    agg_gb[hs],
-                                    used_pool_gb,
-                                    stranded,
-                                    100.0 * stranded / total_dram[hs],
-                                    agg_running[hs],
-                                ))
-                                last_sample[hs] = h
+                                emit(hs, h)
                             alive[hs] = False
                             n_alive -= 1
                             if not n_alive:
                                 t_s = inf
-                    nxt = t_s if t_s <= t_h else t_h
+                    if arrival_s == inf:
+                        break  # the sentinel: everything has drained
                     next_event = next_dep if next_dep <= nxt else nxt
 
-            buckets = buckets_l[s]
-            local_gb = memory_gb - vm_pool_gb
+                buckets = buckets_l[s]
+                if zero_core and not cores_r:
+                    # The walk starts at the full-server bucket, which the
+                    # elision leaves stale.
+                    buckets[0] = _full_bucket(
+                        used_cores_srv, used_gb_srv, stc, std, srv_off[s],
+                        n_servers_per_shard[s])
+                local_gb = memory_gb - vm_pool_gb
 
-            # -- best-fit bucket walk (ArrayPlacementEngine.place) -----------
-            cores_limit = cores_ps - cores_r
-            gb_limit = dram_ps - local_gb + 1e-9
-            need_pool = vm_pool_gb > 0
-            sidx = -1
-            best_node = -1
-            base = 0
-            if two_sockets:
-                for free in walk_ranges[cores_r]:
-                    for _key_gb, idx in buckets[free]:
-                        if need_pool:
-                            group = group_of[idx]
-                            avail = pool_free[group] if group >= 0 else 0.0
-                            if vm_pool_gb > avail + 1e-9:
-                                continue
-                        base = idx + idx
-                        used0 = node_cores[base]
-                        used1 = node_cores[base + 1]
-                        # Fullest feasible node; ties go to node 0
-                        # (find_numa_node's strict ``>`` comparison).
-                        if used1 > used0:
-                            if (used1 <= cores_limit
-                                    and node_gb[base + 1] <= gb_limit):
-                                sidx = idx
-                                best_node = 1
-                                break
-                            if (used0 <= cores_limit
-                                    and node_gb[base] <= gb_limit):
-                                sidx = idx
-                                best_node = 0
-                                break
-                        else:
-                            if (used0 <= cores_limit
-                                    and node_gb[base] <= gb_limit):
-                                sidx = idx
-                                best_node = 0
-                                break
-                            if (used1 <= cores_limit
-                                    and node_gb[base + 1] <= gb_limit):
-                                sidx = idx
-                                best_node = 1
-                                break
-                    if sidx >= 0:
-                        break
-            else:
-                for free in walk_ranges[cores_r]:
-                    for _key_gb, idx in buckets[free]:
-                        if need_pool:
-                            group = group_of[idx]
-                            avail = pool_free[group] if group >= 0 else 0.0
-                            if vm_pool_gb > avail + 1e-9:
-                                continue
-                        base = idx * sockets
-                        cand_node = -1
-                        cand_used = -1
-                        for node in range(sockets):
-                            used = node_cores[base + node]
-                            if (used <= cores_limit and used > cand_used
-                                    and node_gb[base + node] <= gb_limit):
-                                cand_node = node
-                                cand_used = used
-                        if cand_node >= 0:
-                            sidx = idx
-                            best_node = cand_node
+                # -- best-fit bucket walk (ArrayPlacementEngine.place) -------
+                cores_limit = cores_ps - cores_r
+                gb_limit = dram_ps - local_gb + 1e-9
+                need_pool = vm_pool_gb > 0
+                sidx = -1
+                best_node = -1
+                base = 0
+                if two_sockets:
+                    for free in walk_ranges[cores_r]:
+                        for _key_gb, idx in buckets[free]:
+                            if need_pool:
+                                group = group_of[idx]
+                                avail = pool_free[group] if group >= 0 else 0.0
+                                if vm_pool_gb > avail + 1e-9:
+                                    continue
+                            base = idx + idx
+                            used0 = node_cores[base]
+                            used1 = node_cores[base + 1]
+                            # Fullest feasible node; ties go to node 0
+                            # (find_numa_node's strict ``>`` comparison).
+                            if used1 > used0:
+                                if (used1 <= cores_limit
+                                        and node_gb[base + 1] <= gb_limit):
+                                    sidx = idx
+                                    best_node = 1
+                                    break
+                                if (used0 <= cores_limit
+                                        and node_gb[base] <= gb_limit):
+                                    sidx = idx
+                                    best_node = 0
+                                    break
+                            else:
+                                if (used0 <= cores_limit
+                                        and node_gb[base] <= gb_limit):
+                                    sidx = idx
+                                    best_node = 0
+                                    break
+                                if (used1 <= cores_limit
+                                        and node_gb[base + 1] <= gb_limit):
+                                    sidx = idx
+                                    best_node = 1
+                                    break
+                        if sidx >= 0:
                             break
-                    if sidx >= 0:
-                        break
-            if sidx < 0:
-                rejected[s] += 1
-            else:
-                # -- commit (ArrayPlacementEngine.place, inlined) ------------
-                pos = base + best_node
-                node_cores[pos] += cores_r
-                node_gb[pos] += local_gb
-                before_cores = used_cores_srv[sidx]
-                old_gb = used_gb_srv[sidx]
-                new_cores = before_cores + cores_r
-                used_cores_srv[sidx] = new_cores
-                new_gb = old_gb + local_gb
-                used_gb_srv[sidx] = new_gb
-                if new_gb > peak_local[sidx]:
-                    peak_local[sidx] = new_gb
-                committed = True
-                if need_pool:
-                    pool_srv = pool_used_srv[sidx] + vm_pool_gb
-                    pool_used_srv[sidx] = pool_srv
-                    if pool_srv > peak_pool[sidx]:
-                        peak_pool[sidx] = pool_srv
-                    group = group_of[sidx]
-                    if group < 0:
-                        # Group-less pool request corner (unreachable for
-                        # topology-built engines, where every server has a
-                        # group; kept for exact parity with the events
-                        # loop's PlacementError handling): roll usage back,
-                        # peaks keep the transient placement.
-                        node_cores[pos] -= cores_r
-                        node_gb[pos] -= local_gb
-                        used_cores_srv[sidx] = new_cores - cores_r
-                        used_gb_srv[sidx] = new_gb - local_gb
-                        pool_used_srv[sidx] = pool_srv - vm_pool_gb
-                        rejected[s] += 1
-                        committed = False
-                    else:
-                        pool_free[group] -= vm_pool_gb
-                        g_used = pool_used[group] + vm_pool_gb
-                        pool_used[group] = g_used
-                        if g_used > pool_peak[group]:
-                            pool_peak[group] = g_used
-                if committed:
-                    agg_cores[s] += cores_r
-                    agg_gb[s] += local_gb
-                    # Reindex with the full-server elision (buckets[0] is
-                    # never read by the walk; rebuilt at the end).
-                    bucket = buckets[stc - before_cores]
-                    del bucket[bisect(bucket, (std - old_gb, sidx))]
-                    if new_cores >= stc:
-                        # stranded_before is exactly 0.0 (free core existed).
-                        agg_stranded[s] += (std - new_gb) - 0.0
-                    else:
-                        insort_(buckets[stc - new_cores], (std - new_gb, sidx))
-                    agg_running[s] += 1
-                    placed[s] += 1
-                    if record_placements:
-                        placed_ids[s].append(vm_ids_by_shard[s][m_pos[k]])
-                        placed_srv[s].append(sidx)
-                    total_memory[s] += memory_gb
-                    total_pool[s] += vm_pool_gb
-                    # departure > arrival, so the presorted drain has not
-                    # passed this position yet: storing the payload IS the
-                    # push.
-                    payload[k] = (s, sidx, pos, cores_r, local_gb, vm_pool_gb)
-
-            remaining[s] -= 1
-            if not remaining[s]:
-                # Shard exhausted: its horizon (this arrival's time) becomes
-                # pending, exactly like the events loop's push.
-                h = horizons[s]
-                heappush(hor_heap, (h, s))
-                if h < t_h:
-                    t_h = h
-                if h < next_event:
-                    next_event = h
-
-        # -- drain: remaining grid samples, horizons, departures -------------
-        while True:
-            fire_sample = t_s <= t_h
-            nxt_t = t_s if fire_sample else t_h
-            if next_dep <= nxt_t:
-                end = bisect_r(dep_times, nxt_t, p) if nxt_t != inf else n_dep
-                for m in dep_order[p:end]:
-                    entry = payload[m]
-                    if entry is None:
-                        continue
-                    payload[m] = None
-                    ds, sidx, pos, d_cores, d_local, d_pool = entry
-                    if d_pool:
-                        group = group_of[sidx]
-                        remaining_gb = pool_used[group] - d_pool
-                        if remaining_gb < 0.0:
-                            if remaining_gb < -1e-6:
-                                raise RuntimeError(
-                                    f"pool group {group} accounting went "
-                                    f"negative ({remaining_gb} GB) -- "
-                                    f"simulator bug"
-                                )
-                            remaining_gb = 0.0
-                        pool_used[group] = remaining_gb
-                        pool_free[group] += d_pool
-                        pool_used_srv[sidx] -= d_pool
+                else:
+                    for free in walk_ranges[cores_r]:
+                        for _key_gb, idx in buckets[free]:
+                            if need_pool:
+                                group = group_of[idx]
+                                avail = pool_free[group] if group >= 0 else 0.0
+                                if vm_pool_gb > avail + 1e-9:
+                                    continue
+                            base = idx * sockets
+                            cand_node = -1
+                            cand_used = -1
+                            for node in range(sockets):
+                                used = node_cores[base + node]
+                                if (used <= cores_limit and used > cand_used
+                                        and node_gb[base + node] <= gb_limit):
+                                    cand_node = node
+                                    cand_used = used
+                            if cand_node >= 0:
+                                sidx = idx
+                                best_node = cand_node
+                                break
+                        if sidx >= 0:
+                            break
+                if sidx < 0:
+                    rejected[s] += 1
+                else:
+                    # -- commit (ArrayPlacementEngine.place, inlined) --------
+                    pos = base + best_node
+                    node_cores[pos] += cores_r
+                    node_gb[pos] += local_gb
                     before_cores = used_cores_srv[sidx]
                     old_gb = used_gb_srv[sidx]
-                    node_cores[pos] -= d_cores
-                    node_gb[pos] -= d_local
-                    new_cores = before_cores - d_cores
+                    new_cores = before_cores + cores_r
                     used_cores_srv[sidx] = new_cores
-                    new_gb = old_gb - d_local
+                    new_gb = old_gb + local_gb
                     used_gb_srv[sidx] = new_gb
-                    agg_cores[ds] -= d_cores
-                    agg_gb[ds] -= d_local
-                    buckets = buckets_l[ds]
-                    if before_cores >= stc:
-                        agg_stranded[ds] += 0.0 - (std - old_gb)
-                    else:
+                    if new_gb > peak_local[sidx]:
+                        peak_local[sidx] = new_gb
+                    committed = True
+                    if need_pool:
+                        pool_srv = pool_used_srv[sidx] + vm_pool_gb
+                        pool_used_srv[sidx] = pool_srv
+                        if pool_srv > peak_pool[sidx]:
+                            peak_pool[sidx] = pool_srv
+                        group = group_of[sidx]
+                        if group < 0:
+                            # Group-less pool request corner (unreachable for
+                            # topology-built engines, where every server has
+                            # a group; kept for exact parity with the events
+                            # loop's PlacementError handling): roll usage
+                            # back, peaks keep the transient placement.
+                            node_cores[pos] -= cores_r
+                            node_gb[pos] -= local_gb
+                            used_cores_srv[sidx] = new_cores - cores_r
+                            used_gb_srv[sidx] = new_gb - local_gb
+                            pool_used_srv[sidx] = pool_srv - vm_pool_gb
+                            rejected[s] += 1
+                            committed = False
+                        else:
+                            pool_free[group] -= vm_pool_gb
+                            g_used = pool_used[group] + vm_pool_gb
+                            pool_used[group] = g_used
+                            if g_used > pool_peak[group]:
+                                pool_peak[group] = g_used
+                    if committed:
+                        agg_cores[s] += cores_r
+                        agg_gb[s] += local_gb
+                        # Reindex with the full-server elision (buckets[0] is
+                        # rebuilt before it is read).
                         bucket = buckets[stc - before_cores]
                         del bucket[bisect(bucket, (std - old_gb, sidx))]
-                    insort_(buckets[stc - new_cores], (std - new_gb, sidx))
-                    agg_running[ds] -= 1
-                p = end
-                next_dep = dep_times[p] if p < n_dep else inf
-            if nxt_t == inf:
-                break
-            if fire_sample:
-                for gs in range(n_shards):
-                    if alive[gs]:
-                        stranded = agg_stranded[gs]
-                        if stranded < 0.0:
-                            stranded = 0.0
-                        used_pool_gb = 0.0
-                        for g in shard_groups[gs]:
-                            used_pool_gb += pool_used[g]
-                        append_rows[gs]((
-                            t_s,
-                            agg_cores[gs] / total_cores[gs],
-                            100.0 * agg_cores[gs] / total_cores[gs],
-                            agg_gb[gs],
-                            used_pool_gb,
-                            stranded,
-                            100.0 * stranded / total_dram[gs],
-                            agg_running[gs],
-                        ))
-                        last_sample[gs] = t_s
-                next_sample_time = t_s + sample_interval_s
-                t_s = next_sample_time
-            else:
-                h, hs = heappop(hor_heap)
-                t_h = hor_heap[0][0] if hor_heap else inf
-                ls = last_sample[hs]
-                if ls is None or ls <= h:
-                    if ls == h:
-                        results[hs].sample_buffer.drop_last()
-                    stranded = agg_stranded[hs]
-                    if stranded < 0.0:
-                        stranded = 0.0
-                    used_pool_gb = 0.0
-                    for g in shard_groups[hs]:
-                        used_pool_gb += pool_used[g]
-                    append_rows[hs]((
-                        h,
-                        agg_cores[hs] / total_cores[hs],
-                        100.0 * agg_cores[hs] / total_cores[hs],
-                        agg_gb[hs],
-                        used_pool_gb,
-                        stranded,
-                        100.0 * stranded / total_dram[hs],
-                        agg_running[hs],
-                    ))
-                    last_sample[hs] = h
-                alive[hs] = False
-                n_alive -= 1
-                if not n_alive:
-                    t_s = inf
+                        if new_cores >= stc:
+                            # Only a zero-core VM lands on a server that was
+                            # already full.
+                            agg_stranded[s] += (std - new_gb) - (
+                                std - old_gb if before_cores >= stc else 0.0
+                            )
+                        else:
+                            insort_(buckets[stc - new_cores],
+                                    (std - new_gb, sidx))
+                        agg_running[s] += 1
+                        placed[s] += 1
+                        if record_placements:
+                            placed_ids[s].append(vm_id)
+                            placed_srv[s].append(sidx)
+                        total_memory[s] += memory_gb
+                        total_pool[s] += vm_pool_gb
+                        # Storing the payload is the push: the drain has not
+                        # passed this slot yet...
+                        payload[k] = (s, sidx, pos, cores_r, local_gb,
+                                      vm_pool_gb)
+                        if rewinds is not None:
+                            rank_k = rewinds.get(k)
+                            if rank_k is not None:
+                                # ...unless the VM departs at or before its
+                                # arrival: rewind to its rank so the next
+                                # pump fires it.
+                                p = rank_k
+                                next_dep = dep_times[p]
+                                if next_dep < next_event:
+                                    next_event = next_dep
+
+                remaining[s] -= 1
+                if not remaining[s]:
+                    # Shard exhausted: its horizon (this arrival's time)
+                    # becomes pending, exactly like the events loop's push.
+                    h = horizons[s]
+                    heappush(hor_heap, (h, s))
+                    if h < t_h:
+                        t_h = h
+                    if h < next_event:
+                        next_event = h
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -1601,22 +1526,14 @@ def _replay_crossshard_inlined(
         eng.peak_local_gb[:] = peak_local[off:off + n]
         eng.peak_pool_gb[:] = peak_pool[off:off + n]
         buckets = buckets_l[shard]
-        # Rebuild the unmaintained full-server bucket (a full server's key
-        # is its state at fill time, so sorting the recomputed keys is the
-        # canonical index), then translate fleet ids back to shard-local.
-        buckets[0] = sorted(
-            (std - used_gb_srv[i], i)
-            for i in range(off, off + n)
-            if used_cores_srv[i] >= stc
-        )
+        # Rebuild the unmaintained full-server bucket, then translate fleet
+        # ids back to shard-local.
+        buckets[0] = _full_bucket(used_cores_srv, used_gb_srv, stc, std, off, n)
         eng._buckets = [
             [(key_gb, idx - off) for key_gb, idx in bucket]
             for bucket in buckets
         ]
-        eng._bucket_key = [
-            (stc - used_cores_srv[off + i], std - used_gb_srv[off + i])
-            for i in range(n)
-        ]
+        eng._bucket_key = _bucket_keys(eng)
         eng.used_cores = agg_cores[shard]
         eng.used_local_gb = agg_gb[shard]
         eng.stranded_gb = agg_stranded[shard]

@@ -33,13 +33,11 @@ Plain per-record callables remain supported.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.engine import ArrayPlacementEngine
 from repro.cluster.faults import FaultImpactStats, FaultSchedule
 from repro.cluster.server import ServerConfig
 from repro.cluster.trace import ClusterTrace, TraceStream, VMTraceRecord
@@ -67,11 +65,6 @@ PoolPolicy = Callable[[VMTraceRecord], float]
 
 #: ``ClusterSimulator.run`` replays either a materialised trace or a stream.
 TraceInput = Union[ClusterTrace, TraceStream]
-
-#: Calendar-queue window for the array loop's departure events.  Purely a
-#: performance knob (the processing order is (time, seq) regardless); one
-#: hour keeps bins in the thousands of events at fleet scale.
-_DEPARTURE_BIN_S = 3600.0
 
 #: Column order of the sample buffer; must match SimulationSample's fields.
 _SAMPLE_COLUMNS = (
@@ -328,47 +321,46 @@ def iter_policy_blocks(
     trace: TraceInput,
     policy: Optional[PoolPolicy],
     use_pool: bool,
-) -> Iterator[Tuple[object, Sequence[VMTraceRecord], Optional[List[float]]]]:
+) -> Iterator[Tuple[object, Sequence[VMTraceRecord], List[float]]]:
     """Normalise a trace input into ``(block, records, pool_allocations)``.
 
     ``block`` is the columnar carrier (the trace itself, or one
-    :class:`TraceColumns` chunk); the array-engine loops read its replay
-    columns instead of touching record objects.
+    :class:`TraceColumns` chunk); the replay loops read its replay columns
+    instead of touching record objects.
 
     A materialised trace is one block (its columnar view is cached on the
-    trace); a stream yields one block per chunk, with ``decide_batch``
-    evaluated per chunk so at most one chunk's allocations exist at a time.
-    ``decide_batch`` allocations are clipped to ``[0, memory_gb]``; blocks
-    without them return ``None`` and fall back to the per-record ``policy``
-    callback in the replay loop.
+    trace); a stream yields one block per chunk, with the policy evaluated
+    per chunk so at most one chunk's allocations exist at a time.
 
-    Shared by :meth:`ClusterSimulator.run` and the cross-shard fleet replay
-    (:mod:`repro.cluster.pool_topology`), so both resolve allocations with
-    identical arithmetic.
+    ``pool_allocations`` holds one plain float per record: ``decide_batch``
+    output, or the per-record callback's return converted with ``float()``,
+    clipped to ``[0, memory_gb]``; zeros without a pool or policy.  Every
+    replay resolves allocations here, so materialised and streamed replays
+    cannot drift apart (the byte-for-byte equivalence contract).
+    ``float()`` comes before the clip so a callback returning a numpy
+    scalar (say ``np.float32``) is clipped in float64, never rounded back
+    to its own precision.
     """
-    batch = use_pool and policy is not None and hasattr(policy, "decide_batch")
 
-    def resolve(block, n, memory_gb) -> Optional[List[float]]:
-        """One block's clipped ``decide_batch`` output, or ``None``
-        (per-record callback or no pool).  Single definition so the
-        materialised and streamed paths cannot drift apart (the
-        byte-for-byte equivalence contract).  ``tolist()`` yields plain
-        floats once, keeping the replay loop free of per-record numpy
-        scalar boxing."""
-        if not batch:
-            return None
-        decided = np.asarray(policy.decide_batch(block), dtype=np.float64)
-        if decided.shape != (n,):
-            raise ValueError(
-                f"decide_batch must return one entry per record "
-                f"({n}), got shape {decided.shape}"
-            )
+    def resolve(block, records, memory_gb) -> List[float]:
+        n = len(records)
+        if not use_pool or policy is None:
+            return [0.0] * n
+        if hasattr(policy, "decide_batch"):
+            decided = np.asarray(policy.decide_batch(block), dtype=np.float64)
+            if decided.shape != (n,):
+                raise ValueError(
+                    f"decide_batch must return one entry per record "
+                    f"({n}), got shape {decided.shape}"
+                )
+        else:
+            decided = np.fromiter((float(policy(r)) for r in records),
+                                  dtype=np.float64, count=n)
         return np.clip(decided, 0.0, memory_gb()).tolist()
 
     if isinstance(trace, ClusterTrace):
         yield trace, trace.records, resolve(
-            trace, len(trace), lambda: trace.columns().memory_gb
-        )
+            trace, trace.records, lambda: trace.columns().memory_gb)
         return
     for chunk in trace.chunks():
         records = chunk.records
@@ -377,37 +369,28 @@ def iter_policy_blocks(
                 "stream chunks must carry records "
                 "(build them with TraceColumns.from_records)"
             )
-        yield chunk, records, resolve(
-            chunk, len(records), lambda: chunk.memory_gb)
+        yield chunk, records, resolve(chunk, records, lambda: chunk.memory_gb)
 
 
 def block_replay_columns(block, records):
-    """(vm_ids, arrival, departure, cores, memory) lists for one block.
+    """(vm_ids, arrival, departure, cores, memory) of one block.
 
-    Prefers the block's replay columns (``tolist`` converts to plain
-    Python scalars at C speed); falls back to reading the record objects
-    for hand-built :class:`TraceColumns` without them.  Either way the
-    values are bit-identical to the record attributes.
+    The four numeric columns are numpy arrays: the block's replay columns
+    when it has them, otherwise built from the record objects (hand-built
+    :class:`TraceColumns`).  Either way ``tolist`` yields values
+    bit-identical to the record attributes.
     """
     if isinstance(block, ClusterTrace):
         block = block.columns()
-        vm_ids = block.vm_ids
-    else:
-        vm_ids = block.vm_ids
     if block.arrival_s is not None:
-        return (
-            vm_ids,
-            block.arrival_s.tolist(),
-            block.departure_s.tolist(),
-            block.cores.tolist(),
-            block.memory_gb.tolist(),
-        )
+        return (block.vm_ids, block.arrival_s, block.departure_s,
+                block.cores, block.memory_gb)
     return (
-        vm_ids,
-        [r.arrival_s for r in records],
-        [r.departure_s for r in records],
-        [r.cores for r in records],
-        [r.memory_gb for r in records],
+        block.vm_ids,
+        np.array([r.arrival_s for r in records], dtype=np.float64),
+        np.array([r.departure_s for r in records], dtype=np.float64),
+        np.array([r.cores for r in records], dtype=np.int64),
+        np.array([r.memory_gb for r in records], dtype=np.float64),
     )
 
 
@@ -481,11 +464,6 @@ class ClusterSimulator:
         #: (and O(n_vms) memory); searches that never read it can turn it off.
         self.record_placements = record_placements
 
-    # -- construction of the simulated cluster -----------------------------------
-    def _effective_config(self) -> ServerConfig:
-        """The replayed server shape (unconstrained replays get huge DRAM)."""
-        return effective_server_config(self.server_config, self.constrain_memory)
-
     # -- main loop --------------------------------------------------------------------
     def run(self, trace: TraceInput, policy: Optional[PoolPolicy] = None,
             online: Optional[OnlineControlConfig] = None,
@@ -510,21 +488,14 @@ class ClusterSimulator:
         departing far in the future do not dilute the time series with an
         emptying cluster.
 
-        The replay runs on the struct-of-arrays placement engine
-        (:mod:`repro.cluster.engine`) and takes one of two targets:
-
-        * static streams and degenerate static traces (zero/negative
-          lifetimes, zero-core VMs) run on the calendar-queue loop
-          (:meth:`_run_array_calendar`), the fast path for streams;
-        * everything else is a one-shard fleet: one
-          :func:`~repro.cluster.pool_topology.replay_crossshard` call over
-          ``PoolTopology.per_shard([n_servers], ...)`` (unpooled when
-          ``pool_size_sockets`` is 0), which sends static materialised
-          traces to its inlined loop and online/fault replays to its
-          engine-method events loop.
-
-        Static replays on either target are differential-tested byte for
-        byte against a brute-force reference replay
+        The replay is a one-shard fleet: one
+        :func:`~repro.cluster.pool_topology.replay_crossshard` call over
+        ``PoolTopology.per_shard([n_servers], ...)`` (unpooled when
+        ``pool_size_sockets`` is 0), which sends static replays to its
+        inlined loop -- materialised traces in fixed-size slices, streams
+        one chunk at a time -- and online/fault replays to its
+        engine-method events loop.  Static replays are differential-tested
+        byte for byte against a brute-force reference replay
         (``tests/reference_replay.py``).
 
         ``online`` activates the online QoS/mitigation stage: after every
@@ -548,16 +519,7 @@ class ClusterSimulator:
         ``online_stats`` / ``fault_stats``.
         """
         # pool_topology builds on this module, so import it lazily.
-        from repro.cluster.pool_topology import (
-            PoolTopology,
-            _inlinable,
-            replay_crossshard,
-        )
-        if (active_controls(online, faults) == (None, None)
-                and not _inlinable([trace], [self.server_config])):
-            result = self._run_array_calendar(trace, policy)
-            attach_control_stats([result], online, faults)
-            return result
+        from repro.cluster.pool_topology import PoolTopology, replay_crossshard
         topology = PoolTopology.per_shard(
             [self.n_servers], self.server_config.sockets,
             self.pool_size_sockets)
@@ -568,547 +530,3 @@ class ClusterSimulator:
             self.sample_interval_s, self.record_placements,
             online=online, faults=faults)
         return results[0]
-
-    # -- array-engine hot loop ---------------------------------------------------------
-    def _run_array_calendar(self, trace: TraceInput,
-                            policy: Optional[PoolPolicy]) -> SimulationResult:
-        """:meth:`run` on the struct-of-arrays engine (calendar-queue loop).
-
-        :meth:`run` sends static streams and degenerate static traces here;
-        every other array replay is a one-shard ``replay_crossshard``.
-
-        Same merged event stream, same event ordering, same arithmetic as the
-        engine's methods -- but the per-event work is fully inlined over local
-        bindings of the engine's flat arrays:
-
-        * block columns are bulk-converted to plain Python scalars once per
-          block (``tolist``), so the loop never touches record objects;
-        * the best-fit bucket walk, the commit, and the departure release
-          mirror :meth:`ArrayPlacementEngine.place` / ``remove`` statement
-          for statement (two-socket servers get an unrolled NUMA check);
-        * placements are logged as columnar (vm id, server index) appends and
-          materialised into the ``placements`` dict lazily;
-        * departures live in a **calendar queue**: events carry their
-          placement data in ``(time, seq, server, node, cores, local_gb,
-          pool_gb)`` tuples, binned by coarse time window and Timsorted once
-          per bin.  The ``(time, seq)`` prefix is unique, so the bin-by-bin
-          order is exactly the order a ``(time, seq)`` heap pops -- at an
-          amortised cost per departure far below a heap sift.
-
-        A stranded-memory delta is only computed when a server is full
-        before or after the change: a VM with cores needs a free core to be
-        placed and frees one when it leaves, so otherwise the delta is
-        exactly ``0.0``.  The brute-force reference replay
-        (``tests/reference_replay.py``) pins this loop by differential tests.
-        """
-        use_pool = bool(self.pool_size_sockets)
-        streaming = not isinstance(trace, ClusterTrace)
-        engine = ArrayPlacementEngine.for_cluster(
-            self.n_servers,
-            self._effective_config(),
-            pool_size_sockets=self.pool_size_sockets,
-            pool_capacity_gb_per_group=self.pool_capacity_gb_per_group,
-            base_sockets=self.server_config.sockets,
-        )
-        result = SimulationResult()
-        buffer = result.sample_buffer
-        append_row = buffer.append_row
-
-        # -- engine state as locals (the whole point of the array path) ------
-        node_cores = engine.node_used_cores
-        node_gb = engine.node_used_gb
-        used_cores_srv = engine.used_cores_srv
-        used_gb_srv = engine.used_gb_srv
-        pool_used_srv = engine.pool_used_srv
-        peak_local = engine.peak_local_gb
-        peak_pool = engine.peak_pool_gb
-        group_of = engine.group_of
-        pool_free = engine.pool_free_gb
-        pool_used = engine.pool_used_gb
-        pool_peak = engine.pool_peak_by_group
-        buckets = engine._buckets
-        n_buckets = len(buckets)
-        server_ids = engine.server_ids
-        sockets = engine.sockets
-        two_sockets = sockets == 2
-        cores_per_socket = engine.cores_per_socket
-        dram_per_socket = engine.dram_per_socket_gb
-        stc = engine.server_total_cores
-        std = engine.server_total_dram_gb
-        pooled = bool(pool_free)
-
-        bisect = bisect_left
-        insort_ = insort
-
-        # -- aggregates as plain locals (identical accumulation order) -------
-        agg_used_cores = 0
-        agg_used_gb = 0.0
-        agg_stranded = 0.0
-        agg_running = 0
-        total_cores = engine.total_cores
-        total_dram = self.n_servers * self.server_config.total_dram_gb
-
-        # -- calendar departure queue ----------------------------------------
-        # ``dep_bins[b]`` holds unsorted events for time window
-        # [b*bin_w, (b+1)*bin_w); ``active`` is the current window, sorted,
-        # consumed through ``cursor``.  Same-window pushes insort into the
-        # unconsumed tail, so the global processing order is exactly
-        # (time, seq) order.
-        bin_w = _DEPARTURE_BIN_S
-        dep_bins: Dict[int, List[Tuple[float, int, int, int, int, float, float]]] = {}
-        active: List[Tuple[float, int, int, int, int, float, float]] = []
-        cursor = 0
-        active_len = 0
-        current_bin = -1
-        #: Lower bound on the next departure time (exact when ``active`` has
-        #: unconsumed events; the next window start otherwise).
-        next_dep_hint = 0.0
-
-        seq = 0
-        sample_interval = self.sample_interval_s
-        next_sample_time = 0.0
-        last_sample_time: Optional[float] = None
-        record_placements = self.record_placements
-        placed_ids: List[str] = []
-        placed_srv: List[int] = []
-        append_placed_id = placed_ids.append
-        append_placed_srv = placed_srv.append
-        placed_vms = 0
-        rejected_vms = 0
-        total_memory_allocated = 0.0
-        total_pool_allocated = 0.0
-        inf = float("inf")
-
-        last_arrival = 0.0
-        for block, records, allocations in iter_policy_blocks(
-            trace, policy, use_pool
-        ):
-            vm_ids, arrivals, departs, cores_col, memory_col = (
-                block_replay_columns(block, records)
-            )
-            n_block = len(vm_ids)
-            if streaming and n_block:
-                # Bulk order check per block.
-                prev = last_arrival
-                for index in range(n_block):
-                    arrival = arrivals[index]
-                    if arrival < prev:
-                        raise ValueError(
-                            f"stream records must be sorted by arrival time "
-                            f"({vm_ids[index]!r} arrives at {arrival} after "
-                            f"{prev})"
-                        )
-                    prev = arrival
-                last_arrival = prev
-            elif n_block:
-                last_arrival = arrivals[n_block - 1]
-            if allocations is None:
-                if policy is not None and use_pool:
-                    # Legacy per-record callback, evaluated in record order
-                    # (decisions only see the record, so evaluating a block
-                    # up front matches interleaved calls).
-                    allocations = [
-                        float(np.clip(policy(r), 0.0, r.memory_gb))
-                        for r in records
-                    ]
-                else:
-                    allocations = [0.0] * n_block
-
-            for vm_id, arrival_s, departure_s, cores_r, memory_gb, vm_pool_gb in zip(
-                vm_ids, arrivals, departs, cores_col, memory_col, allocations
-            ):
-                # -- merged departures/samples up to arrival_s ---------------
-                if next_dep_hint <= arrival_s or next_sample_time <= arrival_s:
-                    while True:
-                        if cursor < active_len:
-                            departure_time = active[cursor][0]
-                        else:
-                            # Refill: step to the next window that can hold a
-                            # departure <= min(arrival_s, next_sample_time).
-                            departure_time = inf
-                            limit = (
-                                arrival_s
-                                if arrival_s <= next_sample_time
-                                else next_sample_time
-                            )
-                            while True:
-                                next_bin = current_bin + 1
-                                if next_bin * bin_w > limit:
-                                    break
-                                current_bin = next_bin
-                                pending = dep_bins.pop(next_bin, None)
-                                if pending is not None:
-                                    pending.sort()
-                                    active = pending
-                                    active_len = len(pending)
-                                    cursor = 0
-                                    departure_time = pending[0][0]
-                                    break
-                        if departure_time <= next_sample_time:
-                            if departure_time > arrival_s:
-                                next_dep_hint = departure_time
-                                break
-                            # ---- departure (ArrayPlacementEngine.remove) ---
-                            _t, _s, sidx, d_node, d_cores, d_local, d_pool = (
-                                active[cursor]
-                            )
-                            cursor += 1
-                            if pooled:
-                                group = group_of[sidx]
-                                if group >= 0:
-                                    remaining = pool_used[group] - d_pool
-                                    if remaining < 0.0:
-                                        # Clamp tiny negative float drift;
-                                        # real imbalances stay loud.
-                                        if remaining < -1e-6:
-                                            raise RuntimeError(
-                                                f"pool group {group} accounting "
-                                                f"went negative ({remaining} GB) "
-                                                f"-- simulator bug"
-                                            )
-                                        remaining = 0.0
-                                    pool_used[group] = remaining
-                                    if d_pool > 0:
-                                        pool_free[group] += d_pool
-                                    pool_used_srv[sidx] -= d_pool
-                            before_cores = used_cores_srv[sidx]
-                            old_gb = used_gb_srv[sidx]
-                            pos = sidx * sockets + d_node
-                            node_cores[pos] -= d_cores
-                            node_gb[pos] -= d_local
-                            new_cores = before_cores - d_cores
-                            used_cores_srv[sidx] = new_cores
-                            new_gb = old_gb - d_local
-                            used_gb_srv[sidx] = new_gb
-                            agg_used_cores -= d_cores
-                            agg_used_gb -= d_local
-                            if before_cores >= stc:
-                                # stranded_after is exactly 0.0 unless a
-                                # zero-core VM leaves a full server.
-                                agg_stranded += (
-                                    std - new_gb if new_cores >= stc else 0.0
-                                ) - (std - old_gb)
-                            agg_running -= 1
-                            # Reindex: free cores always change (cores >= 1);
-                            # the old key is recomputed from the exact
-                            # pre-update state (same floats as when indexed).
-                            bucket = buckets[stc - before_cores]
-                            del bucket[bisect(bucket, (std - old_gb, sidx))]
-                            insort_(
-                                buckets[stc - new_cores], (std - new_gb, sidx)
-                            )
-                        else:
-                            if next_sample_time > arrival_s:
-                                if cursor < active_len:
-                                    next_dep_hint = active[cursor][0]
-                                else:
-                                    next_dep_hint = (current_bin + 1) * bin_w
-                                break
-                            # ---- grid sample -------------------------------
-                            stranded = agg_stranded
-                            if stranded < 0.0:
-                                stranded = 0.0
-                            append_row((
-                                next_sample_time,
-                                agg_used_cores / total_cores,
-                                100.0 * agg_used_cores / total_cores,
-                                agg_used_gb,
-                                sum(pool_used.values()),
-                                stranded,
-                                100.0 * stranded / total_dram,
-                                agg_running,
-                            ))
-                            last_sample_time = next_sample_time
-                            next_sample_time += sample_interval
-
-                local_gb = memory_gb - vm_pool_gb
-
-                # -- best-fit bucket walk (ArrayPlacementEngine.place) -------
-                cores_limit = cores_per_socket - cores_r
-                gb_limit = dram_per_socket - local_gb + 1e-9
-                need_pool = vm_pool_gb > 0
-                sidx = -1
-                best_node = -1
-                base = 0
-                for free in range(cores_r, n_buckets):
-                    for _key_gb, idx in buckets[free]:
-                        if need_pool:
-                            group = group_of[idx]
-                            avail = pool_free.get(group, 0.0) if group >= 0 else 0.0
-                            if vm_pool_gb > avail + 1e-9:
-                                continue
-                        base = idx * sockets
-                        if two_sockets:
-                            used0 = node_cores[base]
-                            used1 = node_cores[base + 1]
-                            # Fullest feasible node; ties go to node 0
-                            # (find_numa_node's strict ``>`` comparison).
-                            if used1 > used0:
-                                if (used1 <= cores_limit
-                                        and node_gb[base + 1] <= gb_limit):
-                                    sidx = idx
-                                    best_node = 1
-                                    break
-                                if (used0 <= cores_limit
-                                        and node_gb[base] <= gb_limit):
-                                    sidx = idx
-                                    best_node = 0
-                                    break
-                            else:
-                                if (used0 <= cores_limit
-                                        and node_gb[base] <= gb_limit):
-                                    sidx = idx
-                                    best_node = 0
-                                    break
-                                if (used1 <= cores_limit
-                                        and node_gb[base + 1] <= gb_limit):
-                                    sidx = idx
-                                    best_node = 1
-                                    break
-                        else:
-                            cand_node = -1
-                            cand_used = -1
-                            for node in range(sockets):
-                                used = node_cores[base + node]
-                                if (used <= cores_limit and used > cand_used
-                                        and node_gb[base + node] <= gb_limit):
-                                    cand_node = node
-                                    cand_used = used
-                            if cand_node >= 0:
-                                sidx = idx
-                                best_node = cand_node
-                                break
-                    if sidx >= 0:
-                        break
-                if sidx < 0:
-                    rejected_vms += 1
-                    continue
-
-                # -- commit (ArrayPlacementEngine.place, inlined) ------------
-                pos = base + best_node
-                node_cores[pos] += cores_r
-                node_gb[pos] += local_gb
-                before_cores = used_cores_srv[sidx]
-                old_gb = used_gb_srv[sidx]
-                new_cores = before_cores + cores_r
-                used_cores_srv[sidx] = new_cores
-                new_gb = old_gb + local_gb
-                used_gb_srv[sidx] = new_gb
-                if new_gb > peak_local[sidx]:
-                    peak_local[sidx] = new_gb
-                if need_pool:
-                    pool_srv = pool_used_srv[sidx] + vm_pool_gb
-                    pool_used_srv[sidx] = pool_srv
-                    if pool_srv > peak_pool[sidx]:
-                        peak_pool[sidx] = pool_srv
-                    # A pooled cluster puts every server in a group.
-                    group = group_of[sidx]
-                    pool_free[group] -= vm_pool_gb
-                    group_used = pool_used[group] + vm_pool_gb
-                    pool_used[group] = group_used
-                    if group_used > pool_peak[group]:
-                        pool_peak[group] = group_used
-
-                agg_used_cores += cores_r
-                agg_used_gb += local_gb
-                if new_cores >= stc:
-                    # stranded_before is exactly 0.0 (the server had a free
-                    # core) unless a zero-core VM lands on a full server.
-                    agg_stranded += (std - new_gb) - (
-                        std - old_gb if before_cores >= stc else 0.0
-                    )
-                agg_running += 1
-
-                # Reindex: free cores always change (cores >= 1), and the old
-                # key is recomputed from the exact pre-update state (the same
-                # floats as when the server was last indexed).
-                bucket = buckets[stc - before_cores]
-                del bucket[bisect(bucket, (std - old_gb, sidx))]
-                insort_(buckets[stc - new_cores], (std - new_gb, sidx))
-
-                placed_vms += 1
-                if record_placements:
-                    append_placed_id(vm_id)
-                    append_placed_srv(sidx)
-                total_memory_allocated += memory_gb
-                total_pool_allocated += vm_pool_gb
-                seq += 1
-                entry = (
-                    departure_s, seq, sidx, best_node, cores_r,
-                    local_gb, vm_pool_gb,
-                )
-                dep_bin = int(departure_s / bin_w)
-                if dep_bin > current_bin:
-                    pending = dep_bins.get(dep_bin)
-                    if pending is None:
-                        dep_bins[dep_bin] = [entry]
-                    else:
-                        pending.append(entry)
-                else:
-                    # Departure falls into the window being consumed: insert
-                    # into the unconsumed tail at its (time, seq) position.
-                    insort_(active, entry, cursor)
-                    active_len += 1
-                if departure_s < next_dep_hint:
-                    next_dep_hint = departure_s
-
-        # -- horizon: finish sampling, replace an on-grid horizon sample -----
-        end_time = last_arrival
-        while True:
-            if cursor < active_len:
-                departure_time = active[cursor][0]
-            else:
-                departure_time = inf
-                limit = end_time if end_time <= next_sample_time else next_sample_time
-                while True:
-                    next_bin = current_bin + 1
-                    if next_bin * bin_w > limit:
-                        break
-                    current_bin = next_bin
-                    pending = dep_bins.pop(next_bin, None)
-                    if pending is not None:
-                        pending.sort()
-                        active = pending
-                        active_len = len(pending)
-                        cursor = 0
-                        departure_time = pending[0][0]
-                        break
-            if departure_time <= next_sample_time:
-                if departure_time > end_time:
-                    break
-                entry = active[cursor]
-                cursor += 1
-                agg_used_cores, agg_used_gb, agg_stranded, agg_running = (
-                    self._release_entry(
-                        engine, entry, pooled,
-                        agg_used_cores, agg_used_gb, agg_stranded, agg_running,
-                    )
-                )
-            else:
-                if next_sample_time > end_time:
-                    break
-                stranded = agg_stranded
-                if stranded < 0.0:
-                    stranded = 0.0
-                append_row((
-                    next_sample_time,
-                    agg_used_cores / total_cores,
-                    100.0 * agg_used_cores / total_cores,
-                    agg_used_gb,
-                    sum(pool_used.values()),
-                    stranded,
-                    100.0 * stranded / total_dram,
-                    agg_running,
-                ))
-                last_sample_time = next_sample_time
-                next_sample_time += sample_interval
-        if last_sample_time is None or last_sample_time <= end_time:
-            if last_sample_time is not None and last_sample_time == end_time:
-                buffer.drop_last()
-            stranded = agg_stranded
-            if stranded < 0.0:
-                stranded = 0.0
-            append_row((
-                end_time,
-                agg_used_cores / total_cores,
-                100.0 * agg_used_cores / total_cores,
-                agg_used_gb,
-                sum(pool_used.values()),
-                stranded,
-                100.0 * stranded / total_dram,
-                agg_running,
-            ))
-        # Drain: remaining windows in time order (bin order, sorted per bin).
-        while True:
-            for index in range(cursor, active_len):
-                agg_used_cores, agg_used_gb, agg_stranded, agg_running = (
-                    self._release_entry(
-                        engine, active[index], pooled,
-                        agg_used_cores, agg_used_gb, agg_stranded, agg_running,
-                    )
-                )
-            if not dep_bins:
-                break
-            next_bin = min(dep_bins)
-            pending = dep_bins.pop(next_bin)
-            pending.sort()
-            active = pending
-            active_len = len(pending)
-            cursor = 0
-            current_bin = next_bin
-
-        # Hand the mutated aggregates and bucket keys back to the engine so
-        # its state stays coherent for callers inspecting it after the run.
-        engine.used_cores = agg_used_cores
-        engine.used_local_gb = agg_used_gb
-        engine.stranded_gb = agg_stranded
-        engine.running_vms = agg_running
-        engine._bucket_key = [
-            (stc - cores, std - gb)
-            for cores, gb in zip(used_cores_srv, used_gb_srv)
-        ]
-
-        result.placed_vms = placed_vms
-        result.rejected_vms = rejected_vms
-        result.total_memory_gb_allocated = total_memory_allocated
-        result.total_pool_gb_allocated = total_pool_allocated
-        if record_placements:
-            result._placed_vm_ids = placed_ids
-            result._placed_server_idx = placed_srv
-            result._placement_server_ids = server_ids
-        result.server_peak_local_gb, result.server_peak_total_gb = engine.server_peaks()
-        result.pool_peak_gb = dict(engine.pool_peak_by_group)
-        return result
-
-    @staticmethod
-    def _release_entry(engine, entry, pooled, agg_used_cores, agg_used_gb,
-                       agg_stranded, agg_running):
-        """Release one departure-heap entry (the non-hot removal sites).
-
-        Same statements as the inlined departure block in
-        :meth:`_run_array_calendar` (which handles the per-arrival hot
-        path); used for the horizon advance and the end-of-run drain, where
-        call overhead is irrelevant.  Returns the updated aggregate tuple.
-        """
-        _t, _s, sidx, d_node, d_cores, d_local, d_pool = entry
-        if pooled:
-            group = engine.group_of[sidx]
-            if group >= 0:
-                pool_used = engine.pool_used_gb
-                remaining = pool_used[group] - d_pool
-                if remaining < 0.0:
-                    if remaining < -1e-6:
-                        raise RuntimeError(
-                            f"pool group {group} accounting went negative "
-                            f"({remaining} GB) -- simulator bug"
-                        )
-                    remaining = 0.0
-                pool_used[group] = remaining
-                if d_pool > 0:
-                    engine.pool_free_gb[group] += d_pool
-                engine.pool_used_srv[sidx] -= d_pool
-        used_cores_srv = engine.used_cores_srv
-        used_gb_srv = engine.used_gb_srv
-        stc = engine.server_total_cores
-        std = engine.server_total_dram_gb
-        before_cores = used_cores_srv[sidx]
-        old_gb = used_gb_srv[sidx]
-        pos = sidx * engine.sockets + d_node
-        engine.node_used_cores[pos] -= d_cores
-        engine.node_used_gb[pos] -= d_local
-        new_cores = before_cores - d_cores
-        used_cores_srv[sidx] = new_cores
-        new_gb = old_gb - d_local
-        used_gb_srv[sidx] = new_gb
-        agg_used_cores -= d_cores
-        agg_used_gb -= d_local
-        if before_cores >= stc:
-            agg_stranded += (
-                std - new_gb if new_cores >= stc else 0.0
-            ) - (std - old_gb)
-        agg_running -= 1
-        buckets = engine._buckets
-        bucket = buckets[stc - before_cores]
-        del bucket[bisect_left(bucket, (std - old_gb, sidx))]
-        insort(buckets[stc - new_cores], (std - new_gb, sidx))
-        return agg_used_cores, agg_used_gb, agg_stranded, agg_running

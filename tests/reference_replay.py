@@ -154,8 +154,13 @@ def reference_replay(trace, policy=None, **cluster):
                 last_sample = next_sample
                 next_sample += sim.sample_interval_s
 
+    # Batch policies come through the shared block iterator; a per-record
+    # callback is resolved here, one record at a time: float() first, then
+    # the clip, so a numpy-scalar return is clipped in float64.
+    batch = hasattr(policy, "decide_batch")
     streaming = not isinstance(trace, ClusterTrace)
-    for _block, records, allocations in iter_policy_blocks(trace, policy, use_pool):
+    for _block, records, allocations in iter_policy_blocks(
+            trace, policy if batch else None, use_pool):
         for index, record in enumerate(records):
             if streaming and record.arrival_s < last_arrival:
                 raise ValueError(
@@ -164,11 +169,10 @@ def reference_replay(trace, policy=None, **cluster):
                     f"{last_arrival})")
             last_arrival = record.arrival_s
             advance(last_arrival)
-            pool_gb = 0.0
-            if allocations is not None:
-                pool_gb = allocations[index]
-            elif policy is not None and use_pool:
-                pool_gb = float(np.clip(policy(record), 0.0, record.memory_gb))
+            pool_gb = allocations[index]
+            if use_pool and policy is not None and not batch:
+                pool_gb = float(np.clip(float(policy(record)), 0.0,
+                                        record.memory_gb))
             local_gb = record.memory_gb - pool_gb
             i = best_fit(record.cores, local_gb, pool_gb)
             if i is None:

@@ -162,25 +162,27 @@ class TestArrayObjectDifferential:
             assert result.samples[-1].time_s == horizon
 
 
-class TestCalendarVsOneShard:
-    """``run``'s two array targets agree: a materialised trace replayed on
-    the calendar loop equals its one-shard inlined cross-shard replay."""
+class TestStreamedVsMaterialised:
+    """``run`` feeds a stream's chunks through the same inlined loop that
+    replays the materialised trace in slices; every chunk size gives the
+    materialised result."""
 
     @pytest.mark.parametrize("pool_size_sockets, constrain", [
         (0, True), (0, False), (8, True), (16, False)])
-    def test_materialised_trace(self, pool_size_sockets, constrain, forbid):
+    def test_stream_chunks(self, pool_size_sockets, constrain, forbid):
         trace = bulk_trace(seed=31, n_servers=8, utilization=0.92)
         sim = ClusterSimulator(
             n_servers=8, pool_size_sockets=pool_size_sockets,
             pool_capacity_gb_per_group=400.0, constrain_memory=constrain,
             sample_interval_s=1800.0)
         policy = FixedFractionPolicy(0.3)
-        calendar = sim._run_array_calendar(trace, policy)
-        forbid(ClusterSimulator, "_run_array_calendar")
         forbid(pool_topology, "_replay_crossshard_events")
-        inlined = sim.run(trace, policy)
-        assert_identical(inlined, calendar)
-        assert (inlined.total_pool_gb_allocated > 0) == bool(
+        materialised = sim.run(trace, policy)
+        for chunk_size in (1, 97, 4096, 10 * len(trace)):
+            assert_identical(
+                sim.run(trace.stream(chunk_size=chunk_size), policy),
+                materialised)
+        assert (materialised.total_pool_gb_allocated > 0) == bool(
             pool_size_sockets)
 
 

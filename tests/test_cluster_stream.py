@@ -7,11 +7,16 @@ enforce that contract, the CSV streaming path, the trace-metadata fixes, and
 the fleet-level capacity search differential (DESIGN.md section 5).
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from reference_replay import reference_replay
 from repro.cluster.fleet import FleetSimulator, pond_policy_factory
 from repro.cluster.pool import FixedFractionPolicy, PoolDimensioner
+from repro.cluster.pool_topology import PoolTopology, _replay_crossshard_events
+from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import (
     ClusterTrace,
@@ -196,6 +201,64 @@ class TestStreamedReplayEquality:
         simulator = ClusterSimulator(n_servers=4)
         with pytest.raises(ValueError, match="sorted by arrival"):
             simulator.run(ShuffledStream(records))
+
+    def test_unsorted_stream_at_chunk_boundary(self):
+        """The order check carries the previous chunk's last arrival: a
+        record arriving before it is named, on every replay path."""
+        records = [
+            VMTraceRecord(vm_id=vm_id, cluster_id="t", arrival_s=arrival,
+                          lifetime_s=60.0, cores=1, memory_gb=1.0)
+            for vm_id, arrival in (("a", 0.0), ("b", 100.0), ("c", 50.0),
+                                   ("d", 200.0))
+        ]
+
+        class BoundaryStream(TraceStream):
+            cluster_id = "t"
+
+            def chunks(self):
+                yield TraceColumns.from_records(records[:2])
+                yield TraceColumns.from_records(records[2:])
+
+        message = re.escape("stream records must be sorted by arrival time "
+                            "('c' arrives at 50.0 after 100.0)")
+        with pytest.raises(ValueError, match=message):
+            ClusterSimulator(n_servers=1).run(BoundaryStream())
+        with pytest.raises(ValueError, match=message):
+            _replay_crossshard_events(
+                [BoundaryStream()], [None], [1], [ServerConfig()],
+                PoolTopology.per_shard([1], 2, 0), float("inf"), True,
+                3600.0)
+        with pytest.raises(ValueError, match=message):
+            reference_replay(BoundaryStream(), n_servers=1)
+
+    def test_numpy_scalar_callback_clipped_in_float64(self):
+        """A callback returning an ``np.float32`` above the VM's memory
+        puts exactly the VM's memory on the pool, materialised, streamed
+        and in the reference replay (``float()`` comes before the clip)."""
+        trace = ClusterTrace([
+            VMTraceRecord(vm_id=f"vm-{i}", cluster_id="t",
+                          arrival_s=60.0 * i, lifetime_s=600.0, cores=2,
+                          memory_gb=10.1)
+            for i in range(5)
+        ])
+
+        def policy(record):
+            return np.float32(1e3)
+
+        cluster = dict(n_servers=2, pool_size_sockets=2,
+                       constrain_memory=False)
+        results = [
+            ClusterSimulator(**cluster).run(trace, policy),
+            ClusterSimulator(**cluster).run(trace.stream(chunk_size=2),
+                                            policy),
+            reference_replay(trace, policy, **cluster),
+        ]
+        for result in results:
+            assert result.placed_vms == 5
+            assert result.total_pool_gb_allocated \
+                == result.total_memory_gb_allocated
+        self.assert_results_identical(results[0], results[1])
+        self.assert_results_identical(results[0], results[2])
 
     def test_fleet_streamed_savings_identical(self, config):
         factory = pond_policy_factory(OPERATING_POINT, seed=3)
@@ -432,8 +495,6 @@ class TestFleetCapacitySearch:
 
     def test_heterogeneous_server_config_rejected(self, search_config):
         from dataclasses import replace
-
-        from repro.cluster.server import ServerConfig
 
         other = replace(
             search_config, cluster_id="other",

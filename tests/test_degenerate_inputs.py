@@ -100,8 +100,8 @@ class TestClusterSimulatorDegenerate:
     @pytest.mark.parametrize("trace", [EMPTY, SINGLE], ids=["empty", "single"])
     @pytest.mark.parametrize("stream", [False, True])
     def test_unpooled_engines_identical(self, trace, stream):
-        """Unpooled one-shard replays (and the calendar loop for streams)
-        match the reference replay on the edge traces."""
+        """Unpooled one-shard replays, materialised or streamed, match the
+        reference replay on the edge traces."""
         results = [
             replay(engine, trace.stream(chunk_size=8) if stream else trace,
                    FixedFractionPolicy(0.5), pool_size_sockets=0)

@@ -7,7 +7,8 @@
   may ask for zero cores; pooled and unpooled, finite pool capacity,
   memory-constrained or not, materialised or streamed at odd chunk sizes.
 * The inlined cross-shard loop against the engine-method events loop on
-  small static spanning and per-shard fleets.
+  small static spanning and per-shard fleets, with the same degenerate
+  rows; one-shard fleets may replay a stream at chunk size 1, 3 or 7.
 
 Both compare byte for byte.  The search is derandomized and keeps no
 example database, so every run checks the same examples.  Shrunk
@@ -80,9 +81,10 @@ def cluster_cases(draw):
 
 
 #: Shrunk counterexample: a zero-core VM placed on, then leaving, a server
-#: whose cores are all rented.  The calendar loop assumed a placement never
-#: starts on (and a departure never leaves) a full server, and counted the
-#: server's stranded memory twice.
+#: whose cores are all rented.  A replay loop that assumes a placement never
+#: starts on (and a departure never leaves) a full server counts the
+#: server's stranded memory twice; the inlined loop's full-server branches
+#: use the general update.
 ZERO_CORE_ON_FULL_SERVER = (
     dict(n_servers=1, pool_size_sockets=0, pool_capacity_gb_per_group=0.0,
          constrain_memory=True, sample_interval_s=60.0, record_placements=True,
@@ -111,8 +113,12 @@ def fleet_cases(draw):
                           dram_per_socket_gb=32.0)
     make = draw(st.sampled_from([PoolTopology.per_shard, PoolTopology.spanning]))
     topology = make(sizes, sockets, sockets * draw(st.integers(1, 3)))
-    traces = [trace_of(draw(vm_rows(20, degenerate=False)), f"s{shard}")
+    traces = [trace_of(draw(vm_rows(20, degenerate=True)), f"s{shard}")
               for shard in range(len(sizes))]
+    if len(sizes) == 1:
+        chunk = draw(st.sampled_from([None, 1, 3, 7]))
+        if chunk is not None:
+            traces = [traces[0].stream(chunk_size=chunk)]
     policies = [FixedFractionPolicy(draw(st.sampled_from([0.0, 0.3, 1.0])))
                 for _ in sizes]
     return (traces, policies, sizes, [config] * len(sizes), topology,
