@@ -2,9 +2,12 @@
 
 Every scale benchmark emits a ``BENCH_<name>.json`` file (timings, speedup
 ratios, peak memory) so the perf trajectory can be tracked across PRs by
-diffing artifacts instead of scraping assertion messages.  Reports land next
-to this file by default; set ``BENCH_REPORT_DIR`` to redirect them (CI
-uploads them as artifacts).
+diffing artifacts instead of scraping assertion messages.  Reports land in
+``BENCH_REPORT_DIR`` when it is set (CI uploads them as artifacts), and
+otherwise in a per-process temporary directory, so a plain test run never
+rewrites a tracked file.  Refreshing the committed reports is explicit::
+
+    BENCH_REPORT_DIR=benchmarks PYTHONPATH=src python -m pytest benchmarks
 
 ``BENCH_SMOKE=1`` switches the benchmarks to reduced scale with relaxed
 speedup floors: small enough for a per-PR CI job, still asserting the same
@@ -19,10 +22,12 @@ benchmark scripts keep one import surface.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,6 +59,12 @@ def pick(full, smoke):
     return smoke if smoke_mode() else full
 
 
+@functools.lru_cache(maxsize=None)
+def _temp_report_dir() -> Path:
+    """This process's report directory when ``BENCH_REPORT_DIR`` is unset."""
+    return Path(tempfile.mkdtemp(prefix="bench-reports-"))
+
+
 def emit_report(name: str, payload: dict) -> Path:
     """Write ``BENCH_<name>.json`` (machine-readable benchmark outcome).
 
@@ -70,7 +81,8 @@ def emit_report(name: str, payload: dict) -> Path:
         "cpu_count": os.cpu_count(),
         **payload,
     }
-    out_dir = Path(os.environ.get("BENCH_REPORT_DIR", Path(__file__).parent))
+    env_dir = os.environ.get("BENCH_REPORT_DIR")
+    out_dir = Path(env_dir) if env_dir else _temp_report_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"BENCH_{name}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

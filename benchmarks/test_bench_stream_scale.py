@@ -17,7 +17,9 @@ replays a >=1,000,000-VM fleet (8 shards) both ways and asserts that
 both measured phases run in-process and serially so the peaks are comparable.
 """
 
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -62,12 +64,42 @@ def traced_peak_mb(fn):
     return result, peak / (1024.0 * 1024.0)
 
 
+def warm_line_tables(base, fleet_kwargs):
+    """Replay a tiny fleet both ways once under a no-op profiler.
+
+    Every traced allocation asks for the line number of the frame that
+    made it.  CPython 3.11 answers that by scanning the code object's
+    line table from the top until it gives the code object an O(1)
+    line array, which it builds the first time a profiler sees the code.
+    The inlined replay loop is one ~550-line function, so without this
+    warm-up the traced streamed replay runs ~8x slower than with it.
+    The line arrays are allocated here, before either measured phase
+    starts tracing, so the peaks do not include them.  Later CPython
+    versions do not build these arrays, and there the warm-up is just a
+    tiny extra replay.
+    """
+    tiny = replace(base, n_servers=8, duration_days=0.05)
+    factory = pond_policy_factory(OPERATING_POINT, seed=3)
+    previous = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        fleet = FleetSimulator.sharded(1, tiny, **fleet_kwargs)
+        fleet.run(factory, traces=fleet.generate_traces(),
+                  compute_baseline=False)
+        FleetSimulator.sharded(1, tiny, stream_chunk_size=64,
+                               **fleet_kwargs).run(factory,
+                                                   compute_baseline=False)
+    finally:
+        sys.setprofile(previous)
+
+
 def test_bench_streamed_fleet_replay_bounds_memory():
     base = fleet_base_config()
     fleet_kwargs = dict(
         pool_size_sockets=16, constrain_memory=False, sample_interval_s=3600.0
     )
     factory = pond_policy_factory(OPERATING_POINT, seed=3)
+    warm_line_tables(base, fleet_kwargs)
 
     # Materialised path, phase 1 (traced): generate and hold every shard
     # trace -- the O(trace) allocation streaming exists to avoid.

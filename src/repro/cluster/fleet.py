@@ -25,40 +25,35 @@ Savings are computed per shard in peak-observation mode (the same
 uniform-provisioning model as ``PoolDimensioner.evaluate``): the baseline is
 a memory-unconstrained replay with no pooling, the pooled requirement is the
 uniform per-server local peak plus the uniform per-group pool peak.
-:meth:`FleetSimulator.capacity_search` offers the constrained alternative --
-the dimensioner's binary search lifted to one shared fleet-wide server DRAM
-size with the rejection budget aggregated across shards (DESIGN.md section
-5).
+:meth:`FleetSimulator.capacity_search` is the constrained alternative and
+the only capacity search (``PoolDimensioner`` calls it on a one-shard
+fleet): the smallest shared fleet-wide server DRAM size within a rejection
+budget aggregated across shards, probed one pool-connected component at a
+time (DESIGN.md section 5).
 
 Two later extensions relax the strict shard independence: ``pool_topology``
 replays the fleet as one merged time-ordered event stream over fleet-owned
 pool groups that may span shards (:mod:`repro.cluster.pool_topology`,
-DESIGN.md section 8), and the capacity-search probe pools plus the shard
-fanout executor are reusable sessions that survive across calls (DESIGN.md
-section 7; release with :meth:`FleetSimulator.close` or the context-manager
-protocol).
+DESIGN.md section 8), and the capacity-search probe session plus the shard
+fanout executor are reused across calls (DESIGN.md section 7; release with
+:meth:`FleetSimulator.close` or the context-manager protocol).
 """
 
 from __future__ import annotations
 
 import functools
+import pickle
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.faults import FaultImpactStats, FaultSchedule
 from repro.cluster.pool import (
-    CapacityProbeOutcome,
     PoolSavings,
     SpeculationStats,
-    _ProbeSessionBase,
-    _shutdown_executor,
-    bisect_min_dram,
     capacity_candidate_config,
-    capacity_probe_replay,
-    probe_outcome_of,
     uniform_pool_requirement_gb,
 )
 from repro.cluster.pool_topology import PoolTopology, replay_crossshard
@@ -356,19 +351,20 @@ class FleetCapacitySearchResult:
     baseline_per_server_gb: float
     pooled_per_server_gb: float
     #: Per-shard pool-blade capacity (GB per pool group), aligned with
-    #: ``shard_configs``.  Populated for the classic shardwise search and
+    #: ``shard_configs``.  Populated for searches without a topology and
     #: for degenerate per-shard topologies; empty for spanning topologies,
     #: whose provisioning lives in ``pool_capacity_gb_by_group``.
     per_shard_pool_capacity_gb: Tuple[float, ...]
     total_vms: int
     #: Fleet-aggregated rejection budget the constrained replays had to meet.
     rejection_budget: int
-    #: Policy accounting merged across shards.  Counts accumulate over every
-    #: search probe (each probe re-evaluates the same VMs), so use the
-    #: percentage properties, which are invariant to the number of probes.
+    #: Policy accounting merged over the probes this call executed (each
+    #: probe re-evaluates the same VMs, and memoised probes are not re-run),
+    #: so use the percentage properties, which are invariant to the number
+    #: of probes.
     policy_stats: PolicyStats
-    #: Cross-shard topology the search provisioned for (``None``: classic
-    #: per-shard groups).
+    #: Cross-shard topology the search provisioned for (``None``: the call
+    #: gave none and provisioned per-shard groups at ``pool_size_sockets``).
     pool_topology: Optional[PoolTopology] = None
     #: Per-group provisioned pool capacity for topology searches, keyed by
     #: fleet group id (uniform within each provisioning domain).
@@ -434,6 +430,16 @@ def _shard_baseline_gb(cfg: TraceGenConfig, trace: TraceInput,
     return baseline_sim.run(trace).uniform_required_local_dram_gb
 
 
+def _same_traces(traces: Optional[Sequence[TraceInput]],
+                 key: Optional[Sequence[TraceInput]]) -> bool:
+    """Whether ``traces`` is the input set the capacity memos were built
+    for: both the fleet's own inputs (``None``), or the same objects."""
+    if traces is None or key is None:
+        return traces is key
+    return len(traces) == len(key) and all(
+        a is b for a, b in zip(traces, key))
+
+
 def _baseline_task(
     args: Tuple[TraceGenConfig, Optional[TraceInput], float, Optional[int]]
 ) -> float:
@@ -488,322 +494,438 @@ def _run_shard(spec: _ShardSpec) -> FleetShardResult:
     )
 
 
-#: Per-process state for fleet capacity-search probe workers, set by the
-#: pool initializer (the heavy shard inputs ship once per worker, not per
-#: probe; policy factories -- tiny picklables -- travel with each task so
-#: one session serves every policy of a study grid).
-_FLEET_PROBE_STATE: dict = {}
+# -- capacity-search probes ------------------------------------------------------------
+@dataclass(frozen=True)
+class CapacityProbeOutcome:
+    """Everything a capacity search needs from one component replay.
 
-
-def _fleet_probe_init(shard_configs, inputs, sample_interval_s) -> None:
-    _FLEET_PROBE_STATE.update(
-        shard_configs=shard_configs, inputs=inputs,
-        sample_interval_s=sample_interval_s,
-    )
-
-
-def _run_fleet_probe(
-    task: Tuple[Optional[PolicyFactory], int, int, float, Optional[float]]
-) -> CapacityProbeOutcome:
-    """Probe task: (policy_factory, shard, pool_sockets, pool_capacity, dram).
-
-    The policy is rebuilt per probe (decisions are digest-keyed, so a fresh
-    instance decides identically), which makes the returned ``policy_stats``
-    a clean per-probe delta.
+    A probe worker returns this instead of the full
+    :class:`~repro.cluster.simulator.SimulationResult` list so
+    cross-process traffic stays tiny regardless of trace size.
     """
-    factory, shard, pool_sockets, pool_capacity_gb, dram = task
-    state = _FLEET_PROBE_STATE
-    cfg = state["shard_configs"][shard]
-    policy = factory(shard) if factory is not None else None
-    result = capacity_probe_replay(
-        state["inputs"][shard], policy, cfg.n_servers, cfg.server_config,
-        pool_sockets, pool_capacity_gb, dram, state["sample_interval_s"],
-    )
-    return probe_outcome_of(result, policy)
+
+    placed_vms: int
+    rejected_vms: int
+    #: Per-group pool peaks, keyed by fleet group id.
+    pool_peak_gb: Dict[int, float]
+    #: Pool and total memory allocated per shard of the component, in its
+    #: shard order (the search sums them in fleet shard order).
+    pool_gb: Tuple[float, ...]
+    memory_gb: Tuple[float, ...]
+    #: Policy accounting of this probe (the policies are built per probe,
+    #: so these are per-probe deltas).
+    policy_stats: Optional[PolicyStats] = field(default=None, compare=False)
 
 
-def _run_fleet_topology_probe(
-    task: Tuple[Optional[PolicyFactory], PoolTopology,
-                Optional[Tuple[Tuple[int, float], ...]], Optional[float]]
-) -> CapacityProbeOutcome:
-    """Topology probe task: (policy_factory, topology, caps_items, dram).
+#: One probe: ``(policy_factory, topology, component, caps_items, dram)``.
+#: ``component`` is one of ``topology.components``; ``caps_items`` (sorted
+#: ``(fleet group, GB)`` pairs) is the provisioned pool, ``None`` for an
+#: unlimited one; ``dram`` is the candidate per-server DRAM, ``None`` for a
+#: memory-unconstrained replay of the shards' own servers.
+ProbeTask = Tuple[Optional[PolicyFactory], PoolTopology, Tuple[int, ...],
+                  Optional[Tuple[Tuple[int, float], ...]], Optional[float]]
 
-    A cross-shard replay cannot be split by shard -- its pool groups span
-    shards -- so one task is one **whole-fleet** merged replay; parallelism
-    for topology searches comes from running speculated bisection candidates
-    concurrently, not from sharding.  ``caps_items=None`` is the
-    unconstrained provisioning replay (step 3'); otherwise the candidate
-    replay against the provisioned per-group capacities.  Policies are
-    rebuilt per probe (decisions are digest-keyed, so fresh instances decide
-    identically), making the returned ``policy_stats`` a clean per-probe
-    delta.
+#: Per-process probe inputs, set by the pool initializer (the heavy shard
+#: inputs ship once per worker, not per probe; policy factories -- tiny
+#: picklables -- travel with each task so one session serves every policy
+#: of a study grid).
+_PROBE_STATE: dict = {}
+
+
+def _probe_init(state: dict) -> None:
+    _PROBE_STATE.update(state)
+
+
+def _run_probe(task: ProbeTask,
+               state: Optional[dict] = None) -> CapacityProbeOutcome:
+    """Replay one pool-connected component of ``task``'s topology.
+
+    Components share no pool group, so a component replayed alone is
+    exactly its shards' slice of the whole-fleet replay.  Its sub-topology
+    numbers the groups ``0 .. k-1``; the outcome maps them back to fleet
+    ids.  Policies are built per probe (decisions are digest-keyed, so a
+    fresh instance decides identically), which makes the returned
+    ``policy_stats`` a clean per-probe delta.  ``state`` is the inline
+    session's copy of the worker state.
     """
-    factory, topology, caps_items, dram = task
-    state = _FLEET_PROBE_STATE
-    shard_configs = state["shard_configs"]
-    n_shards = len(shard_configs)
-    n_servers_list = [cfg.n_servers for cfg in shard_configs]
-    policies = [
-        factory(i) if factory is not None else None for i in range(n_shards)
-    ]
-    for policy in policies:
-        stats = getattr(policy, "stats", None)
-        if stats is not None:
-            policy.stats = type(stats)()
-    if caps_items is None:
-        server_cfg_list = [cfg.server_config for cfg in shard_configs]
-        capacity: object = float("inf")
-        constrain = False
+    factory, topology, component, caps_items, dram = task
+    if state is None:
+        state = _PROBE_STATE
+    configs = [state["shard_configs"][shard] for shard in component]
+    sub, fleet_ids = topology.component_topology(component)
+    policies = [factory(shard) if factory is not None else None
+                for shard in component]
+    if dram is None:
+        server_configs = [cfg.server_config for cfg in configs]
     else:
-        candidate = capacity_candidate_config(
-            shard_configs[0].server_config, dram
-        )
-        server_cfg_list = [candidate] * n_shards
-        capacity = dict(caps_items)
-        constrain = True
+        server_configs = [
+            capacity_candidate_config(configs[0].server_config, dram)
+        ] * len(component)
+    capacity: object = float("inf")
+    if caps_items is not None:
+        caps = dict(caps_items)
+        capacity = {local: caps[g] for local, g in enumerate(fleet_ids)}
     results, ledger = replay_crossshard(
-        state["inputs"], policies, n_servers_list, server_cfg_list,
-        topology, capacity, constrain, state["sample_interval_s"],
+        [state["inputs"][shard] for shard in component], policies,
+        [cfg.n_servers for cfg in configs], server_configs, sub, capacity,
+        dram is not None, state["sample_interval_s"],
     )
     merged = None
     for policy in policies:
         stats = getattr(policy, "stats", None)
         if stats is not None:
-            if merged is None:
-                merged = PolicyStats()
+            merged = merged or PolicyStats()
             merged.add(stats)
     return CapacityProbeOutcome(
         placed_vms=sum(r.placed_vms for r in results),
         rejected_vms=sum(r.rejected_vms for r in results),
-        pool_peak_gb=dict(ledger.peak_gb),
-        total_pool_gb=sum(r.total_pool_gb_allocated for r in results),
-        total_memory_gb=sum(r.total_memory_gb_allocated for r in results),
+        pool_peak_gb={fleet_ids[g]: peak
+                      for g, peak in ledger.peak_gb.items()},
+        pool_gb=tuple(r.total_pool_gb_allocated for r in results),
+        memory_gb=tuple(r.total_memory_gb_allocated for r in results),
         policy_stats=merged,
     )
 
 
-class _FleetProbeSession(_ProbeSessionBase):
-    """Memoised fleet capacity-search probes on a process pool.
+def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
+    """Finalizer-safe executor shutdown (no session references captured)."""
+    executor.shutdown(wait=False, cancel_futures=True)
 
-    One candidate DRAM size means one replay per shard; the session keys
-    probes on ``(factory, shard, pool_sockets, pool_capacity, dram)`` --
-    the factory via the shared value-based fingerprint (see
-    ``repro.cluster.pool._ProbeSessionBase``), so mutating a factory's
-    underlying state between calls invalidates its memos -- and
-    dispatches them to workers, so the shards of a candidate run in parallel
-    -- and speculative bisection candidates (see
-    :meth:`prefetch_bisection`) overlap with the verdict the search is
-    waiting on.  Worker policy stats are collected per probe and drained per
-    policy factory.
 
-    The session is **reusable across ``capacity_search`` calls**: the pool
-    initializer ships the heavy shard-input list once, policy factories ride
-    along with each probe task, and memoised outcomes survive between calls
-    (probes are deterministic per key).  ``FleetSimulator`` keeps one session
-    alive per trace-input set and closes it when the inputs or the fleet
-    configuration change; the session also supports the context-manager
-    protocol, ``close()`` is idempotent, and a ``weakref.finalize`` guard
-    shuts the worker pool down if the session is dropped without closing.
+def _decision_state(obj):
+    """``obj``'s pickle payload with its ``stats`` accounting stripped."""
+    getstate = getattr(obj, "__getstate__", None)
+    if getstate is not None:
+        state = getstate()
+    else:
+        state = getattr(obj, "__dict__", None)
+    if isinstance(state, dict):
+        return (type(obj).__module__, type(obj).__qualname__,
+                {k: v for k, v in state.items() if k != "stats"})
+    return obj
+
+
+def _probe_fingerprint(obj) -> Optional[bytes]:
+    """Value-based fingerprint of a policy factory or topology for memo keys.
+
+    Reused sessions memoise probe outcomes across calls, so the key must
+    change when an object is *mutated in place* between searches -- an
+    identity token would silently serve the pre-mutation outcome.  The
+    fingerprint pickles the object's state with the ``stats`` accounting
+    stripped, also from the arguments a ``functools.partial`` factory binds
+    (stats accumulate during probing but never influence decisions, so
+    including them would spuriously invalidate every memo).  Returns
+    ``None`` when the object cannot be fingerprinted (unpicklable state);
+    callers fall back to a pinned identity token.
+    """
+    if obj is None:
+        return None
+    try:
+        if isinstance(obj, functools.partial):
+            payload = (obj.func, tuple(map(_decision_state, obj.args)),
+                       obj.keywords)
+        else:
+            payload = _decision_state(obj)
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+
+
+#: Adaptive speculation-depth bounds (see ``_ProbeSession._adaptive_depth``).
+_SPEC_DEPTH_MIN = 1
+_SPEC_DEPTH_MAX = 4
+_SPEC_DEPTH_INITIAL = 2
+#: Issued probes per adaptation window.
+_SPEC_WINDOW = 8
+
+
+class _ProbeSession:
+    """Memoised capacity-search probes, inline or on a process pool.
+
+    A probe replays one pool-connected component of a topology
+    (:func:`_run_probe`); a candidate DRAM size is one probe per component.
+    Probes are memoised on ``(factory token, topology token, component,
+    caps, dram)``.  Tokens are value-based (:func:`_probe_fingerprint`), so
+    mutating a factory between searches changes its key instead of serving
+    a stale outcome; unpicklable objects fall back to a pinned identity
+    token, which cannot see in-place mutation.
+
+    With ``max_workers > 1`` the probes run on a process pool: the pool
+    initializer ships the shard inputs once, factories ride along with
+    each task, :meth:`submit` starts the probes the search will need
+    without blocking, and :meth:`prefetch` speculates the bisection's next
+    candidates.  Otherwise :meth:`outcome` replays inline.  Both modes see
+    the same outcomes; the pool only changes *when* probes run.
+
+    ``FleetSimulator`` keeps one session per trace-input set and fleet
+    configuration, so memoised outcomes survive across ``capacity_search``
+    calls (probes are deterministic per key).  ``close()`` is idempotent,
+    and a ``weakref.finalize`` guard shuts the pool down if the session is
+    dropped unclosed.
 
     The pool initializer hands every worker the full shard-input list.
     Under the fork start method (Linux, the deployment target) that is
-    copy-on-write -- workers share the parent's trace pages -- but under
-    spawn each worker deserialises its own copy, so memory-constrained
-    spawn platforms should prefer ``stream_chunk_size`` (lazy streams are
-    tiny to ship) over pregenerated materialised traces.
+    copy-on-write, but under spawn each worker deserialises its own copy,
+    so memory-constrained spawn platforms should prefer
+    ``stream_chunk_size`` (lazy streams are tiny to ship) over
+    pregenerated materialised traces.
     """
 
-    def __init__(self, fleet: "FleetSimulator",
-                 inputs: Sequence[TraceInput]) -> None:
-        super().__init__()
-        workers = fleet.max_workers or 1
-        self._n_shards = len(fleet.shard_configs)
-        self._attach_executor(
-            ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_fleet_probe_init,
-                initargs=(
-                    list(fleet.shard_configs), list(inputs),
-                    fleet.sample_interval_s,
-                ),
-            ),
-            max_inflight=max(2 * workers, 2 * self._n_shards),
-        )
+    def __init__(self, shard_configs: Sequence[TraceGenConfig],
+                 inputs: Sequence[TraceInput], sample_interval_s: float,
+                 max_workers: Optional[int]) -> None:
+        self._state = dict(shard_configs=list(shard_configs),
+                           inputs=list(inputs),
+                           sample_interval_s=sample_interval_s)
+        self._outcomes: Dict[tuple, CapacityProbeOutcome] = {}
+        self._futures: Dict[tuple, object] = {}
+        #: fallback identity tokens for un-fingerprintable objects (strong
+        #: refs pin them so ids are never recycled; in-place mutation is
+        #: then indistinguishable, which is the best an identity key can do).
+        self._id_tokens: Dict[int, tuple] = {}
+        self._pinned: list = []
+        #: probe-stat deltas not yet drained, keyed by factory token.
+        self._pending_stats: Dict[object, list] = {}
+        #: speculative submits not yet consumed by an ``outcome`` call.
+        self._spec_keys: set = set()
+        self._spec_issued = 0
+        self._spec_hits = 0
+        #: adaptive speculation depth, kept warm across calls (the
+        #: workload's hit profile rarely changes between calls).
+        self._spec_depth = _SPEC_DEPTH_INITIAL
+        self._spec_window_issued = 0
+        self._spec_window_hits = 0
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._max_inflight = 0
+        if max_workers is not None and max_workers > 1:
+            self._executor = ProcessPoolExecutor(
+                max_workers=max_workers, initializer=_probe_init,
+                initargs=(self._state,),
+            )
+            self._max_inflight = max(2 * max_workers, 2 * len(inputs))
+            self._finalizer = weakref.finalize(
+                self, _shutdown_executor, self._executor)
 
-    def submit(self, factory: Optional[PolicyFactory], shard: int,
-               pool_sockets: int, pool_capacity_gb: float,
-               dram: Optional[float], speculative: bool = False) -> None:
-        """Submit one shard probe unconditionally.
+    @property
+    def parallel(self) -> bool:
+        return self._executor is not None
 
-        Deliberately uncapped: :meth:`candidate_rejections` submits probes
-        the search *will* block on, so throttling belongs only to the
-        speculative :meth:`prefetch_bisection` path (which marks its submits
-        ``speculative`` for the adaptive controller's accounting).
-        """
-        key = (self._token(factory), shard, pool_sockets, pool_capacity_gb,
-               dram)
-        if key in self._outcomes or key in self._futures:
-            return
-        self._futures[key] = self._executor.submit(
-            _run_fleet_probe, (factory, shard, pool_sockets,
-                               pool_capacity_gb, dram)
-        )
-        if speculative:
-            self._mark_speculative(key)
+    def _token(self, obj):
+        """Stable memo-key token: value-based when possible, pinned identity
+        otherwise."""
+        if obj is None:
+            return None
+        digest = _probe_fingerprint(obj)
+        if digest is not None:
+            return digest
+        token = self._id_tokens.get(id(obj))  # repro: noqa DET002 -- _pinned keeps every keyed object alive for the session, so its address cannot be recycled
+        if token is None:  # repro: noqa DET002 -- token is a synthetic ("id", ordinal) tuple, not a raw address
+            token = ("id", len(self._pinned))
+            self._id_tokens[id(obj)] = token  # repro: noqa DET002 -- _pinned keeps every keyed object alive for the session, so its address cannot be recycled
+            self._pinned.append(obj)
+        return token
 
-    def outcome(self, factory: Optional[PolicyFactory], shard: int,
-                pool_sockets: int, pool_capacity_gb: float,
-                dram: Optional[float]) -> CapacityProbeOutcome:
-        key = (self._token(factory), shard, pool_sockets, pool_capacity_gb,
-               dram)
-        self._note_consumed(key)
-        cached = self._outcomes.get(key)
-        if cached is None:
-            future = self._futures.pop(key, None)
-            if future is None:
-                future = self._executor.submit(
-                    _run_fleet_probe, (factory, shard, pool_sockets,
-                                       pool_capacity_gb, dram)
-                )
-            cached = future.result()
-            self._record_outcome(key, cached)
-        return cached
-
-    # -- whole-fleet topology probes ---------------------------------------------------
-    def _topology_key(self, factory, topology: PoolTopology,
-                      caps_items: Optional[Tuple[Tuple[int, float], ...]],
-                      dram: Optional[float]) -> tuple:
-        # key[0] stays the factory token so _record_outcome's per-token
-        # stat draining covers topology probes too; "topology" disambiguates
-        # from per-shard probe keys.
-        return (self._token(factory), "topology", self._token(topology),
+    def _key(self, task: ProbeTask) -> tuple:
+        factory, topology, component, caps_items, dram = task
+        # key[0] is the factory token, which _pending_stats is keyed on.
+        return (self._token(factory), self._token(topology), component,
                 caps_items, dram)
 
-    def submit_topology(self, factory: Optional[PolicyFactory],
-                        topology: PoolTopology,
-                        caps_items: Optional[Tuple[Tuple[int, float], ...]],
-                        dram: Optional[float],
-                        speculative: bool = False) -> None:
-        """Submit one whole-fleet cross-shard replay (see
-        :func:`_run_fleet_topology_probe`)."""
-        key = self._topology_key(factory, topology, caps_items, dram)
+    def _inflight(self) -> int:
+        return sum(1 for f in self._futures.values() if not f.done())
+
+    # -- probes ---------------------------------------------------------------------
+    def submit(self, task: ProbeTask, speculative: bool = False) -> None:
+        """Start one probe on the pool without blocking (inline: no-op).
+
+        Deliberately uncapped: the search blocks on what it submits here;
+        only :meth:`prefetch` throttles, and marks its submits
+        ``speculative`` for the adaptive controller's accounting.
+        """
+        if self._executor is None:
+            return
+        key = self._key(task)
         if key in self._outcomes or key in self._futures:
             return
-        self._futures[key] = self._executor.submit(
-            _run_fleet_topology_probe, (factory, topology, caps_items, dram)
-        )
+        self._futures[key] = self._executor.submit(_run_probe, task)
         if speculative:
-            self._mark_speculative(key)
+            self._spec_keys.add(key)
+            self._spec_issued += 1
+            self._spec_window_issued += 1
 
-    def topology_outcome(self, factory: Optional[PolicyFactory],
-                         topology: PoolTopology,
-                         caps_items: Optional[Tuple[Tuple[int, float], ...]],
-                         dram: Optional[float]) -> CapacityProbeOutcome:
-        """Blocking whole-fleet topology probe result (memoised)."""
-        key = self._topology_key(factory, topology, caps_items, dram)
-        self._note_consumed(key)
+    def outcome(self, task: ProbeTask) -> CapacityProbeOutcome:
+        """Blocking probe result (memoised)."""
+        key = self._key(task)
+        if key in self._spec_keys:
+            self._spec_keys.discard(key)
+            self._spec_hits += 1
+            self._spec_window_hits += 1
         cached = self._outcomes.get(key)
         if cached is None:
             future = self._futures.pop(key, None)
-            if future is None:
-                future = self._executor.submit(
-                    _run_fleet_topology_probe,
-                    (factory, topology, caps_items, dram)
-                )
-            cached = future.result()
-            self._record_outcome(key, cached)
+            if future is not None:
+                cached = future.result()
+            elif self._executor is not None:
+                cached = self._executor.submit(_run_probe, task).result()
+            else:
+                cached = _run_probe(task, self._state)
+            self._outcomes[key] = cached
+            if cached.policy_stats is not None and key[0] is not None:
+                self._pending_stats.setdefault(key[0], []).append(
+                    cached.policy_stats)
         return cached
 
-    def prefetch_topology_bisection(
-        self, factory: Optional[PolicyFactory], topology: PoolTopology,
-        caps_items: Optional[Tuple[Tuple[int, float], ...]],
-        lo: float, hi: float, depth: Optional[int] = None,
-    ) -> None:
-        """Speculatively submit whole-fleet replays for upcoming candidates.
+    def outcomes(self, factory: Optional[PolicyFactory],
+                 topology: PoolTopology, caps_items,
+                 dram: Optional[float]) -> Iterator[CapacityProbeOutcome]:
+        """One candidate's component outcomes, in shard order; every
+        component is submitted before the first is awaited."""
+        tasks = [(factory, topology, component, caps_items, dram)
+                 for component in topology.components]
+        for task in tasks:
+            self.submit(task)
+        return (self.outcome(task) for task in tasks)
 
-        Each speculated candidate costs one merged replay (fanout 1), so
-        topology searches can speculate deeper than the per-shard path for
-        the same worker budget; ``depth=None`` defers to the adaptive
-        controller.
-        """
-        if depth is None:
-            depth = self._adaptive_depth()
-        frontier = [(lo, hi)]
-        for _ in range(depth):
-            next_frontier = []
-            for low, high in frontier:
-                if self._inflight_full():
-                    return
-                mid = (low + high) / 2.0
-                self.submit_topology(factory, topology, caps_items, mid,
-                                     speculative=True)
-                next_frontier.append((low, mid))
-                next_frontier.append((mid, high))
-            frontier = next_frontier
-
-    def candidate_rejections(self, factory: Optional[PolicyFactory],
-                             dram: float, pool_sockets: int,
-                             pool_caps: Optional[Sequence[float]]) -> int:
-        """Fleet-summed rejections for one candidate (all shards in flight)."""
-        pooled = pool_caps is not None
-        for shard in range(self._n_shards):
-            if pooled:
-                self.submit(factory, shard, pool_sockets, pool_caps[shard], dram)
-            else:
-                self.submit(None, shard, 0, 0.0, dram)
+    def rejections(self, factory: Optional[PolicyFactory],
+                   topology: PoolTopology, caps_items, budget: int,
+                   dram: float) -> int:
+        """One candidate's fleet rejections, summed over the components in
+        shard order.  The sum stops once it exceeds ``budget`` -- the
+        verdict is already known -- so later components of a clearly
+        infeasible candidate are not waited for (nor, inline, replayed)."""
         total = 0
-        for shard in range(self._n_shards):
-            if pooled:
-                outcome = self.outcome(
-                    factory, shard, pool_sockets, pool_caps[shard], dram
-                )
-            else:
-                outcome = self.outcome(None, shard, 0, 0.0, dram)
+        for outcome in self.outcomes(factory, topology, caps_items, dram):
             total += outcome.rejected_vms
+            if total > budget:
+                break
         return total
 
-    def prefetch_bisection(self, factory: Optional[PolicyFactory],
-                           pool_sockets: int,
-                           pool_caps: Optional[Sequence[float]],
-                           lo: float, hi: float,
-                           depth: Optional[int] = None) -> None:
-        """Speculatively submit per-shard probes for upcoming candidates.
+    def prefetch(self, factory: Optional[PolicyFactory],
+                 topology: PoolTopology, caps_items,
+                 lo: float, hi: float) -> None:
+        """Speculatively submit the bisection tree under ``(lo, hi)``.
 
-        ``depth=None`` defers to the adaptive controller with a fanout of
-        one candidate = ``n_shards`` probes; an explicit depth pins it.
+        Breadth-first: the midpoint the search will probe next goes in
+        first, then both candidates it could probe after, and so on --
+        whichever way each verdict lands, the following probe is already
+        running.  Mis-speculated candidates stay memoised in case a later
+        interval revisits them.  A candidate costs one probe per component
+        (the controller's fanout).  Inline sessions do not speculate.
         """
-        if depth is None:
-            depth = self._adaptive_depth(fanout=self._n_shards)
-        pooled = pool_caps is not None
+        if self._executor is None:
+            return
+        components = topology.components
         frontier = [(lo, hi)]
-        for _ in range(depth):
+        for _ in range(self._adaptive_depth(len(components))):
             next_frontier = []
             for low, high in frontier:
-                if self._inflight_full():
+                if self._inflight() >= self._max_inflight:
                     return
                 mid = (low + high) / 2.0
-                for shard in range(self._n_shards):
-                    if pooled:
-                        self.submit(factory, shard, pool_sockets,
-                                    pool_caps[shard], mid, speculative=True)
-                    else:
-                        self.submit(None, shard, 0, 0.0, mid,
-                                    speculative=True)
+                for component in components:
+                    self.submit((factory, topology, component, caps_items,
+                                 mid), speculative=True)
                 next_frontier.append((low, mid))
                 next_frontier.append((mid, high))
             frontier = next_frontier
 
+    def _adaptive_depth(self, fanout: int) -> int:
+        """Current speculative-bisection depth.
+
+        Hit-rate driven: every ``_SPEC_WINDOW`` issued probes, the depth
+        deepens when speculation keeps paying off and backs off when most
+        speculated probes go unused.  Occupancy guarded: the frontier a
+        depth implies (``(2**depth - 1) * fanout`` probes, ``fanout`` =
+        probes per candidate) is shrunk to what the pool's idle capacity
+        can absorb, so speculation never starves the probe the search
+        blocks on next.  Depth changes which probes are *warm*, never which
+        verdicts the search sees -- probes are deterministic and memoised.
+        """
+        if self._spec_window_issued >= _SPEC_WINDOW:
+            rate = self._spec_window_hits / self._spec_window_issued
+            if rate >= 0.5 and self._spec_depth < _SPEC_DEPTH_MAX:
+                self._spec_depth += 1
+            elif rate < 0.2 and self._spec_depth > _SPEC_DEPTH_MIN:
+                self._spec_depth -= 1
+            self._spec_window_issued = 0
+            self._spec_window_hits = 0
+        idle = max(0, self._max_inflight - self._inflight())
+        depth = self._spec_depth
+        while depth > _SPEC_DEPTH_MIN and \
+                (2 ** depth - 1) * fanout > max(idle, fanout):
+            depth -= 1
+        return depth
+
+    # -- accounting -----------------------------------------------------------------
     def drain_stats(self, factory: Optional[PolicyFactory]) -> PolicyStats:
         """Merge (and clear) the stat deltas of ``factory``'s new probes.
 
-        Draining keeps reused sessions honest: a probe memoised by an earlier
-        call contributed its stats to *that* call's result and is not counted
-        again.
+        Draining keeps reused sessions honest: a probe memoised by an
+        earlier call contributed its stats to *that* call's result and is
+        not counted again.
         """
         merged = PolicyStats()
-        for stats in self._drain_stat_deltas(factory):
-            merged.add(stats)
+        token = self._token(factory)
+        if token is not None:
+            for stats in self._pending_stats.pop(token, []):
+                merged.add(stats)
         return merged
+
+    def drain_speculation_stats(self) -> SpeculationStats:
+        """Pop (once) the speculation counters accumulated since the last
+        drain; still-unconsumed speculative probes count as wasted."""
+        stats = SpeculationStats(
+            issued=self._spec_issued,
+            hits=self._spec_hits,
+            wasted=len(self._spec_keys),
+            final_depth=self._spec_depth,
+        )
+        self._spec_keys.clear()
+        self._spec_issued = 0
+        self._spec_hits = 0
+        return stats
+
+    # -- lifecycle ------------------------------------------------------------------
+    def close(self) -> None:
+        if self._executor is not None:
+            self._finalizer.detach()
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+        self._futures.clear()
+
+
+def bisect_min_dram(hi: float, steps: int, budget: int,
+                    rejections: Callable[[float], int],
+                    prefetch: Optional[Callable[[float, float], None]] = None,
+                    widen_rounds: int = 4) -> float:
+    """Smallest per-server DRAM (after ``steps`` bisections) within budget.
+
+    ``rejections(dram)`` is a blocking probe; ``prefetch(lo, hi)`` is an
+    optional non-blocking hint that warms candidates the search may need
+    next (speculative bisection).  The probe *sequence* is a pure function
+    of the deterministic, memoised rejection counts, which is why parallel
+    and sequential searches return identical results.
+    """
+    lo = 0.0
+    feasible = False
+    for _ in range(widen_rounds):
+        if prefetch is not None:
+            prefetch(lo, hi)
+        if rejections(hi) <= budget:
+            feasible = True
+            break
+        hi *= 1.5
+    if not feasible:
+        return hi
+    for _ in range(steps):
+        if prefetch is not None:
+            prefetch(lo, hi)
+        mid = (lo + hi) / 2.0
+        if rejections(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class FleetSimulator:
@@ -821,10 +943,11 @@ class FleetSimulator:
       trace memory drops from O(trace) to O(generation window + chunk +
       live VMs)); it composes
       with either of the other modes;
-    * :meth:`capacity_search` lifts the dimensioner's binary search to the
-      whole fleet (one shared per-server DRAM size, rejection budget
-      aggregated across shards); with ``max_workers > 1`` its probes run on
-      a reusable process-pool session (see DESIGN.md section 7);
+    * :meth:`capacity_search` finds the smallest shared per-server DRAM
+      size within a fleet-wide rejection budget, one probe per
+      pool-connected component and candidate; with ``max_workers > 1`` the
+      probes run on a reusable process-pool session (DESIGN.md sections 5
+      and 7);
     * ``pool_topology`` replays the fleet as one merged event stream over
       fleet-owned pool groups, so a group can span cluster shards
       (DESIGN.md section 8); the degenerate per-shard topology is
@@ -887,9 +1010,9 @@ class FleetSimulator:
         # no-pool baseline per (search_steps, rejection_tolerance) -- both
         # pool-size- and policy-independent, so a Figure-21-style grid pays
         # for them once instead of once per cell.  Valid per trace-input set:
-        # ``_capacity_cache_key`` holds the ``traces`` argument they were
-        # computed for (``None`` = the fleet's own deterministic inputs) by
-        # strong reference, so its identity cannot be recycled while cached.
+        # ``_capacity_cache_key`` holds the traces they were computed for
+        # (``None`` = the fleet's own deterministic inputs) by strong
+        # reference, so their identities cannot be recycled while cached.
         self._capacity_cache_key: Optional[Sequence[TraceInput]] = None
         self._capacity_core_stats: Optional[Tuple[int, int]] = None
         self._capacity_baseline_cache: Dict[Tuple[int, float], float] = {}
@@ -899,7 +1022,7 @@ class FleetSimulator:
         # repeated capacity_search agree on input identity; ``close()`` (or
         # the context-manager exit) releases everything.
         self._capacity_inputs: Optional[List[TraceInput]] = None
-        self._probe_session: Optional[_FleetProbeSession] = None
+        self._probe_session: Optional[_ProbeSession] = None
         self._probe_session_fingerprint: Optional[tuple] = None
         self._shard_pool: Optional[ProcessPoolExecutor] = None
 
@@ -931,10 +1054,7 @@ class FleetSimulator:
         Idempotent; the fleet remains usable afterwards (executors and
         sessions are recreated lazily on the next call).
         """
-        if self._probe_session is not None:
-            self._probe_session.close()
-            self._probe_session = None
-        self._probe_session_fingerprint = None
+        self._close_probe_session()
         if self._shard_pool is not None:
             self._shard_pool_finalizer.detach()
             self._shard_pool.shutdown(wait=True, cancel_futures=True)
@@ -1190,8 +1310,8 @@ class FleetSimulator:
     # -- fleet-level capacity search ---------------------------------------------------
     def _ensure_probe_session(
         self, inputs: Sequence[TraceInput]
-    ) -> _FleetProbeSession:
-        """The reusable parallel probe session for the cached inputs.
+    ) -> _ProbeSession:
+        """The reusable probe session for the cached inputs.
 
         One session serves every ``capacity_search`` call over the same
         trace-input set -- worker spawn and trace shipping are paid once per
@@ -1206,9 +1326,11 @@ class FleetSimulator:
         if (self._probe_session is not None
                 and self._probe_session_fingerprint == fingerprint):
             return self._probe_session
-        if self._probe_session is not None:
-            self._probe_session.close()
-        self._probe_session = _FleetProbeSession(self, inputs)
+        self._close_probe_session()
+        self._probe_session = _ProbeSession(
+            self.shard_configs, inputs, self.sample_interval_s,
+            self.max_workers,
+        )
         self._probe_session_fingerprint = fingerprint
         return self._probe_session
 
@@ -1228,86 +1350,70 @@ class FleetSimulator:
         pool_size_sockets: Optional[int] = None,
         pool_topology: Optional[PoolTopology] = None,
     ) -> FleetCapacitySearchResult:
-        """Fleet-level lift of ``PoolDimensioner``'s capacity search.
+        """The constrained capacity search: smallest shared server DRAM.
 
         Servers are bought with **one** DRAM configuration fleet-wide, so the
         binary search probes a *shared* candidate per-server DRAM size across
         every shard and aggregates the verdict: a candidate is feasible when
-        the summed rejections of all shards' memory-constrained replays stay
-        within one fleet-wide budget (per-shard core-only rejections summed,
-        plus ``max(1, rejection_tolerance * total_vms)``).  The algorithm
+        the fleet's memory-constrained replays reject no more VMs than one
+        fleet-wide budget (core-only rejections plus
+        ``max(1, rejection_tolerance * total_vms)``).  The algorithm
         (DESIGN.md section 5):
 
-        1. one memory-unconstrained no-pool replay per shard fixes the
-           rejection budget (computed once, reused by both searches);
+        1. one memory-unconstrained unpooled replay fixes the rejection
+           budget;
         2. binary search the smallest shared per-server DRAM with no pooling
            -- the baseline;
-        3. one memory-unconstrained *pooled* replay per shard provisions each
-           shard's pool groups at ``pool_headroom`` times the worst observed
-           per-group peak (pools span shards only when a ``pool_topology``
-           is given -- see below);
+        3. one memory-unconstrained *pooled* replay provisions every pool
+           group at ``pool_headroom`` times its provisioning domain's worst
+           observed peak;
         4. binary search the smallest shared per-server DRAM with those
            pools in place.
 
-        Shard replays are reused across search iterations: per-shard
-        rejection counts are memoised per candidate DRAM size, and (in the
-        sequential mode) the feasibility sum short-circuits as soon as the
-        budget is exceeded, so later shards are not replayed for clearly
-        infeasible candidates.  With ``stream_chunk_size`` set (and no
-        pregenerated ``traces``), every probe replays lazy streams and the
-        search never materialises a shard trace.
+        Every replay runs over a pool topology: ``pool_topology`` (per
+        call, or set on the fleet), else ``PoolTopology.per_shard`` at
+        ``pool_size_sockets`` (which overrides the fleet's pool size for
+        this call), and the unpooled per-shard topology for steps 1-2.  A
+        probe replays one **pool-connected component** of the topology --
+        the shards linked by shared groups, so one shard per component for
+        per-shard topologies and seam-free spanning ones -- and a
+        candidate's verdict sums the components in shard order.  Probes
+        are memoised per component and candidate; sequential searches stop
+        summing once the budget is exceeded, so later components of a
+        clearly infeasible candidate are never replayed.  With
+        ``stream_chunk_size`` set (and no pregenerated ``traces``), every
+        probe replays lazy streams and the search never materialises a
+        shard trace.
 
         With ``max_workers > 1`` the probes run on a process pool: the
         independent up-front replays (rejection budget, baseline upper
-        bound, pool provisioning) start together, every candidate's shard
-        replays run concurrently, and the bisections speculate their
-        bracketing candidates (:func:`repro.cluster.pool.bisect_min_dram`).
-        The returned ``PoolSavings`` are identical to the sequential
-        search's -- the search path is a pure function of the deterministic
-        per-candidate rejection counts.  ``policy_stats`` remains a
-        diagnostic aggregate over the probes actually executed; the probe
-        multiset differs between the modes (early-exited shards
-        sequentially, speculative candidates in parallel), so its counts
-        and mixing ratios can differ slightly.
+        bound, pool provisioning) start together, every component of a
+        candidate runs concurrently, and the bisections speculate their
+        bracketing candidates (:func:`bisect_min_dram`).  Parallel and
+        sequential searches return identical savings and dimensioning --
+        the search path is a pure function of the deterministic
+        per-candidate rejection counts.  ``policy_stats`` is a diagnostic
+        aggregate over the probes newly executed by this call (a probe
+        memoised by an earlier call is not counted again), and
+        ``speculation`` is ``None`` for sequential searches.
 
-        ``pool_size_sockets`` overrides the fleet's configured pool size for
-        this call, so a pool-size sweep can reuse one ``FleetSimulator``:
-        the pool-independent work (the rejection budget and the no-pool
-        baseline search) is computed once per trace-input set and memoised
-        across the sweep -- sound because the fleet's own inputs are
-        deterministic per config, and a supplied ``traces`` sequence is
-        tracked by identity (strong reference).
+        The pool-independent work (the rejection budget and the no-pool
+        baseline search) is memoised per trace-input set, so a pool-size
+        sweep over one ``FleetSimulator`` pays for it once.  The fleet's
+        own inputs are deterministic per config; supplied ``traces`` are
+        tracked by identity (strong references).  The probe session and
+        its memoised outcomes survive across calls until the trace-input
+        set or the fleet configuration changes (or :meth:`close`), so a
+        Figure-21-style grid pays worker spawn and trace shipping once;
+        any exception tears the session down before propagating.
 
-        For a single-shard fleet this returns exactly what
-        ``PoolDimensioner.evaluate_capacity_search`` returns for the same
-        trace, policy, and knobs (enforced by a differential test).  All
-        shards must share one ``ServerConfig``: uniform fleet provisioning
-        is the premise of the search.
-
-        ``pool_topology`` (per call, or set on the fleet) provisions
-        **cross-shard pool groups** instead: step 3 becomes one unconstrained
-        cross-shard replay that sizes every fleet group at ``pool_headroom``
-        times its provisioning domain's worst peak, and step 4's probes are
-        full cross-shard constrained replays against that fleet-owned ledger,
-        memoised per candidate DRAM size.  With ``max_workers > 1`` those
-        replays ship to the persistent probe session as whole-fleet worker
-        tasks: the provisioning replay warm-starts alongside the baseline
-        search, and the bisection speculates bracketing candidates (a merged
-        replay cannot be split by shard, so candidates -- not shards -- are
-        the unit of parallelism).  Parallel and sequential topology searches
-        return identical savings and dimensioning (differential-tested).
-        A degenerate per-shard topology reproduces the classic search's
-        savings and dimensioning byte-identically (differential-tested);
-        ``policy_stats`` remains a diagnostic whose probe multiset differs.
-
-        Probe executors are **reused across calls**: the parallel session
-        ships the shard inputs to its workers once and survives until the
-        trace-input set or the fleet configuration changes (or
-        :meth:`close`), so a Figure-21-style grid pays worker spawn and
-        trace shipping once, not once per cell.  Memoised probe outcomes
-        survive with the session -- sound because probes are deterministic
-        per key -- and any exception tears the session down before
-        propagating.
+        All shards must share one ``ServerConfig``: uniform fleet
+        provisioning is the premise of the search.  For a single-shard
+        fleet this is exactly ``PoolDimensioner.evaluate_capacity_search``
+        (which is a call on a one-shard fleet).  Classic calls (no
+        topology) report ``pool_topology=None`` and per-shard pool
+        capacities; spanning topologies report their provisioning in
+        ``pool_capacity_gb_by_group`` only.
         """
         if search_steps < 1:
             raise ValueError("search_steps must be >= 1")
@@ -1325,8 +1431,7 @@ class FleetSimulator:
                 "capacity_search requires a homogeneous ServerConfig across "
                 "shards (servers are provisioned with one DRAM size fleet-wide)"
             )
-        n_shards = len(self.shard_configs)
-        total_servers = sum(cfg.n_servers for cfg in self.shard_configs)
+        sizes = [cfg.n_servers for cfg in self.shard_configs]
         topology = pool_topology if pool_topology is not None \
             else self.pool_topology
         if topology is not None:
@@ -1341,15 +1446,18 @@ class FleetSimulator:
         else:
             pool_size = self.pool_size_sockets if pool_size_sockets is None \
                 else pool_size_sockets
-        if traces is not self._capacity_cache_key:
-            self._capacity_cache_key = traces
+        unpooled = PoolTopology.per_shard(sizes, server_config.sockets, 0)
+        pooled = topology if topology is not None else \
+            PoolTopology.per_shard(sizes, server_config.sockets, pool_size)
+
+        if not _same_traces(traces, self._capacity_cache_key):
+            self._capacity_cache_key = None if traces is None else list(traces)
             self._capacity_core_stats = None
             self._capacity_baseline_cache = {}
             # The probe session shipped the previous input set to its
             # workers; a new input set invalidates both.
             self._capacity_inputs = None
             self._close_probe_session()
-
         # Per-shard replay inputs, resolved once per input set and cached so
         # repeated searches (and the reusable probe session) agree on input
         # identity: a pregenerated trace, a re-iterable lazy stream, or a
@@ -1362,349 +1470,116 @@ class FleetSimulator:
                 )
                 for i, cfg in enumerate(self.shard_configs)
             ]
-        inputs = self._capacity_inputs
-        parallel = bool(self.max_workers and self.max_workers > 1)
-        session = self._ensure_probe_session(inputs) if parallel else None
-        #: Parent-process policy instances for sequential probes (parallel
-        #: probes -- per-shard and whole-fleet topology replays alike --
-        #: rebuild their policies inside the worker).
-        policies = [
-            policy_factory(i)
-            if policy_factory is not None and not parallel
-            else None
-            for i in range(n_shards)
-        ]
-        inf = float("inf")
+        session = self._ensure_probe_session(self._capacity_inputs)
         baseline_key = (search_steps, rejection_tolerance)
+        total_dram = server_config.total_dram_gb
         try:
-            if session is not None:
-                # Warm start: every probe chain that does not depend on a
-                # previous verdict begins immediately -- budget replays,
-                # the baseline search's upper bound, and (classic path) the
-                # pool provisioning replays all overlap.
-                for shard in range(n_shards):
-                    if self._capacity_core_stats is None:
-                        session.submit(None, shard, 0, inf, None)
-                    if baseline_key not in self._capacity_baseline_cache:
-                        session.submit(
-                            None, shard, 0, 0.0, server_config.total_dram_gb
-                        )
-                    if pool_size and topology is None:
-                        session.submit(
-                            policy_factory, shard, pool_size, inf, None
-                        )
-                if pool_size and topology is not None:
-                    # The whole-fleet provisioning replay (step 3') depends
-                    # on no verdict either; it overlaps the baseline search.
-                    session.submit_topology(
-                        policy_factory, topology, None, None
-                    )
-
-            def replay(shard: int, dram_per_server_gb: Optional[float],
-                       pool_sockets: int, pool_capacity_gb: float,
-                       policy) -> SimulationResult:
-                cfg = self.shard_configs[shard]
-                return capacity_probe_replay(
-                    inputs[shard], policy, cfg.n_servers, cfg.server_config,
-                    pool_sockets, pool_capacity_gb, dram_per_server_gb,
-                    self.sample_interval_s,
-                )
+            # Warm start (pool only): every probe that depends on no verdict
+            # begins immediately -- the budget replays, the baseline
+            # search's upper bound and the pool provisioning replays.
+            if self._capacity_core_stats is None:
+                for component in unpooled.components:
+                    session.submit((None, unpooled, component, None, None))
+            if baseline_key not in self._capacity_baseline_cache:
+                for component in unpooled.components:
+                    session.submit((None, unpooled, component, None,
+                                    total_dram))
+            if pool_size:
+                for component in pooled.components:
+                    session.submit((policy_factory, pooled, component, None,
+                                    None))
 
             # 1. Rejection budget: core/NUMA-fragmentation rejections can
             # never be fixed by DRAM, so they are excluded from every
-            # candidate's verdict.  Computed once, shared by both searches
-            # (and memoised across calls for the fleet's own deterministic
-            # inputs).
-            if self._capacity_core_stats is not None:
-                core_only_rejections, total_vms = self._capacity_core_stats
-            else:
-                total_vms = 0
-                core_only_rejections = 0
-                for shard in range(n_shards):
-                    if session is not None:
-                        outcome = session.outcome(None, shard, 0, inf, None)
-                        core_only_rejections += outcome.rejected_vms
-                        total_vms += outcome.placed_vms + outcome.rejected_vms
-                    else:
-                        result = replay(shard, None, 0, inf, None)
-                        core_only_rejections += result.rejected_vms
-                        total_vms += result.placed_vms + result.rejected_vms
-                self._capacity_core_stats = (core_only_rejections, total_vms)
+            # candidate's verdict.  Memoised across calls per input set.
+            if self._capacity_core_stats is None:
+                outcomes = list(session.outcomes(None, unpooled, None, None))
+                self._capacity_core_stats = (
+                    sum(o.rejected_vms for o in outcomes),
+                    sum(o.placed_vms + o.rejected_vms for o in outcomes),
+                )
+            core_only_rejections, total_vms = self._capacity_core_stats
             budget = core_only_rejections + max(
                 1, int(rejection_tolerance * total_vms)
             )
 
-            #: (shard, dram, pooled?) -> rejections; search probes repeat
-            #: candidates only rarely, but early-exited shards return cheaply.
-            rejection_cache: Dict[Tuple[int, float, bool], int] = {}
-
-            def total_rejections(dram: float,
-                                 pool_caps: Optional[List[float]]) -> int:
-                total = 0
-                pooled = pool_caps is not None
-                for shard in range(n_shards):
-                    key = (shard, dram, pooled)
-                    rejections = rejection_cache.get(key)
-                    if rejections is None:
-                        if pooled:
-                            result = replay(
-                                shard, dram, pool_size, pool_caps[shard],
-                                policies[shard],
-                            )
-                        else:
-                            result = replay(shard, dram, 0, 0.0, None)
-                        rejections = result.rejected_vms
-                        rejection_cache[key] = rejections
-                    total += rejections
-                    if total > budget:
-                        break  # infeasible already; skip the remaining shards
-                return total
-
-            def min_shared_server_dram(pool_caps: Optional[List[float]]) -> float:
-                """Smallest shared per-server DRAM that fits, via the common
-                bisection helper.  Sequential probes early-exit the shard
-                sum; parallel probes run every shard of a candidate (and the
-                speculated next candidates) concurrently -- the verdicts,
-                and therefore the result, are identical."""
-                factory = policy_factory if pool_caps is not None else None
-                if session is not None:
-                    def rejections(dram: float) -> int:
-                        return session.candidate_rejections(
-                            factory, dram, pool_size, pool_caps
-                        )
-
-                    def prefetch(lo: float, hi: float) -> None:
-                        session.prefetch_bisection(
-                            factory, pool_size, pool_caps, lo, hi
-                        )
-                else:
-                    def rejections(dram: float) -> int:
-                        return total_rejections(dram, pool_caps)
-
-                    prefetch = None
+            def min_shared_server_dram(factory, topo, caps_items) -> float:
                 return bisect_min_dram(
-                    server_config.total_dram_gb, search_steps, budget,
-                    rejections, prefetch,
+                    total_dram, search_steps, budget,
+                    functools.partial(session.rejections, factory, topo,
+                                      caps_items, budget),
+                    functools.partial(session.prefetch, factory, topo,
+                                      caps_items),
                 )
 
             # 2. No-pooling baseline under the shared-DRAM constraint
             # (pool-size- and policy-independent; memoised like the budget).
-            if baseline_key in self._capacity_baseline_cache:
-                baseline_per_server = self._capacity_baseline_cache[baseline_key]
-            else:
-                baseline_per_server = min_shared_server_dram(None)
-                self._capacity_baseline_cache[baseline_key] = baseline_per_server
-            baseline_gb = baseline_per_server * total_servers
+            if baseline_key not in self._capacity_baseline_cache:
+                self._capacity_baseline_cache[baseline_key] = \
+                    min_shared_server_dram(None, unpooled, None)
+            baseline_per_server = self._capacity_baseline_cache[baseline_key]
+            baseline_gb = baseline_per_server * sum(sizes)
 
-            merged_stats = PolicyStats()
-            if pool_size == 0:
-                return FleetCapacitySearchResult(
-                    savings=PoolSavings(
-                        pool_size_sockets=0,
-                        baseline_dram_gb=baseline_gb,
-                        required_local_dram_gb=baseline_gb,
-                        required_pool_dram_gb=0.0,
-                        average_pool_fraction=0.0,
-                    ),
-                    baseline_per_server_gb=baseline_per_server,
-                    pooled_per_server_gb=baseline_per_server,
-                    per_shard_pool_capacity_gb=tuple(0.0 for _ in range(n_shards)),
-                    total_vms=total_vms,
-                    rejection_budget=budget,
-                    policy_stats=merged_stats,
-                    speculation=(
-                        session.drain_speculation_stats()
-                        if session is not None else None
-                    ),
-                )
-            if topology is not None:
-                # 3'. Provision the fleet's pool groups from one
-                # unconstrained cross-shard replay: every group of a
-                # provisioning domain is sized at headroom times the
-                # domain's worst observed peak.  Parallel sessions ran the
-                # replay on the worker pool (warm-started alongside the
-                # baseline search); sequential searches run it here.
-                n_servers_list = [cfg.n_servers for cfg in self.shard_configs]
-                if session is not None:
-                    provision = session.topology_outcome(
-                        policy_factory, topology, None, None
-                    )
-                    peaks = provision.pool_peak_gb
-                    total_pool_allocated = provision.total_pool_gb
-                    total_memory_allocated = provision.total_memory_gb
-                else:
-                    server_cfg_list = [
-                        cfg.server_config for cfg in self.shard_configs
-                    ]
-                    unconstrained_results, ledger = replay_crossshard(
-                        inputs, policies, n_servers_list, server_cfg_list,
-                        topology, inf, False, self.sample_interval_s,
-                    )
-                    peaks = ledger.peak_gb
-                    total_pool_allocated = 0.0
-                    total_memory_allocated = 0.0
-                    for shard_result in unconstrained_results:
-                        total_pool_allocated += (
-                            shard_result.total_pool_gb_allocated
-                        )
-                        total_memory_allocated += (
-                            shard_result.total_memory_gb_allocated
-                        )
-                caps, required_pool_gb = topology.provision_capacities(
-                    peaks, pool_headroom
-                )
-
-                # 4'. Smallest shared per-server DRAM with the fleet pools
-                # in place.  Every probe is a full cross-shard constrained
-                # replay against the provisioned ledger, memoised per
-                # candidate DRAM size; the parallel session overlaps each
-                # verdict with speculated bracketing candidates (a merged
-                # replay cannot be split by shard, so candidates -- not
-                # shards -- are the unit of parallelism here).
-                if session is not None:
-                    caps_items = tuple(sorted(caps.items()))
-
-                    def topo_candidate_rejections(dram: float) -> int:
-                        return session.topology_outcome(
-                            policy_factory, topology, caps_items, dram
-                        ).rejected_vms
-
-                    def topo_prefetch(lo: float, hi: float) -> None:
-                        session.prefetch_topology_bisection(
-                            policy_factory, topology, caps_items, lo, hi
-                        )
-                else:
-                    topo_rejections: Dict[float, int] = {}
-
-                    def topo_candidate_rejections(dram: float) -> int:
-                        cached = topo_rejections.get(dram)
-                        if cached is None:
-                            candidate = capacity_candidate_config(
-                                server_config, dram
-                            )
-                            probe_results, _ = replay_crossshard(
-                                inputs, policies, n_servers_list,
-                                [candidate] * n_shards, topology, caps, True,
-                                self.sample_interval_s,
-                            )
-                            cached = sum(
-                                r.rejected_vms for r in probe_results
-                            )
-                            topo_rejections[dram] = cached
-                        return cached
-
-                    topo_prefetch = None
-
-                pooled_per_server = bisect_min_dram(
-                    server_config.total_dram_gb, search_steps, budget,
-                    topo_candidate_rejections, topo_prefetch,
-                )
-                if session is not None:
-                    merged_stats = session.drain_stats(policy_factory)
-                else:
-                    for policy in policies:
-                        stats = getattr(policy, "stats", None)
-                        if stats is not None:
-                            merged_stats.add(stats)
-                if topology.is_per_shard:
-                    per_shard_caps = tuple(
-                        caps[topology.groups_of_shard(shard)[0]]
-                        for shard in range(n_shards)
-                    )
-                else:
-                    # A spanned group belongs to no single shard; read the
-                    # provisioning off ``pool_capacity_gb_by_group``.
-                    per_shard_caps = ()
-                return FleetCapacitySearchResult(
-                    savings=PoolSavings(
-                        pool_size_sockets=pool_size,
-                        baseline_dram_gb=baseline_gb,
-                        required_local_dram_gb=(
-                            pooled_per_server * total_servers
-                        ),
-                        required_pool_dram_gb=required_pool_gb,
-                        average_pool_fraction=(
-                            total_pool_allocated / total_memory_allocated
-                            if total_memory_allocated else 0.0
-                        ),
-                    ),
-                    baseline_per_server_gb=baseline_per_server,
-                    pooled_per_server_gb=pooled_per_server,
-                    per_shard_pool_capacity_gb=per_shard_caps,
-                    total_vms=total_vms,
-                    rejection_budget=budget,
-                    policy_stats=merged_stats,
-                    pool_topology=topology,
-                    pool_capacity_gb_by_group=caps,
-                    speculation=(
-                        session.drain_speculation_stats()
-                        if session is not None else None
-                    ),
-                )
-
-            # 3. Provision each shard's pool groups from its unconstrained
-            # peaks.
-            pool_caps: List[float] = []
+            pooled_per_server = baseline_per_server
+            caps: Dict[int, float] = {}
             required_pool_gb = 0.0
-            total_pool_allocated = 0.0
-            total_memory_allocated = 0.0
-            for shard in range(n_shards):
-                if session is not None:
-                    outcome = session.outcome(
-                        policy_factory, shard, pool_size, inf, None
-                    )
-                    peaks = outcome.pool_peak_gb
-                    shard_pool_gb = outcome.total_pool_gb
-                    shard_memory_gb = outcome.total_memory_gb
-                else:
-                    unconstrained = replay(
-                        shard, None, pool_size, inf, policies[shard]
-                    )
-                    peaks = unconstrained.pool_peak_gb
-                    shard_pool_gb = unconstrained.total_pool_gb_allocated
-                    shard_memory_gb = unconstrained.total_memory_gb_allocated
-                if peaks:
-                    per_group = pool_headroom * max(peaks.values())
-                    n_groups = len(peaks)
-                else:
-                    per_group = 0.0
-                    n_groups = 0
-                pool_caps.append(per_group)
-                required_pool_gb += per_group * n_groups
-                total_pool_allocated += shard_pool_gb
-                total_memory_allocated += shard_memory_gb
-
-            # 4. Smallest shared per-server DRAM with those pools in place.
-            pooled_per_server = min_shared_server_dram(pool_caps)
-
-            if session is not None:
-                merged_stats = session.drain_stats(policy_factory)
+            average_pool_fraction = 0.0
+            if pool_size:
+                # 3. Provision the pool groups from one unconstrained replay:
+                # every group of a provisioning domain is sized at headroom
+                # times the domain's worst observed peak.
+                peaks: Dict[int, float] = {}
+                pool_gb = [0.0] * len(sizes)
+                memory_gb = [0.0] * len(sizes)
+                outcomes = session.outcomes(policy_factory, pooled, None, None)
+                for component, outcome in zip(pooled.components, outcomes):
+                    peaks.update(outcome.pool_peak_gb)
+                    for shard, pool, memory in zip(
+                            component, outcome.pool_gb, outcome.memory_gb):
+                        pool_gb[shard] = pool
+                        memory_gb[shard] = memory
+                total_pool = 0.0
+                total_memory = 0.0
+                for pool, memory in zip(pool_gb, memory_gb):
+                    total_pool += pool
+                    total_memory += memory
+                if total_memory:
+                    average_pool_fraction = total_pool / total_memory
+                caps, required_pool_gb = pooled.provision_capacities(
+                    peaks, pool_headroom)
+                # 4. Smallest shared per-server DRAM with the pools in place.
+                pooled_per_server = min_shared_server_dram(
+                    policy_factory, pooled, tuple(sorted(caps.items())))
+            if not pool_size:
+                per_shard_caps = tuple(0.0 for _ in sizes)
+            elif pooled.is_per_shard:
+                per_shard_caps = tuple(
+                    caps[pooled.groups_of_shard(shard)[0]]
+                    for shard in range(len(sizes))
+                )
             else:
-                for policy in policies:
-                    stats = getattr(policy, "stats", None)
-                    if stats is not None:
-                        merged_stats.add(stats)
+                # A spanned group belongs to no single shard; read the
+                # provisioning off ``pool_capacity_gb_by_group``.
+                per_shard_caps = ()
+            explicit = pool_size and topology is not None
             return FleetCapacitySearchResult(
                 savings=PoolSavings(
                     pool_size_sockets=pool_size,
                     baseline_dram_gb=baseline_gb,
-                    required_local_dram_gb=pooled_per_server * total_servers,
+                    required_local_dram_gb=pooled_per_server * sum(sizes),
                     required_pool_dram_gb=required_pool_gb,
-                    average_pool_fraction=(
-                        total_pool_allocated / total_memory_allocated
-                        if total_memory_allocated else 0.0
-                    ),
+                    average_pool_fraction=average_pool_fraction,
                 ),
                 baseline_per_server_gb=baseline_per_server,
                 pooled_per_server_gb=pooled_per_server,
-                per_shard_pool_capacity_gb=tuple(pool_caps),
+                per_shard_pool_capacity_gb=per_shard_caps,
                 total_vms=total_vms,
                 rejection_budget=budget,
-                policy_stats=merged_stats,
-                speculation=(
-                    session.drain_speculation_stats()
-                    if session is not None else None
-                ),
+                policy_stats=session.drain_stats(policy_factory),
+                pool_topology=topology if explicit else None,
+                pool_capacity_gb_by_group=caps if explicit else None,
+                speculation=(session.drain_speculation_stats()
+                             if session.parallel else None),
             )
         except BaseException:
             # Executor lifecycle hardening: a failed search must not leave

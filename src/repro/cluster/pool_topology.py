@@ -154,6 +154,21 @@ class PoolTopology:
         self._groups_by_shard: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(g) for g in by_shard
         )
+        # Pool-connected components: label every shard with the lowest
+        # shard it shares a group with, transitively.
+        label = list(range(self.n_shards))
+        for shards in self.group_shards:
+            joined = {label[s] for s in shards}
+            low = min(joined)
+            label = [low if lab in joined else lab for lab in label]
+        by_label: Dict[int, List[int]] = {}
+        for shard, lab in enumerate(label):
+            by_label.setdefault(lab, []).append(shard)
+        #: shard sets linked by shared groups, ascending by first shard.  No
+        #: replay state crosses two components, so each replays on its own.
+        self.components: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(shards) for shards in by_label.values()
+        )
 
         if domain_of_group is None:
             domains: Tuple[int, ...] = (0,) * self.n_groups
@@ -163,8 +178,7 @@ class PoolTopology:
                 raise ValueError("domain_of_group must have one entry per group")
         self.domain_of_group = domains
         #: domain id -> its groups, both ascending (provisioning iterates
-        #: domains in this order, matching the shardwise accumulation order
-        #: of the classic capacity search for per-shard topologies).
+        #: domains in this order).
         by_domain: Dict[int, List[int]] = {}
         for group in range(self.n_groups):
             by_domain.setdefault(self.domain_of_group[group], []).append(group)
@@ -233,6 +247,24 @@ class PoolTopology:
         """
         return {g: i for i, g in enumerate(self._groups_by_shard[shard])}
 
+    def component_topology(
+        self, shards: Sequence[int],
+    ) -> Tuple["PoolTopology", Tuple[int, ...]]:
+        """The sub-topology of one of :attr:`components`.
+
+        Its group ids are the component's fleet ids remapped to
+        ``0 .. k-1`` in ascending order; the second value maps them back
+        (local id -> fleet id).  An unpooled topology stays unpooled.
+        """
+        fleet_ids = tuple(sorted(
+            {g for s in shards for g in self._groups_by_shard[s]}))
+        local = {g: i for i, g in enumerate(fleet_ids)}
+        group_of = [[local.get(g, g) for g in self.group_of[s]]
+                    for s in shards]
+        sub = PoolTopology(group_of, self.sockets_per_server,
+                           self.pool_size_sockets)
+        return sub, fleet_ids
+
     @property
     def spanning_group_ids(self) -> Tuple[int, ...]:
         """Groups whose servers live in more than one shard."""
@@ -263,8 +295,7 @@ class PoolTopology:
         domain's worst per-group peak (pool blades are bought uniformly
         within a domain).  Returns ``(capacity per group, total provisioned
         GB)``; the total is accumulated domain by domain as ``capacity *
-        n_groups`` -- the same float arithmetic the classic per-shard search
-        uses, so degenerate topologies provision byte-identically.
+        n_groups``.
         """
         caps: Dict[int, float] = {}
         required_total = 0.0

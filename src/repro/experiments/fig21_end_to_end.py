@@ -21,8 +21,9 @@ how the paper's ~100-cluster evaluation shape is reproduced.  The sharded
 mode streams every shard trace by default (``stream_chunk_size``), so the
 fleet's peak trace memory stays O(generation window + chunk) no matter
 how many VMs the study replays; ``provisioning="capacity"`` switches the savings model from
-peak-observation to the constrained capacity search (fleet-level via
-``FleetSimulator.capacity_search`` when sharded).
+peak-observation to the constrained capacity search
+(``FleetSimulator.capacity_search``; one cluster runs it as a one-shard
+fleet through ``PoolDimensioner.evaluate_capacity_search``).
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ def run_end_to_end_study(
 
     ``provisioning`` selects the savings model: ``"peaks"`` (default) uses
     uniform peak-observation provisioning; ``"capacity"`` runs the
-    constrained capacity search instead -- per cluster through
-    ``PoolDimensioner.evaluate_capacity_search``, or fleet-wide through
-    ``FleetSimulator.capacity_search`` when sharded.
+    constrained capacity search instead: ``FleetSimulator.capacity_search``
+    on the sharded fleet, or on one cluster through
+    ``PoolDimensioner.evaluate_capacity_search`` (a one-shard fleet call).
 
     ``pool_scope`` selects where pool groups may live: ``"cluster"``
     (default) confines every group to one shard, the paper's per-cluster

@@ -4,6 +4,7 @@ placement hot path (sample/departure ordering, duplicate horizon samples,
 walk with a brute-force linear scan)."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -116,15 +117,21 @@ class TestPoolDimensionerCaches:
         ])
 
     def test_cache_entry_dies_with_trace(self):
+        """The peak-baseline memo is weakly keyed; the capacity-search memo
+        pins its trace only until ``close()``."""
         dimensioner = PoolDimensioner(n_servers=2, search_steps=2)
         trace = self.make_trace(4.0)
         dimensioner.baseline_required_dram_gb(trace)
         dimensioner.peak_baseline_required_dram_gb(trace)
-        assert len(dimensioner._baseline_cache) == 1
+        assert len(dimensioner._fleet._capacity_baseline_cache) == 1
         assert len(dimensioner._peak_baseline_cache) == 1
+        alive = weakref.ref(trace)
         del trace
         gc.collect()
-        assert len(dimensioner._baseline_cache) == 0
+        assert alive() is not None
+        dimensioner.close()
+        gc.collect()
+        assert alive() is None
         assert len(dimensioner._peak_baseline_cache) == 0
 
     def test_new_trace_never_inherits_stale_baseline(self):
@@ -151,13 +158,17 @@ class TestPoolDimensionerCaches:
         assert expected > stale_baseline
 
     def test_rejection_cache_weakly_keyed(self):
+        """A new trace replaces the rejection-budget memo and releases the
+        old trace."""
         dimensioner = PoolDimensioner(n_servers=2, search_steps=2)
         trace = self.make_trace(4.0)
-        dimensioner._core_only_rejections(trace)
-        assert len(dimensioner._rejection_cache) == 1
+        dimensioner.baseline_required_dram_gb(trace)
+        assert dimensioner._fleet._capacity_core_stats == (0, 20)
+        alive = weakref.ref(trace)
         del trace
+        dimensioner.baseline_required_dram_gb(self.make_trace(64.0))
         gc.collect()
-        assert len(dimensioner._rejection_cache) == 0
+        assert alive() is None
 
 
 class TestTraceCsvDefaults:

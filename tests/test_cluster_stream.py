@@ -493,6 +493,36 @@ class TestFleetCapacitySearch:
         assert result.rejection_budget >= 1
         assert result.policy_stats.n_vms > 0
 
+    @pytest.mark.parametrize("topology", [None, "spanning"])
+    def test_multi_shard_stream_stays_on_inlined_loop(self, search_config,
+                                                      topology, monkeypatch):
+        """Probes replay one pool-connected component each, so a streamed
+        fleet whose groups never cross a shard seam replays one-shard
+        streams on the inlined loop -- never the events loop -- and
+        matches the materialised search."""
+        import repro.cluster.pool_topology as topomod
+
+        if topology == "spanning":
+            # 16-socket groups of 8 servers: seam-free on 8-server shards.
+            topology = PoolTopology.spanning([8, 8], 2, 16)
+        factory = pond_policy_factory(OPERATING_POINT, seed=3)
+        expected = FleetSimulator.sharded(2, search_config).capacity_search(
+            factory, search_steps=3, pool_size_sockets=16,
+            pool_topology=topology)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("streamed probe took the events loop")
+
+        monkeypatch.setattr(topomod, "_replay_crossshard_events", forbidden)
+        fleet = FleetSimulator.sharded(2, search_config, stream_chunk_size=300)
+        got = fleet.capacity_search(factory, search_steps=3,
+                                    pool_size_sockets=16,
+                                    pool_topology=topology)
+        assert got.savings == expected.savings
+        assert got.pooled_per_server_gb == expected.pooled_per_server_gb
+        assert got.pool_capacity_gb_by_group \
+            == expected.pool_capacity_gb_by_group
+
     def test_heterogeneous_server_config_rejected(self, search_config):
         from dataclasses import replace
 

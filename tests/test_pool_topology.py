@@ -51,6 +51,21 @@ class TestTopologyShape:
         assert topo.local_group_ids(1) == {3: 0, 4: 1}
         assert topo.domain_of_group == (0, 0, 0, 1, 1)
 
+    def test_components_split_at_aligned_seams(self):
+        # 4-server groups over 6-server shards: group 1 spans shards 0-1,
+        # the shard 1/2 seam falls on a group boundary.
+        topo = PoolTopology.spanning([6, 6, 6], 2, 8)
+        assert topo.components == ((0, 1), (2,))
+        sub, fleet_ids = topo.component_topology((0, 1))
+        assert fleet_ids == (0, 1, 2)
+        assert sub.group_of == topo.group_of[:2]
+        sub, fleet_ids = topo.component_topology((2,))
+        assert fleet_ids == (3, 4)
+        assert sub.group_of == ((0, 0, 0, 0, 1, 1),)
+        unpooled = PoolTopology.per_shard([3, 2], 2, 0)
+        assert unpooled.components == ((0,), (1,))
+        assert unpooled.component_topology((1,))[0].group_of == ((-1, -1),)
+
     def test_spanning_blocks_ignore_shard_seams(self):
         topo = PoolTopology.spanning([3, 3], sockets_per_server=2,
                                      pool_size_sockets=4)

@@ -1,9 +1,9 @@
-"""Reusable probe-pool sessions: reuse, invalidation, and lifecycle.
+"""Reusable probe sessions: reuse, invalidation, and lifecycle.
 
-The sessions behind ``PoolDimensioner.evaluate_capacity_search`` and
-``FleetSimulator.capacity_search`` used to spawn a fresh
-``ProcessPoolExecutor`` per call; they now live across calls (one worker
-pool, one shipped trace per input set).  The contracts tested here:
+``FleetSimulator.capacity_search`` runs its probes on one session that
+lives across calls (one worker pool, one shipped trace per input set);
+``PoolDimensioner.evaluate_capacity_search`` is a call on a one-shard
+fleet the dimensioner keeps.  The contracts tested here:
 
 * reused sessions return ``PoolSavings`` identical to fresh-executor runs;
 * sessions are invalidated when the trace/input set or the owner's
@@ -52,10 +52,10 @@ class TestDimensionerSession:
         dim = PoolDimensioner(n_servers=N_SERVERS, search_steps=3)
         policy = FixedFractionPolicy(0.3)
         first = dim.evaluate_capacity_search(trace, 4, policy)
-        session = dim._probe_session
-        assert session is not None
+        session = dim._fleet._probe_session
+        assert session is not None and not session.parallel
         second = dim.evaluate_capacity_search(trace, 8, policy)
-        assert dim._probe_session is session
+        assert dim._fleet._probe_session is session
         # Fresh dimensioners (fresh sessions) agree exactly.
         fresh = PoolDimensioner(n_servers=N_SERVERS, search_steps=3)
         assert first == fresh.evaluate_capacity_search(trace, 4,
@@ -71,15 +71,15 @@ class TestDimensionerSession:
         policy = FixedFractionPolicy(0.3)
         with dim:
             first = dim.evaluate_capacity_search(trace, 4, policy)
-            session = dim._probe_session
+            session = dim._fleet._probe_session
             assert session is not None and session.parallel
             # Same session across pool sizes *and* across policies (the
             # policy ships with each probe task, not with the executor).
             second = dim.evaluate_capacity_search(trace, 8, policy)
             third = dim.evaluate_capacity_search(trace, 4,
                                                  FixedFractionPolicy(0.15))
-            assert dim._probe_session is session
-        assert dim._probe_session is None  # context manager closed it
+            assert dim._fleet._probe_session is session
+        assert dim._fleet is None  # context manager closed it
         sequential = PoolDimensioner(n_servers=N_SERVERS, search_steps=3)
         assert first == sequential.evaluate_capacity_search(
             trace, 4, FixedFractionPolicy(0.3)
@@ -94,30 +94,50 @@ class TestDimensionerSession:
     def test_new_trace_invalidates_session(self, trace):
         dim = PoolDimensioner(n_servers=N_SERVERS, search_steps=2)
         dim.evaluate_capacity_search(trace, 4, FixedFractionPolicy(0.2))
-        session = dim._probe_session
+        session = dim._fleet._probe_session
         other = TraceGenerator(TraceGenConfig(
             cluster_id="other", n_servers=N_SERVERS, duration_days=0.2,
             seed=5,
         )).generate_bulk()
         dim.evaluate_capacity_search(other, 4, FixedFractionPolicy(0.2))
-        assert dim._probe_session is not session
-        assert dim._probe_session_trace is other
+        assert dim._fleet._probe_session is not session
+        assert dim._fleet._capacity_cache_key[0] is other
 
     def test_config_change_invalidates_memoised_outcomes(self, trace):
         dim = PoolDimensioner(n_servers=N_SERVERS, search_steps=2)
         loose = dim.evaluate_capacity_search(trace, 4, FixedFractionPolicy(0.2))
-        session = dim._probe_session
+        session = dim._fleet._probe_session
         # A config change must not let stale memoised outcomes answer for a
         # different cluster shape.
         dim.sample_interval_s = 1800.0
         dim.evaluate_capacity_search(trace, 4, FixedFractionPolicy(0.2))
-        assert dim._probe_session is not session
-        assert dim._probe_session_fingerprint == dim._session_fingerprint()
+        assert dim._fleet._probe_session is not session
+        assert dim._fleet.sample_interval_s == 1800.0
         # Sanity: the searches agree with fresh dimensioners at each config.
         fresh = PoolDimensioner(n_servers=N_SERVERS, search_steps=2)
         assert loose == fresh.evaluate_capacity_search(
             trace, 4, FixedFractionPolicy(0.2)
         )
+
+    @pytest.mark.parametrize("knob, value, baseline_gb", [
+        ("search_steps", 6, 1548.0),
+        ("rejection_tolerance", 0.05, 1152.0),
+        ("n_servers", 5, 1440.0),
+    ])
+    def test_knob_change_refreshes_baseline(self, trace, knob, value,
+                                            baseline_gb):
+        """A knob changed between searches must not serve the baseline
+        memoised under the old value."""
+        dim = PoolDimensioner(n_servers=N_SERVERS, search_steps=2)
+        first = dim.evaluate_capacity_search(trace, 4, FixedFractionPolicy(0.2))
+        assert first.baseline_dram_gb == 1728.0
+        setattr(dim, knob, value)
+        got = dim.evaluate_capacity_search(trace, 4, FixedFractionPolicy(0.2))
+        fresh = PoolDimensioner(**{"n_servers": N_SERVERS, "search_steps": 2,
+                                   knob: value})
+        assert got == fresh.evaluate_capacity_search(
+            trace, 4, FixedFractionPolicy(0.2))
+        assert got.baseline_dram_gb == baseline_gb
 
     def test_inplace_policy_mutation_invalidates_memos(self, trace):
         """Memo keys are value-based: mutating a policy must not serve the
@@ -150,14 +170,14 @@ class TestDimensionerSession:
         dim = PoolDimensioner(n_servers=N_SERVERS, search_steps=2)
         with pytest.raises(RuntimeError, match="boom"):
             dim.evaluate_capacity_search(trace, 4, BoomPolicy())
-        assert dim._probe_session is None
+        assert dim._fleet._probe_session is None
 
     def test_close_is_idempotent(self, trace):
         dim = PoolDimensioner(n_servers=N_SERVERS, search_steps=2)
         dim.evaluate_capacity_search(trace, 4, FixedFractionPolicy(0.2))
         dim.close()
         dim.close()
-        assert dim._probe_session is None
+        assert dim._fleet is None
         # Still usable after close: a fresh session is built lazily.
         result = dim.evaluate_capacity_search(trace, 4, FixedFractionPolicy(0.2))
         assert result.pool_size_sockets == 4
@@ -243,11 +263,11 @@ class TestFleetSession:
 class TestTopologySessionDifferential:
     """Parallel topology capacity search == sequential, stats drained.
 
-    Spanning topologies route their capacity probes through the fleet
-    probe session as *whole-fleet* worker tasks (a merged cross-shard
-    replay cannot split by shard); the parallel path must reproduce the
-    sequential search verbatim, memoise warm repeats, and surface
-    speculation stats only when a session ran.
+    Every capacity probe replays one pool-connected component of the
+    topology as one worker task, and a candidate submits all of its
+    components at once; the parallel path must reproduce the sequential
+    search verbatim, memoise warm repeats, and surface speculation stats
+    only when a pool ran.
     """
 
     N_SHARDS = 3
@@ -314,12 +334,12 @@ class TestAdaptiveSpeculationDeterminism:
         return TraceGenerator(cfg).generate()
 
     def _search(self, trace, workers, depth=None, monkeypatch=None):
-        import repro.cluster.pool as poolmod
+        import repro.cluster.fleet as fleetmod
         dim = PoolDimensioner(n_servers=8, search_steps=3,
                               max_workers=workers)
         if depth is not None:
-            dim.probe_session(trace)._spec_depth = depth
-            monkeypatch.setattr(poolmod, "_SPEC_WINDOW", 10**9)
+            monkeypatch.setattr(fleetmod, "_SPEC_DEPTH_INITIAL", depth)
+            monkeypatch.setattr(fleetmod, "_SPEC_WINDOW", 10**9)
         try:
             savings = dim.evaluate_capacity_search(
                 trace, 16, FixedFractionPolicy(fraction=0.35))
@@ -375,7 +395,7 @@ class TestModelStateFingerprints:
     def test_fingerprint_stable_across_predict(self, trace):
         import numpy as np
 
-        from repro.cluster.pool import _probe_fingerprint
+        from repro.cluster.fleet import _probe_fingerprint
 
         policy = self._trained_policy(3)
         before = _probe_fingerprint(policy)
@@ -385,8 +405,10 @@ class TestModelStateFingerprints:
         assert _probe_fingerprint(policy) == before
 
     def test_factory_fingerprint_tracks_in_place_retrain(self):
-        from repro.cluster.fleet import prediction_policy_factory
-        from repro.cluster.pool import _probe_fingerprint
+        from repro.cluster.fleet import (
+            _probe_fingerprint,
+            prediction_policy_factory,
+        )
 
         policy = self._trained_policy(3)
         factory = prediction_policy_factory(policy=policy)
@@ -402,12 +424,11 @@ class TestModelStateFingerprints:
         assert after != before
 
     def test_session_token_invalidates_on_retrain(self):
-        from repro.cluster.fleet import prediction_policy_factory
-        from repro.cluster.pool import _ProbeSessionBase
+        from repro.cluster.fleet import _ProbeSession, prediction_policy_factory
 
         policy = self._trained_policy(3)
         factory = prediction_policy_factory(policy=policy)
-        session = _ProbeSessionBase()
+        session = _ProbeSession([], [], 3600.0, max_workers=None)
         token_before = session._token(factory)
         other = self._trained_policy(4)
         policy.untouched_model.gbm.__dict__.update(
