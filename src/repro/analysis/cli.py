@@ -10,6 +10,8 @@ Subcommands::
                            JSONL on stdout; diffed across PYTHONHASHSEED
                            values by CI)
     perf-floors [paths...] BENCH_*.json schema + recorded perf floors
+    perf-diff OLD NEW      two perfbench result sets against the bounds of
+                           BENCHMARK.json (read from the current directory)
     explain [codes...]     print the rule table (all rules by default)
 
 Exit status is 0 when clean, 1 on findings or failures.
@@ -111,6 +113,16 @@ def _cmd_perf_floors(args) -> int:
     return check_reports(args.paths, require=args.require)
 
 
+def _cmd_perf_diff(args) -> int:
+    from repro.analysis.perf_diff import perf_diff
+
+    try:
+        return perf_diff(args.parent, args.pr)
+    except (OSError, ValueError) as exc:
+        print(f"perf-diff: {exc}")
+        return 1
+
+
 def _cmd_explain(args) -> int:
     from repro.analysis.contracts import ORDER_RULES
     from repro.analysis.det_rules import RULES
@@ -197,6 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="benchmark name that must have a report "
                              "(repeatable)")
     floors.set_defaults(func=_cmd_perf_floors)
+
+    diff = sub.add_parser(
+        "perf-diff",
+        help="compare two perfbench result sets against BENCHMARK.json")
+    diff.add_argument("parent", help="directory of <workload>-seed<N>.json "
+                                     "results at the parent commit")
+    diff.add_argument("pr", help="the same at the changed commit")
+    diff.set_defaults(func=_cmd_perf_diff)
 
     explain = sub.add_parser("explain", help="print the rule table")
     explain.add_argument("codes", nargs="*", help="rule codes (default: all)")

@@ -27,7 +27,8 @@ and streaming holds at most one window plus one chunk in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence
+from itertools import chain, repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,13 +36,15 @@ from repro.cluster.rng import GOLDEN, MASK64, splitmix64
 from repro.cluster.server import ServerConfig
 from repro.cluster.trace import ClusterTrace, TraceColumns, TraceStream, VMTraceRecord
 from repro.cluster.vm_types import (
+    CATALOG_CORES,
+    CATALOG_MEMORY_GB,
+    DEFAULT_FAMILY_WEIGHTS,
     VM_TYPE_CATALOG,
-    VMType,
     family_probabilities,
     family_size_distribution,
-    sample_vm_type,
+    sample_vm_type_indices,
 )
-from repro.workloads.memory_behavior import UntouchedMemoryModel
+from repro.workloads.memory_behavior import UntouchedMemoryModel, vm_type_shift
 
 __all__ = [
     "TraceGenConfig",
@@ -59,6 +62,10 @@ HOUR_S = 3_600.0
 #: a constant, not a knob: changing it would change every generated trace.
 GENERATION_WINDOW_S = DAY_S
 
+#: Per-catalog-type columns that the generation windows index by type.
+_CATALOG_FAMILIES = [t.family for t in VM_TYPE_CATALOG]
+_CATALOG_UNTOUCHED_SHIFT = np.array([vm_type_shift(f) for f in _CATALOG_FAMILIES])
+
 
 @dataclass
 class TraceGenConfig:
@@ -74,7 +81,8 @@ class TraceGenConfig:
     family_weights: Optional[Dict[str, float]] = None
     n_customers: int = 100
     region: str = "region-0"
-    #: If set, multiply the memory-optimised family weight by this factor from
+    #: If set, multiply the memory-optimised family weight (the default
+    #: weight merged with ``family_weights``) by this factor from
     #: ``shift_day`` onwards (the Figure 2b workload-change event).
     shift_day: Optional[float] = None
     shift_memory_factor: float = 3.0
@@ -140,8 +148,8 @@ class TraceGenerator:
     # -- arrival-rate calibration ---------------------------------------------------
     def _expected_cores_per_vm(self) -> float:
         rng = np.random.default_rng(self.config.seed + 7)
-        samples = [sample_vm_type(rng, self.config.family_weights).cores for _ in range(500)]
-        return float(np.mean(samples))
+        types = sample_vm_type_indices(rng, 500, self.config.family_weights)
+        return float(np.mean(CATALOG_CORES[types]))
 
     def arrival_rate_per_s(self) -> float:
         """Poisson arrival rate achieving the target utilisation (Little's law).
@@ -159,9 +167,9 @@ class TraceGenerator:
         cfg = self.config
         if cfg.shift_day is None or time_s < cfg.shift_day * DAY_S:
             return cfg.family_weights
-        weights = dict(cfg.family_weights or {})
-        base = weights.get("memory_optimized", 0.20)
-        weights["memory_optimized"] = base * cfg.shift_memory_factor
+        weights = dict(DEFAULT_FAMILY_WEIGHTS)
+        weights.update(cfg.family_weights or {})
+        weights["memory_optimized"] *= cfg.shift_memory_factor
         return weights
 
     def _customer_popularity(self) -> np.ndarray:
@@ -195,8 +203,9 @@ class TraceGenerator:
         return times[times < window_len]
 
     def _bulk_vm_types(self, arrivals: np.ndarray,
-                       rng: np.random.Generator) -> List[VMType]:
-        """Sample one VM type per arrival, honouring the mid-trace shift."""
+                       rng: np.random.Generator) -> np.ndarray:
+        """Catalog index of one VM type per arrival, honouring the mid-trace
+        shift."""
         cfg = self.config
         n = arrivals.size
         shift_s = None if cfg.shift_day is None else cfg.shift_day * DAY_S
@@ -226,7 +235,7 @@ class TraceGenerator:
                 candidates, size_weights = family_size_distribution(family)
                 picks = rng.choice(len(candidates), size=n_family, p=size_weights)
                 type_indices[slot_indices[family_mask]] = np.asarray(candidates)[picks]
-        return [VM_TYPE_CATALOG[i] for i in type_indices]
+        return type_indices
 
     def _bulk_customers(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Customer draw for ``n`` VMs (indices into the pool), in bulk."""
@@ -235,42 +244,60 @@ class TraceGenerator:
         )
         return idx % len(self.memory_model.customer_ids)
 
-    def _bulk_records(self, arrivals: np.ndarray, lifetimes: np.ndarray,
+    def _window_block(self, arrivals: np.ndarray, lifetimes: np.ndarray,
                       first_index: int,
-                      rng: np.random.Generator) -> List[VMTraceRecord]:
+                      rng: np.random.Generator) -> TraceColumns:
+        """One generation window as a self-contained :class:`TraceColumns`.
+
+        The columns come straight from the draws; the records are built
+        once, from the same values, through the :class:`VMTraceRecord`
+        constructor (so its validation runs on every generated VM).
+        """
         cfg = self.config
         n = arrivals.size
-        vm_types = self._bulk_vm_types(arrivals, rng)
+        types = self._bulk_vm_types(arrivals, rng)
         customer_idx = self._bulk_customers(n, rng)
-        customer_pool = self.memory_model.customer_ids
-        untouched = self.memory_model.sample_untouched_fractions_bulk(
-            [customer_pool[i] for i in customer_idx],
-            [t.family for t in vm_types],
-            rng,
+        untouched = self.memory_model.sample_untouched_fractions_by_index(
+            customer_idx, _CATALOG_UNTOUCHED_SHIFT[types], rng
         )
-        guests = np.where(rng.uniform(size=n) < 0.7, "linux", "windows")
-        workloads = rng.choice(self._WORKLOAD_POOL, size=n)
+        linux = (rng.uniform(size=n) < 0.7).tolist()
+        workloads = rng.choice(self._WORKLOAD_POOL, size=n).tolist()
+        cores = CATALOG_CORES[types]
+        memory_gb = CATALOG_MEMORY_GB[types]
         prefix = f"{cfg.cluster_id}-vm-"
-        return [
-            VMTraceRecord(
-                vm_id=prefix + str(first_index + i),
-                cluster_id=cfg.cluster_id,
-                arrival_s=float(arrivals[i]),
-                lifetime_s=float(lifetimes[i]),
-                cores=vm_types[i].cores,
-                memory_gb=vm_types[i].memory_gb,
-                customer_id=customer_pool[customer_idx[i]],
-                vm_family=vm_types[i].family,
-                guest_os=str(guests[i]),
-                region=cfg.region,
-                workload_name=str(workloads[i]),
-                untouched_fraction=float(untouched[i]),
-            )
-            for i in range(n)
-        ]
+        vm_ids = tuple(prefix + str(i) for i in range(first_index, first_index + n))
+        customer_pool = self.memory_model.customer_ids
+        records = tuple(map(  # positional, in VMTraceRecord field order
+            VMTraceRecord,
+            vm_ids,
+            repeat(cfg.cluster_id, n),
+            arrivals.tolist(),
+            lifetimes.tolist(),
+            cores.tolist(),
+            memory_gb.tolist(),
+            [customer_pool[i] for i in customer_idx.tolist()],
+            [_CATALOG_FAMILIES[t] for t in types.tolist()],
+            ["linux" if is_linux else "windows" for is_linux in linux],
+            repeat(cfg.region, n),
+            workloads,
+            untouched.tolist(),
+        ))
+        return TraceColumns(
+            vm_ids=vm_ids,
+            memory_gb=memory_gb,
+            untouched_fraction=untouched,
+            records=records,
+            arrival_s=arrivals,
+            # float64 addition matches VMTraceRecord.departure_s bit-for-bit.
+            departure_s=arrivals + lifetimes,
+            cores=cores,
+        )
 
-    def iter_window_records(self) -> Iterator[List[VMTraceRecord]]:
+    def iter_window_records(self) -> Iterator[TraceColumns]:
         """Yield the trace one generation window at a time, in arrival order.
+
+        Each window is one :class:`TraceColumns` block that carries its
+        records as well (see :meth:`_window_block`).
 
         The first yielded block is the warm-start population (arrivals at
         ``t = 0``, substream 0) when enabled; block ``i + 1`` covers time
@@ -297,7 +324,7 @@ class TraceGenerator:
                     60.0, 90.0 * DAY_S,
                 )
                 residuals = np.maximum(60.0, rng.uniform(0.0, totals))
-                block = self._bulk_records(
+                block = self._window_block(
                     np.zeros(n_initial), residuals, count, rng
                 )
                 count += len(block)
@@ -313,7 +340,7 @@ class TraceGenerator:
             lifetimes = np.clip(
                 rng.lognormal(mu, sigma, size=arrivals.size), 60.0, 90.0 * DAY_S
             )
-            block = self._bulk_records(arrivals, lifetimes, count, rng)
+            block = self._window_block(arrivals, lifetimes, count, rng)
             count += len(block)
             yield block
 
@@ -327,7 +354,7 @@ class TraceGenerator:
         """
         records: List[VMTraceRecord] = []
         for block in self.iter_window_records():
-            records.extend(block)
+            records.extend(block.records)
         return ClusterTrace(records, cluster_id=self.config.cluster_id)
 
     def stream(self, chunk_size: int = 8192) -> "GeneratedTraceStream":
@@ -348,9 +375,10 @@ class TraceGenerator:
 class GeneratedTraceStream(TraceStream):
     """Chunked stream over a :class:`TraceGenerator`'s synthetic trace.
 
-    Re-buffers the generator's windows (see
+    Re-buffers the generator's window blocks (see
     :meth:`TraceGenerator.iter_window_records`) into ``chunk_size``-record
-    :class:`TraceColumns` blocks.  Window generation is driven by pure
+    :class:`TraceColumns` blocks by slicing and concatenating their columns
+    and records.  Window generation is driven by pure
     per-window RNG substreams, so every :meth:`chunks` call regenerates the
     identical trace -- the stream is re-iterable and picklable (it holds only
     the generator's config and memory model), which is what lets fleet
@@ -363,14 +391,39 @@ class GeneratedTraceStream(TraceStream):
         self.cluster_id = generator.config.cluster_id
 
     def chunks(self) -> Iterator[TraceColumns]:
-        buffer: List[VMTraceRecord] = []
+        size = self.chunk_size
+        pending: List[Tuple[TraceColumns, int, int]] = []
+        held = 0
         for block in self.generator.iter_window_records():
-            buffer.extend(block)
-            while len(buffer) >= self.chunk_size:
-                yield TraceColumns.from_records(buffer[: self.chunk_size])
-                del buffer[: self.chunk_size]
-        if buffer:
-            yield TraceColumns.from_records(buffer)
+            start, n = 0, len(block)
+            while held + n - start >= size:
+                stop = start + size - held
+                pending.append((block, start, stop))
+                yield _concat_rows(pending)
+                pending, held, start = [], 0, stop
+            if start < n:
+                pending.append((block, start, n))
+                held += n - start
+        if pending:
+            yield _concat_rows(pending)
+
+
+def _concat_rows(parts: Sequence[Tuple[TraceColumns, int, int]]) -> TraceColumns:
+    """One block from the rows ``[start, stop)`` of each ``(block, start,
+    stop)`` window block, in order; the arrays are copies, so a chunk never
+    keeps its windows alive."""
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(b, name)[i:j] for b, i, j in parts])
+
+    return TraceColumns(
+        vm_ids=tuple(chain.from_iterable(b.vm_ids[i:j] for b, i, j in parts)),
+        memory_gb=column("memory_gb"),
+        untouched_fraction=column("untouched_fraction"),
+        records=tuple(chain.from_iterable(b.records[i:j] for b, i, j in parts)),
+        arrival_s=column("arrival_s"),
+        departure_s=column("departure_s"),
+        cores=column("cores"),
+    )
 
 
 def fleet_shard_configs(

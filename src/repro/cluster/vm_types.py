@@ -17,9 +17,12 @@ import numpy as np
 __all__ = [
     "VMType",
     "VM_TYPE_CATALOG",
+    "CATALOG_CORES",
+    "CATALOG_MEMORY_GB",
     "family_probabilities",
     "family_size_distribution",
     "sample_vm_type",
+    "sample_vm_type_indices",
     "vm_mix_dram_per_core",
 ]
 
@@ -60,6 +63,11 @@ VM_TYPE_CATALOG: List[VMType] = (
 )
 
 _CATALOG_BY_NAME: Dict[str, VMType] = {t.name: t for t in VM_TYPE_CATALOG}
+
+#: Catalog columns indexed by catalog (type) index, for columnar sampling.
+CATALOG_CORES = np.array([t.cores for t in VM_TYPE_CATALOG], dtype=np.int64)
+CATALOG_MEMORY_GB = np.array([t.memory_gb for t in VM_TYPE_CATALOG],
+                             dtype=np.float64)
 
 #: Default popularity of each family.  General-purpose VMs dominate by count;
 #: memory-optimised VMs carry a large share of memory, which keeps the VM
@@ -126,6 +134,41 @@ def sample_vm_type(
     return VM_TYPE_CATALOG[indices[idx]]
 
 
+def sample_vm_type_indices(
+    rng: np.random.Generator,
+    n: int,
+    family_weights: Optional[Dict[str, float]] = None,
+) -> np.ndarray:
+    """Catalog indices of ``n`` sequential :func:`sample_vm_type` calls.
+
+    Bit for bit the same types, and the same generator state afterwards.
+    A scalar ``rng.choice(k, p=p)`` draws one ``rng.random()`` double ``u``
+    and returns ``cdf.searchsorted(u, side="right")`` with ``cdf =
+    p.cumsum(); cdf /= cdf[-1]``.  Each :func:`sample_vm_type` call makes
+    two such draws (family, then size), so the even doubles of one
+    ``rng.random(2 * n)`` pick families and the odd ones pick sizes.
+    """
+    families, probs = family_probabilities(family_weights)
+    draws = rng.random(2 * n)
+    family_draw = _cdf(probs).searchsorted(draws[0::2], side="right")
+    size_draws = draws[1::2]
+    indices = np.empty(n, dtype=np.int64)
+    for family_idx, family in enumerate(families):
+        mask = family_draw == family_idx
+        if mask.any():
+            candidates, size_weights = family_size_distribution(family)
+            picks = _cdf(size_weights).searchsorted(size_draws[mask], side="right")
+            indices[mask] = np.asarray(candidates)[picks]
+    return indices
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice`` searches."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def vm_mix_dram_per_core(
     rng: np.random.Generator,
     n_samples: int = 1000,
@@ -134,10 +177,6 @@ def vm_mix_dram_per_core(
     """Estimate the aggregate DRAM:core ratio of a sampled VM mix."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    total_cores = 0
-    total_memory = 0.0
-    for _ in range(n_samples):
-        t = sample_vm_type(rng, family_weights)
-        total_cores += t.cores
-        total_memory += t.memory_gb
-    return total_memory / total_cores
+    indices = sample_vm_type_indices(rng, n_samples, family_weights)
+    # Catalog memory sizes are whole GB, so the float sum is exact in any order.
+    return float(CATALOG_MEMORY_GB[indices].sum()) / int(CATALOG_CORES[indices].sum())

@@ -92,7 +92,8 @@ def run_rack_timeseries(
     """Stranding-over-time series for a set of racks (Figure 2b).
 
     Half of the racks experience a workload change at ``shift_day`` that
-    increases the share of memory-optimised VMs, driving stranding up.
+    triples the weight of memory-optimised VMs, which changes how much of
+    their DRAM is stranded.
     Each rack's trace is replayed as a lazy stream, so only one chunk of
     records exists at a time.
     """

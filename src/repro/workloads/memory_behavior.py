@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["UntouchedMemoryModel", "VMMemoryBehavior", "CustomerProfile"]
+__all__ = ["UntouchedMemoryModel", "VMMemoryBehavior", "CustomerProfile",
+           "vm_type_shift"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,11 @@ _VM_TYPE_SHIFT: Dict[str, float] = {
 }
 
 
+def vm_type_shift(vm_type: str) -> float:
+    """Untouched-fraction shift of one VM type (0 for unknown types)."""
+    return _VM_TYPE_SHIFT.get(vm_type, 0.0)
+
+
 class UntouchedMemoryModel:
     """Generative model for per-VM untouched-memory fractions.
 
@@ -67,20 +73,26 @@ class UntouchedMemoryModel:
         self.customers: Dict[str, CustomerProfile] = {}
         for i in range(n_customers):
             customer_id = f"customer-{i:04d}"
-            # Beta(1.6, 1.6) has median 0.5 and substantial spread.
-            mean_untouched = float(np.clip(self._rng.beta(1.6, 1.6), 0.02, 0.95))
+            # Beta(1.6, 1.6) has median 0.5 and substantial spread.  (The
+            # scalar min/max clip equals np.clip on these finite draws.)
+            mean_untouched = float(min(max(self._rng.beta(1.6, 1.6), 0.02), 0.95))
             # Customers are fairly consistent across their VMs -- the paper's
             # justification for using customer history as the dominant feature.
-            consistency = float(np.clip(self._rng.beta(6.0, 1.8), 0.2, 0.98))
+            consistency = float(min(max(self._rng.beta(6.0, 1.8), 0.2), 0.98))
             self.customers[customer_id] = CustomerProfile(
                 customer_id=customer_id,
                 mean_untouched_fraction=mean_untouched,
                 consistency=consistency,
             )
+        self._customer_ids = sorted(self.customers)
+        profiles = [self.customers[c] for c in self._customer_ids]
+        self._means = np.array([p.mean_untouched_fraction for p in profiles])
+        self._consistency = np.array([p.consistency for p in profiles])
 
     @property
     def customer_ids(self) -> List[str]:
-        return sorted(self.customers.keys())
+        """Customer ids in sorted order (computed once; do not mutate)."""
+        return self._customer_ids
 
     def profile(self, customer_id: str) -> CustomerProfile:
         if customer_id not in self.customers:
@@ -111,32 +123,32 @@ class UntouchedMemoryModel:
         centre, spread = self._centre_and_spread(
             profile.mean_untouched_fraction,
             profile.consistency,
-            _VM_TYPE_SHIFT.get(vm_type, 0.0),
+            vm_type_shift(vm_type),
         )
         value = rng.normal(float(centre), float(spread))
         return float(np.clip(value, 0.0, 0.98))
 
-    def sample_untouched_fractions_bulk(
+    def sample_untouched_fractions_by_index(
         self,
-        customer_ids: Sequence[str],
-        vm_types: Sequence[str],
+        customer_idx: np.ndarray,
+        vm_type_shifts: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Vectorized :meth:`sample_untouched_fraction` over aligned arrays.
 
-        Uses the same centre/spread formula as the scalar path (so the two
-        stay statistically equivalent by construction) but draws all normals
-        in one call, which bulk trace generation relies on.
+        ``customer_idx`` indexes :attr:`customer_ids`; ``vm_type_shifts``
+        holds each VM's :func:`vm_type_shift`.  Uses the same centre/spread
+        formula as the scalar path (so the two stay statistically
+        equivalent by construction) but draws all normals in one call,
+        which trace generation relies on.
         """
-        if len(customer_ids) != len(vm_types):
-            raise ValueError("customer_ids and vm_types must be aligned")
+        if len(customer_idx) != len(vm_type_shifts):
+            raise ValueError("customer_idx and vm_type_shifts must be aligned")
         rng = rng or self._rng
-        means = np.array(
-            [self.profile(c).mean_untouched_fraction for c in customer_ids]
+        centres, spreads = self._centre_and_spread(
+            self._means[customer_idx], self._consistency[customer_idx],
+            vm_type_shifts,
         )
-        consistency = np.array([self.profile(c).consistency for c in customer_ids])
-        shifts = np.array([_VM_TYPE_SHIFT.get(t, 0.0) for t in vm_types])
-        centres, spreads = self._centre_and_spread(means, consistency, shifts)
         values = rng.normal(centres, spreads)
         return np.clip(values, 0.0, 0.98)
 

@@ -9,6 +9,7 @@ from repro.cluster.tracegen import TraceGenConfig, TraceGenerator, generate_flee
 from repro.cluster.vm_types import (
     DEFAULT_FAMILY_WEIGHTS,
     VM_TYPE_CATALOG,
+    family_probabilities,
     get_vm_type,
     sample_vm_type,
     vm_mix_dram_per_core,
@@ -152,6 +153,25 @@ class TestTraceGenerator:
         share_before = np.mean([r.vm_family == "memory_optimized" for r in before])
         share_after = np.mean([r.vm_family == "memory_optimized" for r in after])
         assert share_after > share_before
+
+    @pytest.mark.parametrize("overrides, expected", [
+        (None, DEFAULT_FAMILY_WEIGHTS["memory_optimized"] * 3.0),
+        ({"memory_optimized": 0.1}, 0.3),
+        ({"general": 0.5}, DEFAULT_FAMILY_WEIGHTS["memory_optimized"] * 3.0),
+    ])
+    def test_workload_shift_scales_merged_memory_weight(self, overrides, expected):
+        """The shift multiplies the weight the sampler would otherwise use:
+        the default merged with the overrides, not a stale 0.20."""
+        cfg = TraceGenConfig(shift_day=1.0, shift_memory_factor=3.0,
+                             family_weights=overrides)
+        gen = TraceGenerator(cfg)
+        before = family_probabilities(gen._family_weights_at(0.0))
+        after = family_probabilities(gen._family_weights_at(86_400.0))
+        assert before[0] == after[0]
+        base = dict(DEFAULT_FAMILY_WEIGHTS, **(overrides or {}))
+        shifted = dict(base, memory_optimized=expected)
+        assert after[1] == pytest.approx(
+            [shifted[f] / sum(shifted.values()) for f in after[0]])
 
     def test_fleet_generation_varies_utilization(self):
         traces = generate_fleet(3, TraceGenConfig(n_servers=2, duration_days=0.3), seed=7)

@@ -3,6 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.vm_types import (
+    DEFAULT_FAMILY_WEIGHTS,
+    VM_TYPE_CATALOG,
+    sample_vm_type,
+    sample_vm_type_indices,
+)
 from repro.cxl.emc import EMCDevice
 from repro.cxl.latency import LatencyModel
 from repro.hypervisor.guest_os import GuestMemoryAllocator
@@ -18,6 +24,34 @@ from repro.workloads.sensitivity import SCENARIO_182, SCENARIO_222, slowdown_und
 
 CATALOG = build_catalog(seed=7)
 WORKLOADS = list(CATALOG)
+
+
+@st.composite
+def family_weight_overrides(draw):
+    """``None`` or overrides of a random family subset; zeros allowed, but
+    the merged weights are never all zero."""
+    if draw(st.booleans()):
+        return None
+    families = sorted(DEFAULT_FAMILY_WEIGHTS)
+    chosen = draw(st.lists(st.sampled_from(families), unique=True, min_size=1))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+    overrides = {f: draw(weight) for f in chosen}
+    if all(overrides.get(f, DEFAULT_FAMILY_WEIGHTS[f]) == 0.0 for f in families):
+        overrides[chosen[0]] = 1.0
+    return overrides
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=1, max_value=600),
+       weights=family_weight_overrides())
+@settings(max_examples=60, deadline=None)
+def test_vectorised_vm_type_sampler_equals_sequential_calls(seed, n, weights):
+    sequential = np.random.default_rng(seed)
+    vectorised = np.random.default_rng(seed)
+    expected = [sample_vm_type(sequential, weights) for _ in range(n)]
+    indices = sample_vm_type_indices(vectorised, n, weights)
+    assert [VM_TYPE_CATALOG[i] for i in indices] == expected
+    assert vectorised.bit_generator.state == sequential.bit_generator.state
 
 
 @given(pool_sockets=st.integers(min_value=2, max_value=128))
