@@ -15,6 +15,15 @@ than the metric's ``bound``, a relative change: for a lower-is-better
 metric, ``pr > parent * (1 + bound)``; for a higher-is-better one,
 ``pr < parent * (1 - bound)``.  Any run that reports ``failed > 0`` output
 checks fails the comparison too.
+
+Each row also carries the claim verdict of the choosing-metrics rule for
+a gain: ``gain`` when the PR won at least 9/10 of the seed pairs (a tie
+counts for neither side) and the medians differ, in the PR's favour, by
+more than the parent's IQR; otherwise ``no gain``.  A row is
+``unresolved`` instead when the parent's IQR, relative to its median,
+exceeds the metric's bound -- the runs spread too widely to tell -- unless
+every PR run beats every parent run.  The verdict does not change the exit
+status.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import statistics
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["load_results", "median_iqr", "compare", "perf_diff"]
+__all__ = ["load_results", "median_iqr", "claim_verdict", "compare", "perf_diff"]
 
 _RESULT_FILE = re.compile(r"^(?P<workload>.+)-seed(?P<seed>\d+)\.json$")
 
@@ -58,6 +67,24 @@ def median_iqr(values: Sequence[float]) -> Tuple[float, float]:
         return float(values[0]), 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return statistics.median(values), q3 - q1
+
+
+def claim_verdict(old: Sequence[float], new: Sequence[float], won: int,
+                  n_pairs: int, lower: bool, bound: float) -> str:
+    """``gain``, ``no gain`` or ``unresolved`` for one metric's parent and
+    PR runs, of which the PR won ``won`` of ``n_pairs`` seed pairs (see
+    the module docstring)."""
+    old_median, old_iqr = median_iqr(old)
+    new_median, _ = median_iqr(new)
+    if lower:
+        margin, dominates = old_median - new_median, max(new) < min(old)
+    else:
+        margin, dominates = new_median - old_median, min(new) > max(old)
+    if old_iqr > bound * abs(old_median) and not dominates:
+        return "unresolved"
+    if n_pairs and 10 * won >= 9 * n_pairs and margin > old_iqr:
+        return "gain"
+    return "no gain"
 
 
 def _value(result: dict, metric: str):
@@ -108,6 +135,7 @@ def compare(parent: Dict[str, Dict[int, dict]], pr: Dict[str, Dict[int, dict]],
                 pr_median=new_median, pr_iqr=new_iqr,
                 ratio=new_median / old_median if old_median else float("inf"),
                 won=won, pairs=len(pairs), bound=bound, worse=worse,
+                verdict=claim_verdict(old, new, won, len(pairs), lower, bound),
             ))
             if worse:
                 problems.append(
@@ -118,7 +146,7 @@ def compare(parent: Dict[str, Dict[int, dict]], pr: Dict[str, Dict[int, dict]],
 
 def _format_rows(rows: Sequence[dict]) -> List[str]:
     header = ("workload", "metric", "parent median (IQR)", "PR median (IQR)",
-              "PR/parent", "PR won", "bound")
+              "PR/parent", "PR won", "bound", "claim")
     table = [header]
     for row in rows:
         table.append((
@@ -128,6 +156,7 @@ def _format_rows(rows: Sequence[dict]) -> List[str]:
             f"{row['ratio']:.3f}",
             f"{row['won']}/{row['pairs']}",
             f"{row['bound']}" + (" WORSE" if row["worse"] else ""),
+            row["verdict"],
         ))
     widths = [max(len(line[i]) for line in table) for i in range(len(header))]
     return ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()

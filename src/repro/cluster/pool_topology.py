@@ -471,9 +471,8 @@ def _shard_arrival_events(
     per block."""
     streaming = not isinstance(trace, ClusterTrace)
     last_arrival = 0.0
-    for block, records, allocations in iter_policy_blocks(trace, policy, True):
-        vm_ids, arrivals, departs, cores, memory = (
-            block_replay_columns(block, records))
+    for block, allocations in iter_policy_blocks(trace, policy, True):
+        vm_ids, arrivals, departs, cores, memory = block_replay_columns(block)
         if streaming:
             last_arrival = _check_arrival_order(arrivals, vm_ids, last_arrival)
         columns = [arrivals.tolist(), departs.tolist(), cores.tolist(),
@@ -940,7 +939,7 @@ def _materialised_blocks(traces: Sequence[ClusterTrace], policies,
     horizons = [float(c.arrival_s[n - 1]) if n else 0.0
                 for c, n in zip(columns, counts)]
     allocations = np.concatenate([
-        np.asarray(next(iter_policy_blocks(trace, policy, True))[2],
+        np.asarray(next(iter_policy_blocks(trace, policy, True))[1],
                    dtype=np.float64)
         for trace, policy in zip(traces, policies)
     ])
@@ -981,9 +980,8 @@ def _stream_blocks(trace: TraceInput, policy):
     the sentinel block: only then is the stream known to have run out.
     """
     last = 0.0
-    for block, records, allocations in iter_policy_blocks(trace, policy, True):
-        vm_ids, arrival, departure, cores, memory = (
-            block_replay_columns(block, records))
+    for block, allocations in iter_policy_blocks(trace, policy, True):
+        vm_ids, arrival, departure, cores, memory = block_replay_columns(block)
         last = _check_arrival_order(arrival, vm_ids, last)
         yield (zip(repeat(0), arrival.tolist(), cores.tolist(),
                    memory.tolist(), allocations, vm_ids),

@@ -321,21 +321,23 @@ def iter_policy_blocks(
     trace: TraceInput,
     policy: Optional[PoolPolicy],
     use_pool: bool,
-) -> Iterator[Tuple[object, Sequence[VMTraceRecord], List[float]]]:
-    """Normalise a trace input into ``(block, records, pool_allocations)``.
+) -> Iterator[Tuple[object, List[float]]]:
+    """Normalise a trace input into ``(block, pool_allocations)`` pairs.
 
     ``block`` is the columnar carrier (the trace itself, or one
     :class:`TraceColumns` chunk); the replay loops read its replay columns
-    instead of touching record objects.
+    (:func:`block_replay_columns`) instead of touching record objects.
 
     A materialised trace is one block (its columnar view is cached on the
     trace); a stream yields one block per chunk, with the policy evaluated
     per chunk so at most one chunk's allocations exist at a time.
 
-    ``pool_allocations`` holds one plain float per record: ``decide_batch``
+    ``pool_allocations`` holds one plain float per VM: ``decide_batch``
     output, or the per-record callback's return converted with ``float()``,
-    clipped to ``[0, memory_gb]``; zeros without a pool or policy.  Every
-    replay resolves allocations here, so materialised and streamed replays
+    clipped to ``[0, memory_gb]``; zeros without a pool or policy.  Only a
+    per-record callback reads a chunk's records, so a stream of
+    columns-only chunks replays under any other policy.  Every replay
+    resolves allocations here, so materialised and streamed replays
     cannot drift apart (the byte-for-byte equivalence contract).
     ``float()`` comes before the clip so a callback returning a numpy
     scalar (say ``np.float32``) is clipped in float64, never rounded back
@@ -343,7 +345,7 @@ def iter_policy_blocks(
     """
 
     def resolve(block, records, memory_gb) -> List[float]:
-        n = len(records)
+        n = len(block)
         if not use_pool or policy is None:
             return [0.0] * n
         if hasattr(policy, "decide_batch"):
@@ -354,37 +356,34 @@ def iter_policy_blocks(
                     f"({n}), got shape {decided.shape}"
                 )
         else:
-            decided = np.fromiter((float(policy(r)) for r in records),
+            decided = np.fromiter((float(policy(r)) for r in records()),
                                   dtype=np.float64, count=n)
         return np.clip(decided, 0.0, memory_gb()).tolist()
 
     if isinstance(trace, ClusterTrace):
-        yield trace, trace.records, resolve(
-            trace, trace.records, lambda: trace.columns().memory_gb)
+        yield trace, resolve(trace, lambda: trace.records,
+                             lambda: trace.columns().memory_gb)
         return
     for chunk in trace.chunks():
-        records = chunk.records
-        if records is None:
-            raise ValueError(
-                "stream chunks must carry records "
-                "(build them with TraceColumns.from_records)"
-            )
-        yield chunk, records, resolve(chunk, records, lambda: chunk.memory_gb)
+        yield chunk, resolve(
+            chunk, lambda: chunk.require_records("a per-record policy"),
+            lambda: chunk.memory_gb)
 
 
-def block_replay_columns(block, records):
+def block_replay_columns(block):
     """(vm_ids, arrival, departure, cores, memory) of one block.
 
     The four numeric columns are numpy arrays: the block's replay columns
-    when it has them, otherwise built from the record objects (hand-built
-    :class:`TraceColumns`).  Either way ``tolist`` yields values
-    bit-identical to the record attributes.
+    when it has them, otherwise built from its record objects (a hand-built
+    :class:`TraceColumns` without replay columns).  Either way ``tolist``
+    yields values bit-identical to the record attributes.
     """
     if isinstance(block, ClusterTrace):
         block = block.columns()
     if block.arrival_s is not None:
         return (block.vm_ids, block.arrival_s, block.departure_s,
                 block.cores, block.memory_gb)
+    records = block.require_records("a block without replay columns")
     return (
         block.vm_ids,
         np.array([r.arrival_s for r in records], dtype=np.float64),

@@ -25,9 +25,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "TraceStream",
     "MaterializedTraceStream",
     "CsvTraceStream",
+    "check_record_columns",
     "write_csv",
 ]
 
@@ -118,28 +120,54 @@ class VMTraceRecord:
         return self.memory_gb * self.untouched_fraction
 
 
+def check_record_columns(arrival_s: np.ndarray, lifetime_s: np.ndarray,
+                         cores: np.ndarray, memory_gb: np.ndarray,
+                         untouched_fraction: np.ndarray) -> None:
+    """:meth:`VMTraceRecord.__post_init__` over whole columns.
+
+    The comparisons are the record's, written the same way round, so NaN
+    passes or fails exactly as it does there; the ``ValueError`` is the one
+    the first invalid row's record would raise.  Generated blocks validate
+    here, so every generated VM is checked even when no record is built.
+    """
+    first = None
+    for bad, message in (
+        (arrival_s < 0, "arrival time cannot be negative"),
+        (lifetime_s <= 0, "lifetime must be positive"),
+        (cores < 1, "cores must be >= 1"),
+        (memory_gb <= 0, "memory must be positive"),
+        (~((0.0 <= untouched_fraction) & (untouched_fraction <= 1.0)),
+         "untouched_fraction must be in [0, 1]"),
+    ):
+        if bad.any():
+            row = int(bad.argmax())
+            if first is None or row < first[0]:
+                first = (row, message)
+    if first is not None:
+        raise ValueError(first[1])
+
+
 @dataclass(frozen=True)
 class TraceColumns:
     """Columnar view of (a chunk of) a trace, in iteration (arrival) order.
 
-    Two producers build these blocks:
+    Three producers build these blocks:
 
     * :meth:`ClusterTrace.columns` -- a cached whole-trace view (``records``
       is ``None``; the owning trace already holds the records), so batch
       policy evaluation and the simulator's precomputed-allocation path
       extract per-VM attributes once per trace instead of once per pass.
-    * :class:`TraceStream` chunks -- one block per chunk, carrying the
-      chunk's ``records`` tuple as well, so the simulator can replay a chunk
-      (and legacy per-record policies can run) without the stream ever
-      materialising the full trace.
+    * :meth:`from_records` -- the chunks of CSV and materialised streams,
+      which keep the records they were built from.
+    * Generated stream chunks (:mod:`repro.cluster.tracegen`) -- columns
+      only, plus the columns only records need; ``records`` is built on
+      its first read and cached.  Batch policies and the replay loops read
+      columns, so a streamed replay builds no record objects.
     """
 
     vm_ids: Tuple[str, ...]
     memory_gb: np.ndarray
     untouched_fraction: np.ndarray
-    #: The chunk's records, present on stream chunks only (``None`` on the
-    #: cached whole-trace view, which would otherwise cycle with its trace).
-    records: Optional[Tuple[VMTraceRecord, ...]] = None
     #: Replay columns consumed by the array-engine simulator loop; always
     #: populated by :meth:`from_records` / :meth:`ClusterTrace.columns`
     #: (``None`` only on hand-built instances, which the simulator tolerates
@@ -147,9 +175,35 @@ class TraceColumns:
     arrival_s: Optional[np.ndarray] = None
     departure_s: Optional[np.ndarray] = None
     cores: Optional[np.ndarray] = None
+    #: Where :attr:`records` comes from: the records tuple itself
+    #: (:meth:`from_records`), an object whose ``build_records(block)``
+    #: builds them (generated blocks), or ``None`` for a block without
+    #: records (the cached whole-trace view, which would otherwise cycle
+    #: with its trace, and hand-built blocks).
+    record_source: Any = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.vm_ids)
+
+    @cached_property
+    def records(self) -> Optional[Tuple[VMTraceRecord, ...]]:
+        """The block's records, built on first read when the block was
+        generated; ``None`` when it carries columns only."""
+        source = self.record_source
+        if source is None or isinstance(source, tuple):
+            return source
+        return source.build_records(self)
+
+    def require_records(self, reader: str) -> Tuple[VMTraceRecord, ...]:
+        """:attr:`records`, or a ``ValueError`` naming the ``reader`` that
+        needs them when the block carries columns only."""
+        records = self.records
+        if records is None:
+            raise ValueError(
+                f"{reader} needs trace records, but this block carries "
+                f"columns only (build it with TraceColumns.from_records)"
+            )
+        return records
 
     @property
     def untouched_gb(self) -> np.ndarray:
@@ -174,11 +228,11 @@ class TraceColumns:
             untouched_fraction=np.fromiter(
                 (r.untouched_fraction for r in records), dtype=np.float64, count=n
             ),
-            records=records,
             arrival_s=arrival,
             # float64 addition matches VMTraceRecord.departure_s bit-for-bit.
             departure_s=arrival + lifetime,
             cores=np.fromiter((r.cores for r in records), dtype=np.int64, count=n),
+            record_source=records,
         )
 
 
@@ -215,7 +269,7 @@ class ClusterTrace:
             # whole-trace view just drops the records backlink, which would
             # otherwise cycle with this trace.
             self._columns = dataclasses.replace(
-                TraceColumns.from_records(self.records), records=None
+                TraceColumns.from_records(self.records), record_source=None
             )
         return self._columns
 
@@ -385,12 +439,7 @@ def write_csv(source, path, chunk_size: int = 8192) -> int:
     else:
         def record_chunks():
             for chunk in source.chunks():
-                if chunk.records is None:
-                    raise ValueError(
-                        "stream chunks must carry records "
-                        "(build them with TraceColumns.from_records)"
-                    )
-                yield chunk.records
+                yield chunk.require_records("write_csv")
     with _open_text(path, "w") as (handle, _label):
         writer = csv.writer(handle)
         writer.writerow(field_names)
@@ -412,9 +461,12 @@ class TraceStream:
       blocks on every call (streams are re-iterable: the fleet runner replays
       the same stream for the pooled run and the no-pooling baseline, and the
       capacity search replays it once per binary-search probe).
-    * Chunks are **self-contained**: each block carries its ``records`` tuple
-      plus the columnar arrays batch policies consume, so consumers hold at
-      most one chunk of records at a time.
+    * Chunks are **self-contained**: each block carries the columnar arrays
+      batch policies and the replay loops consume, and yields its
+      ``records`` on demand -- kept from :meth:`TraceColumns.from_records`,
+      or built on first read for generated chunks -- so consumers hold at
+      most one chunk at a time, and a replay under a batch policy builds no
+      record objects.
     * Records are globally **sorted by arrival time** across chunk
       boundaries; the simulator verifies this while replaying.
     * Chunking is **content-neutral**: the concatenation of all chunks is
@@ -437,7 +489,7 @@ class TraceStream:
         """Collect every chunk into a :class:`ClusterTrace` (O(trace) memory)."""
         records: List[VMTraceRecord] = []
         for chunk in self.chunks():
-            records.extend(chunk.records)
+            records.extend(chunk.require_records("materialize"))
         return ClusterTrace(records, cluster_id=self.cluster_id)
 
     def to_csv(self, path) -> int:

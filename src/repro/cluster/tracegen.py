@@ -34,7 +34,13 @@ import numpy as np
 
 from repro.cluster.rng import GOLDEN, MASK64, splitmix64
 from repro.cluster.server import ServerConfig
-from repro.cluster.trace import ClusterTrace, TraceColumns, TraceStream, VMTraceRecord
+from repro.cluster.trace import (
+    ClusterTrace,
+    TraceColumns,
+    TraceStream,
+    VMTraceRecord,
+    check_record_columns,
+)
 from repro.cluster.vm_types import (
     CATALOG_CORES,
     CATALOG_MEMORY_GB,
@@ -65,6 +71,60 @@ GENERATION_WINDOW_S = DAY_S
 #: Per-catalog-type columns that the generation windows index by type.
 _CATALOG_FAMILIES = [t.family for t in VM_TYPE_CATALOG]
 _CATALOG_UNTOUCHED_SHIFT = np.array([vm_type_shift(f) for f in _CATALOG_FAMILIES])
+
+#: Workload names attached to VMs, used to look up latency sensitivity.
+_WORKLOAD_NAMES = (
+    "web-frontend", "api-server", "redis-cache", "mysql-oltp", "spark-batch",
+    "ml-training", "video-transcode", "analytics-olap", "ci-runner",
+    "game-server", "mail-relay", "search-index",
+)
+
+
+@dataclass(frozen=True)
+class _RecordColumns:
+    """The attributes of a generated block that only its records need.
+
+    A generated :class:`TraceColumns` block carries these as its
+    ``record_source``: batch policies and the replay loops read the block's
+    own columns, and :meth:`build_records` runs only when a consumer reads
+    ``block.records``.  ``customer_ids`` is the memory model's customer
+    pool, indexed by ``customer_index``; ``type_index`` indexes the VM
+    type catalog and ``workload_index`` the generator's workload names.
+    """
+
+    cluster_id: str
+    region: str
+    customer_ids: Sequence[str]
+    lifetime_s: np.ndarray
+    customer_index: np.ndarray
+    type_index: np.ndarray
+    is_linux: np.ndarray
+    workload_index: np.ndarray
+
+    #: The per-row columns (``_concat_rows`` slices and concatenates them).
+    ROW_FIELDS = ("lifetime_s", "customer_index", "type_index", "is_linux",
+                  "workload_index")
+
+    def build_records(self, block: TraceColumns) -> Tuple[VMTraceRecord, ...]:
+        """The block's records, through the :class:`VMTraceRecord`
+        constructor, from ``.tolist()`` copies of the columns."""
+        n = len(block)
+        customers = self.customer_ids
+        return tuple(map(  # positional, in VMTraceRecord field order
+            VMTraceRecord,
+            block.vm_ids,
+            repeat(self.cluster_id, n),
+            block.arrival_s.tolist(),
+            self.lifetime_s.tolist(),
+            block.cores.tolist(),
+            block.memory_gb.tolist(),
+            [customers[i] for i in self.customer_index.tolist()],
+            [_CATALOG_FAMILIES[t] for t in self.type_index.tolist()],
+            ["linux" if linux else "windows" for linux in self.is_linux.tolist()],
+            repeat(self.region, n),
+            [_WORKLOAD_NAMES[w] for w in self.workload_index.tolist()],
+            block.untouched_fraction.tolist(),
+        ))
 
 
 @dataclass
@@ -116,13 +176,6 @@ class TraceGenConfig:
 
 class TraceGenerator:
     """Generates synthetic cluster traces from a :class:`TraceGenConfig`."""
-
-    #: Workload names attached to VMs, used to look up latency sensitivity.
-    _WORKLOAD_POOL = (
-        "web-frontend", "api-server", "redis-cache", "mysql-oltp", "spark-batch",
-        "ml-training", "video-transcode", "analytics-olap", "ci-runner",
-        "game-server", "mail-relay", "search-index",
-    )
 
     def __init__(self, config: TraceGenConfig,
                  memory_model: Optional[UntouchedMemoryModel] = None) -> None:
@@ -249,9 +302,10 @@ class TraceGenerator:
                       rng: np.random.Generator) -> TraceColumns:
         """One generation window as a self-contained :class:`TraceColumns`.
 
-        The columns come straight from the draws; the records are built
-        once, from the same values, through the :class:`VMTraceRecord`
-        constructor (so its validation runs on every generated VM).
+        The columns come straight from the draws and are validated in bulk
+        (:func:`check_record_columns`).  The attributes only records need
+        ride along as :class:`_RecordColumns`, so the block's records are
+        built only if a consumer reads them.
         """
         cfg = self.config
         n = arrivals.size
@@ -260,44 +314,40 @@ class TraceGenerator:
         untouched = self.memory_model.sample_untouched_fractions_by_index(
             customer_idx, _CATALOG_UNTOUCHED_SHIFT[types], rng
         )
-        linux = (rng.uniform(size=n) < 0.7).tolist()
-        workloads = rng.choice(self._WORKLOAD_POOL, size=n).tolist()
+        is_linux = rng.uniform(size=n) < 0.7
+        # The draw of rng.choice(_WORKLOAD_NAMES, size=n), kept as indices.
+        workload_idx = rng.choice(len(_WORKLOAD_NAMES), size=n)
         cores = CATALOG_CORES[types]
         memory_gb = CATALOG_MEMORY_GB[types]
+        check_record_columns(arrivals, lifetimes, cores, memory_gb, untouched)
         prefix = f"{cfg.cluster_id}-vm-"
         vm_ids = tuple(prefix + str(i) for i in range(first_index, first_index + n))
-        customer_pool = self.memory_model.customer_ids
-        records = tuple(map(  # positional, in VMTraceRecord field order
-            VMTraceRecord,
-            vm_ids,
-            repeat(cfg.cluster_id, n),
-            arrivals.tolist(),
-            lifetimes.tolist(),
-            cores.tolist(),
-            memory_gb.tolist(),
-            [customer_pool[i] for i in customer_idx.tolist()],
-            [_CATALOG_FAMILIES[t] for t in types.tolist()],
-            ["linux" if is_linux else "windows" for is_linux in linux],
-            repeat(cfg.region, n),
-            workloads,
-            untouched.tolist(),
-        ))
         return TraceColumns(
             vm_ids=vm_ids,
             memory_gb=memory_gb,
             untouched_fraction=untouched,
-            records=records,
             arrival_s=arrivals,
             # float64 addition matches VMTraceRecord.departure_s bit-for-bit.
             departure_s=arrivals + lifetimes,
             cores=cores,
+            record_source=_RecordColumns(
+                cluster_id=cfg.cluster_id,
+                region=cfg.region,
+                customer_ids=self.memory_model.customer_ids,
+                lifetime_s=lifetimes,
+                customer_index=customer_idx,
+                type_index=types,
+                is_linux=is_linux,
+                workload_index=workload_idx,
+            ),
         )
 
     def iter_window_records(self) -> Iterator[TraceColumns]:
         """Yield the trace one generation window at a time, in arrival order.
 
-        Each window is one :class:`TraceColumns` block that carries its
-        records as well (see :meth:`_window_block`).
+        Each window is one :class:`TraceColumns` block of columns, whose
+        records are built only if a consumer reads ``block.records`` (see
+        :meth:`_window_block`).
 
         The first yielded block is the warm-start population (arrivals at
         ``t = 0``, substream 0) when enabled; block ``i + 1`` covers time
@@ -351,6 +401,7 @@ class TraceGenerator:
         10^5..10^6-VM traces the scale benchmarks replay; :meth:`generate`
         delegates here.  For traces that should never be materialised at
         all, use :meth:`stream` instead -- it yields the very same records.
+        Unlike :meth:`stream`, it builds every record.
         """
         records: List[VMTraceRecord] = []
         for block in self.iter_window_records():
@@ -362,7 +413,7 @@ class TraceGenerator:
 
         Byte-for-byte identical to :meth:`generate_bulk` (both consume
         :meth:`iter_window_records`), while holding at most one generation
-        window plus one chunk of records in memory.
+        window plus one chunk in memory.
         """
         return GeneratedTraceStream(self, chunk_size=chunk_size)
 
@@ -378,7 +429,8 @@ class GeneratedTraceStream(TraceStream):
     Re-buffers the generator's window blocks (see
     :meth:`TraceGenerator.iter_window_records`) into ``chunk_size``-record
     :class:`TraceColumns` blocks by slicing and concatenating their columns
-    and records.  Window generation is driven by pure
+    (the record-only ones too); a chunk builds its records only when they
+    are read.  Window generation is driven by pure
     per-window RNG substreams, so every :meth:`chunks` call regenerates the
     identical trace -- the stream is re-iterable and picklable (it holds only
     the generator's config and memory model), which is what lets fleet
@@ -411,18 +463,24 @@ class GeneratedTraceStream(TraceStream):
 def _concat_rows(parts: Sequence[Tuple[TraceColumns, int, int]]) -> TraceColumns:
     """One block from the rows ``[start, stop)`` of each ``(block, start,
     stop)`` window block, in order; the arrays are copies, so a chunk never
-    keeps its windows alive."""
+    keeps its windows alive.  The record-only columns are concatenated the
+    same way, and no record is built."""
     def column(name: str) -> np.ndarray:
         return np.concatenate([getattr(b, name)[i:j] for b, i, j in parts])
+
+    def record_column(name: str) -> np.ndarray:
+        return np.concatenate(
+            [getattr(b.record_source, name)[i:j] for b, i, j in parts])
 
     return TraceColumns(
         vm_ids=tuple(chain.from_iterable(b.vm_ids[i:j] for b, i, j in parts)),
         memory_gb=column("memory_gb"),
         untouched_fraction=column("untouched_fraction"),
-        records=tuple(chain.from_iterable(b.records[i:j] for b, i, j in parts)),
         arrival_s=column("arrival_s"),
         departure_s=column("departure_s"),
         cores=column("cores"),
+        record_source=replace(parts[0][0].record_source, **{
+            name: record_column(name) for name in _RecordColumns.ROW_FIELDS}),
     )
 
 

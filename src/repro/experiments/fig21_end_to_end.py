@@ -114,9 +114,9 @@ def run_end_to_end_study(
     memory O(``stream_chunk_size``)); pass ``stream_chunk_size=None`` to
     pregenerate and reuse materialised shard traces across the grid.  That
     is faster when the fleet fits in memory, since streams regenerate on
-    every replay: a 4 x 12-server, 1-day study (seed 0) took a median
-    0.41 s streamed and 0.18 s materialised on a 2-vCPU host, with
-    identical savings.
+    every replay: a 4 x 12-server, 1-day study (seed 0, one call per fresh
+    interpreter, median of 7) took 0.23 s streamed and 0.17 s materialised
+    on a 2-vCPU host, with identical savings.
 
     ``provisioning`` selects the savings model: ``"peaks"`` (default) uses
     uniform peak-observation provisioning; ``"capacity"`` runs the

@@ -159,9 +159,9 @@ def reference_replay(trace, policy=None, **cluster):
     # the clip, so a numpy-scalar return is clipped in float64.
     batch = hasattr(policy, "decide_batch")
     streaming = not isinstance(trace, ClusterTrace)
-    for _block, records, allocations in iter_policy_blocks(
+    for block, allocations in iter_policy_blocks(
             trace, policy if batch else None, use_pool):
-        for index, record in enumerate(records):
+        for index, record in enumerate(block.records):
             if streaming and record.arrival_s < last_arrival:
                 raise ValueError(
                     f"stream records must be sorted by arrival time "

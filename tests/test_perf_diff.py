@@ -1,11 +1,12 @@
 """``python -m repro.analysis perf-diff`` on synthetic perfbench result sets."""
 
 import json
+import re
 
 import pytest
 
 from repro.analysis.cli import main
-from repro.analysis.perf_diff import load_results, median_iqr
+from repro.analysis.perf_diff import claim_verdict, load_results, median_iqr
 
 BENCHMARK = {
     "end_to_end": [
@@ -129,3 +130,47 @@ def test_unreadable_result_is_reported(repo, capsys):
     status, out = run(capsys, repo / "old", repo / "new")
     assert status == 1
     assert out.startswith("perf-diff: ") and "empty result file" in out
+
+
+def claim(out, metric="wall_s"):
+    line = next(line for line in out.splitlines() if f" {metric} " in line)
+    return re.search(r"(no gain|gain|unresolved)$", line).group(1)
+
+
+STEADY = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+
+
+@pytest.mark.parametrize("old, new, verdict", [
+    # 9/10 pairs won and a margin far beyond the parent's IQR.
+    (STEADY, [0.7] * 9 + [1.1], "gain"),
+    # 8/10 pairs won is short of 9/10.
+    (STEADY, [0.7] * 8 + [1.1] * 2, "no gain"),
+    # A tie counts for neither side: 9 wins and a tie still make 9/10 ...
+    ([1.0] * 10, [0.7] * 9 + [1.0], "gain"),
+    # ... but 8 wins and 2 ties do not.
+    ([1.0] * 10, [0.7] * 8 + [1.0] * 2, "no gain"),
+    # Every pair won, but the medians differ by less than the parent's IQR.
+    ([1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.15],
+     [0.95, 1.05, 1.15, 0.95, 1.05, 1.15, 0.95, 1.05, 1.15, 1.1], "no gain"),
+    # The parent's IQR exceeds the 0.25 bound and the runs overlap.
+    ([1.0, 2.0] * 5, [0.9, 1.9] * 5, "unresolved"),
+    # Wide parent spread, but every PR run beats every parent run.
+    ([1.0, 2.0] * 5, [0.2] * 10, "gain"),
+])
+def test_claim_verdict_per_row(repo, capsys, old, new, verdict):
+    write_set(repo / "old", "fig21_stream", old)
+    write_set(repo / "new", "fig21_stream", new)
+    status, out = run(capsys, repo / "old", repo / "new")
+    assert out.splitlines()[0].endswith("claim")
+    assert claim(out) == verdict
+    # vms_per_s mirrors wall_s (higher is better); equal RSS is no gain.
+    assert claim(out, "vms_per_s") == verdict
+    assert claim(out, "peak_rss_mib") == "no gain"
+    assert status == 0  # the verdict leaves the exit status alone
+
+
+def test_claim_verdict_higher_is_better():
+    assert claim_verdict([10.0] * 10, [12.0] * 10, 10, 10, False, 0.25) == "gain"
+    assert claim_verdict([10.0] * 10, [8.0] * 10, 0, 10, False, 0.25) == "no gain"
+    assert claim_verdict([5.0, 15.0] * 5, [6.0, 16.0] * 5, 10, 10, False,
+                         0.25) == "unresolved"
