@@ -507,9 +507,16 @@ class PredictionPolicy(_BatchPolicy):
         out[:, 3] = 0.3 * (1.0 - noise)
         return out
 
-    def _synth_features(self, memory_gb, untouched_fraction, digests):
-        """(metadata matrix, TMA matrix, uniforms) for a batch of VMs."""
+    def _tma_features(self, digests):
+        """(TMA matrix, uniforms) for a batch of VMs: all the forest reads."""
         uniforms = keyed_uniforms(digests, 8)
+        tma = self._tma_matrix(
+            uniforms[:, self._STREAM_TMA], uniforms[:, self._STREAM_NOISE]
+        )
+        return tma, uniforms
+
+    def _metadata_matrix(self, memory_gb, untouched_fraction, uniforms):
+        """The GBM's metadata matrix for a batch of VMs."""
         encoder = self.untouched_model.encoder
         cores = np.exp2(np.floor(uniforms[:, self._STREAM_CORES] * 4.0))
         codes = []
@@ -526,17 +533,12 @@ class PredictionPolicy(_BatchPolicy):
             + self._HISTORY_OFFSETS[None, :],
             0.0, 1.0,
         )
-        metadata = encoder.assemble_matrix(memory_gb, cores, codes, history)
-        tma = self._tma_matrix(
-            uniforms[:, self._STREAM_TMA], uniforms[:, self._STREAM_NOISE]
-        )
-        return metadata, tma, uniforms
+        return encoder.assemble_matrix(memory_gb, cores, codes, history)
 
     # -- decision core -----------------------------------------------------------
     def _decide_arrays(self, memory_gb, untouched_fraction, digests):
-        metadata, tma, uniforms = self._synth_features(
-            memory_gb, untouched_fraction, digests
-        )
+        tma, uniforms = self._tma_features(digests)
+        metadata = self._metadata_matrix(memory_gb, untouched_fraction, uniforms)
         predicted_fraction = self.untouched_model.predict_fraction_from_features(
             metadata
         )
@@ -588,7 +590,7 @@ class PredictionPolicy(_BatchPolicy):
         """
         memory_gb, untouched_fraction, digests = self._trace_arrays(trace)
         pool_gb = np.asarray(pool_gb, dtype=np.float64)
-        _, tma, _ = self._synth_features(memory_gb, untouched_fraction, digests)
+        tma, _ = self._tma_features(digests)
         scores = self.latency_model.insensitivity_score(tma)
         spilled_gb = np.maximum(
             pool_gb - untouched_fraction * memory_gb, 0.0

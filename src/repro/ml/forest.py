@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _transposed
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
 
@@ -95,10 +95,10 @@ class RandomForestClassifier(_BaseForest):
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        proba = np.zeros((X.shape[0], self.n_classes_))
+        XT = _transposed(X)
+        proba = np.zeros((XT.shape[1], self.n_classes_))
         for tree in self.estimators_:
-            tree_proba = tree.predict_proba(X)
+            tree_proba = tree._leaf_values(XT)
             # Align the tree's class ordering with the forest's ordering; a
             # bootstrap sample can miss classes entirely.
             for j, cls in enumerate(tree.classes_):
@@ -130,10 +130,10 @@ class RandomForestRegressor(_BaseForest):
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        preds = np.zeros(X.shape[0])
+        XT = _transposed(X)
+        preds = np.zeros(XT.shape[1])
         for tree in self.estimators_:
-            preds += tree.predict(X)
+            preds += tree._leaf_values(XT)[:, 0]
         return preds / len(self.estimators_)
 
     def score(self, X, y) -> float:

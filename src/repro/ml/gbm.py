@@ -21,28 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeRegressor, TreeNode
+from repro.ml.tree import DecisionTreeRegressor, _transposed
 
 __all__ = ["GradientBoostingRegressor", "QuantileGradientBoostingRegressor"]
-
-
-def _assign_leaves(tree: DecisionTreeRegressor, X: np.ndarray) -> np.ndarray:
-    """Return, for every row of ``X``, the id() of the leaf node it reaches."""
-    leaf_ids = np.empty(X.shape[0], dtype=np.int64)
-    for i, row in enumerate(X):
-        node = tree.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        leaf_ids[i] = id(node)
-    return leaf_ids
-
-
-def _iter_leaves(node: TreeNode):
-    if node.is_leaf:
-        yield node
-    else:
-        yield from _iter_leaves(node.left)
-        yield from _iter_leaves(node.right)
 
 
 class GradientBoostingRegressor:
@@ -90,6 +71,7 @@ class GradientBoostingRegressor:
             raise ValueError("X and y have mismatched lengths")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
+        XT = _transposed(X)
         rng = np.random.default_rng(self.random_state)
         self.init_ = self._initial_prediction(y)
         pred = np.full(y.shape, self.init_)
@@ -109,15 +91,18 @@ class GradientBoostingRegressor:
             )
             tree.fit(X[idx], grad[idx])
             # Re-label leaves with the loss-specific optimal update computed on
-            # the *true* residuals (LightGBM-style leaf refinement).
-            leaf_of_row = _assign_leaves(tree, X)
+            # the *true* residuals (LightGBM-style leaf refinement), in the
+            # tree and in its flattened form alike.
+            flat = tree._flattened()
+            leaf_of_row = tree._leaf_index(XT)
             residual = y - pred
-            for leaf in _iter_leaves(tree.root_):
-                mask = leaf_of_row == id(leaf)  # repro: noqa DET002 -- leaf ids captured and compared within one fit pass; the tree keeps every leaf alive
-                if mask.any():
-                    leaf.value = np.array([self._leaf_update(residual[mask])])  # repro: noqa DET002 -- mask is the boolean array from the comparison above, not an address key
-            tree._flat = None  # leaf refinement invalidates the flattened form
-            update = tree.predict(X)
+            for i, node in enumerate(flat.nodes):
+                if node.is_leaf:
+                    mask = leaf_of_row == i
+                    if mask.any():
+                        node.value = np.array([self._leaf_update(residual[mask])])
+                        flat.values[i] = node.value
+            update = flat.values[leaf_of_row, 0]
             pred = pred + self.learning_rate * update
             self.estimators_.append(tree)
         return self
@@ -125,20 +110,20 @@ class GradientBoostingRegressor:
     def predict(self, X) -> np.ndarray:
         if not self.estimators_:
             raise RuntimeError("this model has not been fitted yet")
-        X = np.asarray(X, dtype=float)
-        pred = np.full(X.shape[0], self.init_)
+        XT = _transposed(X)
+        pred = np.full(XT.shape[1], self.init_)
         for tree in self.estimators_:
-            pred = pred + self.learning_rate * tree.predict(X)
+            pred = pred + self.learning_rate * tree._leaf_values(XT)[:, 0]
         return pred
 
     def staged_predict(self, X):
         """Yield predictions after each boosting stage (for learning curves)."""
         if not self.estimators_:
             raise RuntimeError("this model has not been fitted yet")
-        X = np.asarray(X, dtype=float)
-        pred = np.full(X.shape[0], self.init_)
+        XT = _transposed(X)
+        pred = np.full(XT.shape[1], self.init_)
         for tree in self.estimators_:
-            pred = pred + self.learning_rate * tree.predict(X)
+            pred = pred + self.learning_rate * tree._leaf_values(XT)[:, 0]
             yield pred.copy()
 
 

@@ -13,12 +13,25 @@ untouched-memory model.  They implement the classic CART algorithm:
 The implementation is vectorised with numpy where it matters (candidate-split
 scanning is done on sorted columns with cumulative statistics) so that the
 test-suite and the benchmark harness run in seconds, not minutes.
+
+Prediction runs through one kernel, :meth:`_BaseDecisionTree._leaf_index`,
+which every tree, forest and boosting predict path shares.  It walks the
+flattened tree node by node and carries a boolean *reach mask* per node:
+an internal node compares one contiguous row of the transposed feature
+matrix against its threshold, its left child's reach is ``go_left & reach``
+and its right child's is the rest of ``reach``; a leaf stamps its index
+into the rows it reaches.  Every node applies the same ``x[feature] <=
+threshold`` test as a row-by-row walk of :class:`TreeNode`, so every row
+reaches the same leaf bit for bit -- NaN compares false and goes right,
+``-inf`` goes left, ``+inf`` right.  Its cost scales with the node count
+times the row count, with one compare and two boolean ops per internal
+node, instead of depth times row count gathers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,6 +94,29 @@ def _resolve_max_features(max_features, n_features: int) -> int:
     if value < 1:
         raise ValueError("max_features must be >= 1")
     return min(value, n_features)
+
+
+class _FlatTree(NamedTuple):
+    """A fitted tree in preorder arrays (see ``_flattened``)."""
+
+    feature: List[int]  # split feature per node, -1 at leaves
+    threshold: List[float]
+    left: List[int]
+    right: List[int]
+    values: np.ndarray  # node value per node, one row each
+    nodes: List[TreeNode]
+
+
+def _transposed(X) -> np.ndarray:
+    """Validated feature matrix as the kernel reads it: one row per feature.
+
+    Ensembles transpose once per predict call and hand the result to every
+    tree's :meth:`_BaseDecisionTree._leaf_index`.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("X must be a 2-D array")
+    return np.ascontiguousarray(X.T)
 
 
 class _BaseDecisionTree:
@@ -210,68 +246,103 @@ class _BaseDecisionTree:
         if self.root_ is None:
             raise RuntimeError("this tree has not been fitted yet")
 
-    def _flattened(self):
-        """Array form of the fitted tree for vectorised prediction.
+    def _flattened(self) -> "_FlatTree":
+        """Array form of the fitted tree for the prediction kernel.
 
-        Built lazily at first predict (the GBM relabels leaf values between
-        ``fit`` and the first ``predict``, so flattening cannot happen in
-        ``fit``) and invalidated by refitting.  Leaves carry ``feature ==
-        -1``; internal nodes carry their child indices.
+        Built lazily at first predict and invalidated by refitting; the
+        GBM's leaf refinement rewrites ``values`` and the leaf nodes
+        together.  Nodes are numbered in preorder (left subtree first) as
+        the walk visits them: a node's left child is the next index, and
+        its right child's index is filled in when the walk reaches it.
         """
-        flat = getattr(self, "_flat", None)
+        flat = self._flat
         if flat is not None:
             return flat
-        order: list = []
-        stack = [self.root_]
+        nodes: list = []
+        feature: list = []
+        threshold: list = []
+        left: list = []
+        right: list = []
+        stack = [(self.root_, -1)]  # (node, index of the parent it is right of)
         while stack:
-            node = stack.pop()
-            order.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        index = {id(node): i for i, node in enumerate(order)}  # repro: noqa DET002 -- transient flatten mapping; `order` pins every node alive for its lifetime
-        n_nodes = len(order)
-        feature = np.full(n_nodes, -1, dtype=np.int64)
-        threshold = np.zeros(n_nodes, dtype=float)
-        left = np.zeros(n_nodes, dtype=np.int64)
-        right = np.zeros(n_nodes, dtype=np.int64)
-        values = np.empty((n_nodes,) + self.root_.value.shape, dtype=float)
-        for i, node in enumerate(order):
-            values[i] = node.value
-            if not node.is_leaf:
-                feature[i] = node.feature
-                threshold[i] = node.threshold
-                left[i] = index[id(node.left)]  # repro: noqa DET002 -- transient flatten mapping; `order` pins every node alive for its lifetime
-                right[i] = index[id(node.right)]  # repro: noqa DET002 -- transient flatten mapping; `order` pins every node alive for its lifetime
-        self._flat = (feature, threshold, left, right, values)
+            node, right_of = stack.pop()
+            i = len(nodes)
+            nodes.append(node)
+            if right_of >= 0:
+                right[right_of] = i
+            right.append(0)
+            if node.is_leaf:
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(0)
+            else:
+                feature.append(int(node.feature))
+                threshold.append(float(node.threshold))
+                left.append(i + 1)
+                stack.append((node.right, i))
+                stack.append((node.left, -1))
+        values = np.array([node.value for node in nodes], dtype=float)
+        self._flat = _FlatTree(feature, threshold, left, right, values, nodes)
         return self._flat
 
-    def _node_values(self, X: np.ndarray) -> np.ndarray:
+    def _leaf_index(self, XT: np.ndarray) -> np.ndarray:
+        """Flat index of the leaf each sample reaches: the prediction kernel.
+
+        ``XT`` is the transposed, C-contiguous feature matrix (one row per
+        feature, one column per sample; see :func:`_transposed`), so each
+        split reads one contiguous row.  The walk is depth first with one
+        reach mask per pending node: an internal node computes ``go_left =
+        XT[feature] <= threshold``, hands ``go_left & reach`` to its left
+        child and ``reach ^ left`` to its right child, and a leaf stamps its
+        index into the samples its reach covers.  Being the same ``<=`` per
+        node as a nodewise walk, the result is identical bit for bit, NaN
+        included (it compares false, so it goes right).  Cost: one compare
+        and two boolean ops per internal node and one multiply-add per
+        leaf, each over all samples -- node count times samples, whatever
+        the tree's shape or depth.
+        """
         self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-D array")
-        if X.shape[1] != self.n_features_:
+        if XT.shape[0] != self.n_features_:
             raise ValueError(
-                f"X has {X.shape[1]} features, expected {self.n_features_}"
+                f"X has {XT.shape[0]} features, expected {self.n_features_}"
             )
-        # Vectorised routing over the flattened tree: every row walks one
-        # level per iteration (bounded by tree depth), with the exact same
-        # ``x[feature] <= threshold`` comparisons as a nodewise walk --
-        # bit-identical results, orders of magnitude faster at fleet scale.
-        feature, threshold, left, right, values = self._flattened()
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        if feature[0] >= 0:
-            rows = np.arange(X.shape[0])
-            while True:
-                feats = feature[idx]
-                active = feats >= 0
-                if not active.any():
-                    break
-                go_left = X[rows, np.where(active, feats, 0)] <= threshold[idx]
-                nxt = np.where(go_left, left[idx], right[idx])
-                idx = np.where(active, nxt, idx)
-        return values[idx]
+        feature, threshold, left, right, _, _ = self._flattened()
+        leaf = np.zeros(XT.shape[1], dtype=np.int32)
+        if feature[0] < 0:
+            return leaf
+        stamp = np.empty_like(leaf)
+        stack = [(0, None)]  # the root's reach is every sample
+        while stack:
+            node, reach = stack.pop()
+            f = feature[node]
+            if f < 0:
+                # Leaf reaches partition the samples, so adding ``node *
+                # reach`` stamps the index; on a dense, scattered mask this
+                # is several times faster than a masked ``np.copyto``.
+                np.multiply(reach, node, out=stamp, dtype=np.int32)
+                np.add(leaf, stamp, out=leaf)
+                continue
+            go_left = XT[f] <= threshold[node]
+            if reach is None:
+                go_right = ~go_left
+            else:
+                np.logical_and(go_left, reach, out=go_left)
+                # ``reach`` belongs to this node alone, so the right
+                # child's mask can reuse its buffer.
+                go_right = np.logical_xor(reach, go_left, out=reach)
+            stack.append((right[node], go_right))
+            stack.append((left[node], go_left))
+        return leaf
+
+    def _leaf_values(self, XT: np.ndarray) -> np.ndarray:
+        """Value of the reached leaf per sample of a transposed matrix."""
+        # ``np.take`` is the same gather as ``values[leaf]``, minus the
+        # generic fancy-index machinery (several times faster on 2-D).
+        return np.take(self._flattened().values, self._leaf_index(XT), axis=0)
+
+    def _node_values(self, X) -> np.ndarray:
+        self._check_fitted()
+        return self._leaf_values(_transposed(X))
 
     # -- introspection ------------------------------------------------------
     def node_count(self) -> int:
