@@ -1,11 +1,11 @@
-"""Project-specific static analysis: determinism lint, pickle safety, contracts.
+"""Project-specific static analysis: determinism lint, pickle safety, sanitizer.
 
 Every correctness incident in this repo's history was a determinism or
 invariant bug found *after* it shipped: ``id()``-keyed dimensioner caches
 (PR 1), ``PYTHONHASHSEED``-dependent ``hash()`` policy draws (PR 2), stale
 pickle fingerprints from RNG scratch (PR 8), ledger drift clamps (PR 9).
 This package catches that bug class at lint time instead of at differential-
-test time.  Four layers:
+test time.  Three layers:
 
 * :mod:`repro.analysis.det_rules` -- the determinism lint: an AST pass over
   library code flagging ``hash()``/``id()`` used as keys or fingerprints,
@@ -19,10 +19,6 @@ test time.  Four layers:
   factories, probe tasks, fault schedules, fleet shard specs) and flags
   unpicklable or fingerprint-unstable attribute hazards (weakrefs, locks,
   open handles, RNG scratch) on classes lacking ``__getstate__``.
-* :mod:`repro.analysis.contracts` -- the event-ordering contract checker:
-  verifies the documented replay ordering (departures -> faults -> sample ->
-  QoS tick -> evacuation retries; DESIGN.md sections 10-12) against the
-  actual call sequences in ``simulator.py`` and ``pool_topology.py``.
 * :mod:`repro.analysis.sanitizer` -- the opt-in runtime sanitizer
   (``REPRO_SANITIZE=1``): invariant-asserting wrappers on
   ``PoolGroupLedger`` / ``ArrayPlacementEngine`` mutators (no negative pool

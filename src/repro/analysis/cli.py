@@ -4,8 +4,7 @@ Subcommands::
 
     lint [paths...]        determinism lint, diffed against the baseline
     pickle-safety          pool-boundary pickle hazards
-    contracts              event-ordering contract checker
-    check [paths...]       lint + pickle-safety + contracts in one run
+    check [paths...]       lint + pickle-safety in one run
     determinism            fault-determinism differential stats (canonical
                            JSONL on stdout; diffed across PYTHONHASHSEED
                            values by CI)
@@ -78,26 +77,11 @@ def _cmd_pickle_safety(args) -> int:
     return 0
 
 
-def _cmd_contracts(args) -> int:
-    from repro.analysis.contracts import check_contracts
-
-    findings = check_contracts(args.pool_topology)
-    _print_findings(findings, show_hints=not args.no_hints)
-    if findings:
-        print(f"\n{len(findings)} contract violation(s)")
-        return 1
-    print("clean: replay event-ordering contracts hold "
-          "(departures -> faults -> sample -> QoS tick -> retries)")
-    return 0
-
-
 def _cmd_check(args) -> int:
     status = _cmd_lint(args)
     args.src = "src"
     args.root = ()
     status = _cmd_pickle_safety(args) or status
-    args.pool_topology = None
-    status = _cmd_contracts(args) or status
     return status
 
 
@@ -124,13 +108,11 @@ def _cmd_perf_diff(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    from repro.analysis.contracts import ORDER_RULES
     from repro.analysis.det_rules import RULES
     from repro.analysis.pickle_safety import PICKLE_RULES
 
     table = dict(RULES)
     table.update(PICKLE_RULES)
-    table.update(ORDER_RULES)
     table["NOQ001"] = (
         "suppression without codes or a reason",
         "write '# repro: noqa DET00x -- reason'",
@@ -180,15 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "the built-in pool-boundary set)")
     pickle_cmd.set_defaults(func=_cmd_pickle_safety)
 
-    contracts = sub.add_parser(
-        "contracts", help="replay event-ordering contract checker")
-    contracts.add_argument("--pool-topology", default=None,
-                           help="pool_topology.py to check (default: the "
-                                "installed repro.cluster.pool_topology)")
-    contracts.set_defaults(func=_cmd_contracts)
-
     check = sub.add_parser(
-        "check", help="lint + pickle-safety + contracts in one run")
+        "check", help="lint + pickle-safety in one run")
     check.add_argument("paths", nargs="*", default=["src"])
     check.add_argument("--baseline", default=BASELINE_DEFAULT)
     check.add_argument("--update-baseline", action="store_true",

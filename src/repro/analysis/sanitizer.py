@@ -22,11 +22,11 @@ Violations raise :class:`SanitizerError` (an ``AssertionError`` subclass)
 at the faulty call, so a tier-1 run under the sanitizer pinpoints the
 mutation that broke the ledger rather than the replay that later noticed.
 
-The wrappers only see the engine-method path (the cross-shard events
-loop, which also runs every online or faulted single-cluster replay).  The
-inlined hot loop (``_replay_crossshard_inlined``, which runs every static
-replay) bypasses them by design; differential tests pin it byte-identical
-to the method path, so sanitizing the method path covers it too.
+The wrappers see the engine methods the replay loop's cold hooks call
+(QoS mitigations, the fault ladder's migrations and kills, and every
+departure of an online or faulted replay).  The loop's inlined
+placements and static departures bypass them by design: the brute-force
+oracles and the pinned fixtures cover that path.
 
 Overhead is a few dict walks per mutation -- fine for tests, not for
 benchmarks; that is why it is opt-in.

@@ -8,9 +8,11 @@ uses.  It keeps cluster state as flat struct-of-arrays:
 * cluster aggregates (used cores, used GB, stranded GB, running VMs)
   maintained incrementally, and
 * live placements as parallel arrays indexed by an integer **VM handle**
-  (handles are recycled through a free list), so the departure side stores
-  only ``(time, seq, handle)`` triples and the event heap never carries
-  strings or objects.
+  (handles are recycled through a free list), so a departure needs only
+  the handle.
+
+A fleet's shard engines (:meth:`ArrayPlacementEngine.fleet`) share one
+set of these lists, which the replay loop also binds to locals.
 
 Hot state lives in plain Python lists: the per-event operations are scalar
 reads/writes, where list indexing is what CPython executes fastest (numpy
@@ -20,7 +22,7 @@ Placement is best fit: free-core buckets hold ``(free_local_gb,
 server_index)`` sorted lists and are walked from the fewest feasible free
 cores upwards, so the first server whose pool group and fullest fitting
 NUMA node accept the request is the one with the fewest free cores, then
-the least free memory, then the lowest index.  The replay loops inline
+the least free memory, then the lowest index.  The replay loop inlines
 :meth:`ArrayPlacementEngine.place` / :meth:`~ArrayPlacementEngine.remove`
 statement for statement; ``tests/reference_replay.py`` is a brute-force
 replay (linear scan, no indexes) that every replay is differential-tested
@@ -29,6 +31,7 @@ against byte for byte (DESIGN.md section 6).
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,8 +47,25 @@ class PlacementError(RuntimeError):
 class ArrayPlacementEngine:
     """Struct-of-arrays cluster state with best-fit bucket-walk placement.
 
-    Built for a fresh uniform cluster, directly or with :meth:`for_cluster`.
-    Placement and removal return and consume integer VM handles.
+    Built for a fresh uniform cluster, directly or with :meth:`for_cluster`;
+    :meth:`fleet` builds one engine per shard of a fleet over shared
+    fleet-wide lists.  Placement and removal return and consume integer VM
+    handles.
+
+    Server indices are **fleet indices**: an engine owns servers
+    ``offset .. offset + n_servers - 1`` of its (possibly shared) per-server
+    and per-node lists, bucket entries and ``vm_server`` hold fleet indices,
+    and a standalone engine is the one-shard fleet with ``offset == 0``.
+    The cluster aggregates live in per-shard slots of shared lists
+    (``agg_cores[shard]`` and so on), read through :attr:`used_cores`,
+    :attr:`used_local_gb`, :attr:`stranded_gb` and :attr:`running_vms`.
+    The replay loop inlines :meth:`place` and :meth:`remove` over the same
+    lists, so both always see one live state.
+
+    Full servers are not indexed (**full-server elision**): a placement that
+    fills a server drops it from its bucket without inserting it into
+    ``_buckets[0]``, so that bucket goes stale.  Only a zero-core request
+    walks it, and such a request rebuilds it first (:func:`_full_bucket`).
     """
 
     def __init__(
@@ -59,14 +79,12 @@ class ArrayPlacementEngine:
     ) -> None:
         if n_servers < 1:
             raise ValueError("need at least one server")
-        self.n_servers = n_servers
         self.config = config
         self.sockets = config.sockets
         self.cores_per_socket = config.cores_per_socket
         self.dram_per_socket_gb = config.dram_per_socket_gb
         self.server_total_cores = config.total_cores
         self.server_total_dram_gb = config.total_dram_gb
-        self.server_ids: List[str] = [f"server-{i:04d}" for i in range(n_servers)]
 
         # -- struct-of-arrays state ------------------------------------------------
         n_nodes = n_servers * self.sockets
@@ -86,12 +104,9 @@ class ArrayPlacementEngine:
         if len(self.group_of) != n_servers:
             raise ValueError("group_of must have one entry per server")
         #: shared pool accounting, keyed by group id.  All three dicts may be
-        #: the caller's (they are mutated in place);
-        #: passing shared ``pool_used_gb`` / ``pool_peak_gb`` dicts lets a
-        #: fleet-owned ledger span several engines -- the cross-shard pool
-        #: topology (repro.cluster.pool_topology) builds one engine per shard
-        #: over one shared ledger, so a pool group's draw/release/peak
-        #: accounting is externally ownable.
+        #: the caller's (they are mutated in place); passing shared dicts
+        #: lets a fleet-owned ledger span several engines (the cross-shard
+        #: pool topology, repro.cluster.pool_topology).
         self.pool_free_gb: Dict[int, float] = (
             pool_free_gb if pool_free_gb is not None else {}
         )
@@ -104,30 +119,88 @@ class ArrayPlacementEngine:
             else {g: 0.0 for g in self.pool_free_gb}
         )
 
-        # -- cluster aggregates ----------------------------------------------------
-        self.total_cores = n_servers * self.server_total_cores
-        self.used_cores = 0
-        self.used_local_gb = 0.0
-        self.stranded_gb = 0.0
-        self.running_vms = 0
+        # -- cluster aggregates, one slot per shard --------------------------------
+        self.agg_cores: List[int] = [0]
+        self.agg_local_gb: List[float] = [0.0]
+        self.agg_stranded_gb: List[float] = [0.0]
+        self.agg_running: List[int] = [0]
+        self._own(0, 0, n_servers)
 
-        # -- candidate index -------------------------------------------------------
-        #: free-core count -> sorted [(free_local_gb, server_index), ...]
+    def _own(self, shard: int, offset: int, n_servers: int) -> None:
+        """Set the state an engine does not share: its servers, its
+        candidate index and its live placements."""
+        self.shard = shard
+        self.offset = offset
+        self.n_servers = n_servers
+        self.total_cores = n_servers * self.server_total_cores
+        self.server_ids: List[str] = [f"server-{i:04d}" for i in range(n_servers)]
+        #: free-core count -> sorted [(free_local_gb, server_index), ...];
+        #: fresh servers share one key, so ascending index order is sorted.
         self._buckets: List[List[Tuple[float, int]]] = [
             [] for _ in range(self.server_total_cores + 1)
         ]
-        full = (self.server_total_cores, self.server_total_dram_gb)
-        self._bucket_key: List[Tuple[int, float]] = [full] * n_servers
-        # Fresh servers share one key, so ascending index order is sorted.
-        self._buckets[full[0]] = [(full[1], i) for i in range(n_servers)]
-
-        # -- live placements, indexed by handle ------------------------------------
+        self._buckets[self.server_total_cores] = [
+            (self.server_total_dram_gb, offset + i) for i in range(n_servers)
+        ]
+        #: live placements, indexed by handle.
         self.vm_server: List[int] = []
         self.vm_node: List[int] = []
         self.vm_cores: List[int] = []
         self.vm_local_gb: List[float] = []
         self.vm_pool_gb: List[float] = []
         self._free_handles: List[int] = []
+
+    @classmethod
+    def fleet(
+        cls,
+        shard_sizes: Sequence[int],
+        config: ServerConfig,
+        group_of: Sequence[int],
+        pool_free_gb: Dict[int, float],
+        pool_used_gb: Dict[int, float],
+        pool_peak_gb: Dict[int, float],
+    ) -> List["ArrayPlacementEngine"]:
+        """One engine per shard over shared fleet-wide state.
+
+        ``group_of`` maps every fleet server (shards concatenated in order)
+        to its pool group.  The engines share the per-server and per-node
+        lists, the aggregate lists (one slot per shard) and the three pool
+        dicts, so an operation through any engine -- or through the replay
+        loop that inlines them -- is visible to all.
+        """
+        if any(n < 1 for n in shard_sizes):
+            raise ValueError("need at least one server")
+        whole = cls(sum(shard_sizes), config, group_of, pool_free_gb,
+                    pool_used_gb, pool_peak_gb)
+        n_shards = len(shard_sizes)
+        whole.agg_cores = [0] * n_shards
+        whole.agg_local_gb = [0.0] * n_shards
+        whole.agg_stranded_gb = [0.0] * n_shards
+        whole.agg_running = [0] * n_shards
+        engines = []
+        offset = 0
+        for shard, n_servers in enumerate(shard_sizes):
+            engine = copy.copy(whole)
+            engine._own(shard, offset, n_servers)
+            engines.append(engine)
+            offset += n_servers
+        return engines
+
+    @property
+    def used_cores(self) -> int:
+        return self.agg_cores[self.shard]
+
+    @property
+    def used_local_gb(self) -> float:
+        return self.agg_local_gb[self.shard]
+
+    @property
+    def stranded_gb(self) -> float:
+        return self.agg_stranded_gb[self.shard]
+
+    @property
+    def running_vms(self) -> int:
+        return self.agg_running[self.shard]
 
     # -- constructors ----------------------------------------------------------------
     @classmethod
@@ -181,20 +254,29 @@ class ArrayPlacementEngine:
         """Select + commit; returns the VM handle, or -1 when nothing fits.
 
         Updates per-server usage and peaks, the pool ledger, and the
-        cluster aggregates in the fixed order the replay loops inline.
+        cluster aggregates in the fixed order the replay loop inlines.
         Raises :class:`PlacementError` for a pool request that lands on a
         server outside every pool group; usage is rolled back but the
         server's peaks keep the transient placement.
         """
         node_cores = self.node_used_cores
         node_gb = self.node_used_gb
+        used_cores_srv = self.used_cores_srv
+        used_gb_srv = self.used_gb_srv
         sockets = self.sockets
+        stc = self.server_total_cores
+        std = self.server_total_dram_gb
         cores_limit = self.cores_per_socket - cores
         gb_limit = self.dram_per_socket_gb - local_gb + 1e-9
         need_pool = pool_gb > 0
         group_of = self.group_of
         pool_free = self.pool_free_gb
         buckets = self._buckets
+        if cores < 1:
+            # The walk starts at the full-server bucket, which the elision
+            # leaves stale.
+            buckets[0] = _full_bucket(used_cores_srv, used_gb_srv, stc, std,
+                                      self.offset, self.n_servers)
 
         sidx = -1
         best_node = -1
@@ -224,29 +306,22 @@ class ArrayPlacementEngine:
             return -1
 
         # -- commit ---------------------------------------------------------------
-        used_cores_srv = self.used_cores_srv
-        used_gb_srv = self.used_gb_srv
-        pool_used_srv = self.pool_used_srv
-        stc = self.server_total_cores
-        std = self.server_total_dram_gb
-
-        before_cores = used_cores_srv[sidx]
-        stranded_before = std - used_gb_srv[sidx] if before_cores >= stc else 0.0
-
         pos = sidx * sockets + best_node
         node_cores[pos] += cores
         node_gb[pos] += local_gb
+        before_cores = used_cores_srv[sidx]
+        old_gb = used_gb_srv[sidx]
         new_cores = before_cores + cores
         used_cores_srv[sidx] = new_cores
-        new_gb = used_gb_srv[sidx] + local_gb
+        new_gb = old_gb + local_gb
         used_gb_srv[sidx] = new_gb
-        pool_used_srv[sidx] += pool_gb
         if new_gb > self.peak_local_gb[sidx]:
             self.peak_local_gb[sidx] = new_gb
-        if pool_used_srv[sidx] > self.peak_pool_gb[sidx]:
-            self.peak_pool_gb[sidx] = pool_used_srv[sidx]
-
         if need_pool:
+            pool_srv = self.pool_used_srv[sidx] + pool_gb
+            self.pool_used_srv[sidx] = pool_srv
+            if pool_srv > self.peak_pool_gb[sidx]:
+                self.peak_pool_gb[sidx] = pool_srv
             group = group_of[sidx]
             if group < 0:
                 # No group to draw from: roll usage back (not the peaks).
@@ -254,32 +329,31 @@ class ArrayPlacementEngine:
                 node_gb[pos] -= local_gb
                 used_cores_srv[sidx] = new_cores - cores
                 used_gb_srv[sidx] = new_gb - local_gb
-                pool_used_srv[sidx] -= pool_gb
+                self.pool_used_srv[sidx] = pool_srv - pool_gb
                 raise PlacementError(
-                    f"server {self.server_ids[sidx]} is not in any pool group "
-                    f"but {pool_gb:.1f} GB of pool memory was requested"
+                    f"server {self.server_ids[sidx - self.offset]} is not in "
+                    f"any pool group but {pool_gb:.1f} GB of pool memory was "
+                    f"requested"
                 )
             pool_free[group] -= pool_gb
-            pool_used = self.pool_used_gb
-            pool_used[group] += pool_gb
-            if pool_used[group] > self.pool_peak_by_group[group]:
-                self.pool_peak_by_group[group] = pool_used[group]
+            g_used = self.pool_used_gb[group] + pool_gb
+            self.pool_used_gb[group] = g_used
+            if g_used > self.pool_peak_by_group[group]:
+                self.pool_peak_by_group[group] = g_used
 
-        self.used_cores += cores
-        self.used_local_gb += local_gb
-        stranded_after = std - new_gb if new_cores >= stc else 0.0
-        self.stranded_gb += stranded_after - stranded_before
-        self.running_vms += 1
-
-        # -- reindex ---------------------------------------------------------------
-        key = self._bucket_key[sidx]
-        new_key = (stc - new_cores, std - new_gb)
-        if new_key != key:
-            bucket = buckets[key[0]]
-            del bucket[bisect_left(bucket, (key[1], sidx))]
-            insort(buckets[new_key[0]], (new_key[1], sidx))
-            self._bucket_key[sidx] = new_key
-
+        shard = self.shard
+        self.agg_cores[shard] += cores
+        self.agg_local_gb[shard] += local_gb
+        # -- reindex, with the full-server elision ----------------------------------
+        bucket = buckets[stc - before_cores]
+        del bucket[bisect_left(bucket, (std - old_gb, sidx))]
+        if new_cores >= stc:
+            # Only a zero-core VM lands on a server that was already full.
+            self.agg_stranded_gb[shard] += (std - new_gb) - (
+                std - old_gb if before_cores >= stc else 0.0)
+        else:
+            insort(buckets[stc - new_cores], (std - new_gb, sidx))
+        self.agg_running[shard] += 1
         return self._new_handle(sidx, best_node, cores, local_gb, pool_gb)
 
     def remove(self, handle: int) -> None:
@@ -292,15 +366,14 @@ class ArrayPlacementEngine:
         sidx = self.vm_server[handle]
         if sidx < 0:
             raise KeyError(f"VM handle {handle} is not placed")
-        node = self.vm_node[handle]
         cores = self.vm_cores[handle]
         local_gb = self.vm_local_gb[handle]
         pool_gb = self.vm_pool_gb[handle]
-
-        group = self.group_of[sidx]
-        if group >= 0:
-            pool_used = self.pool_used_gb
-            remaining = pool_used[group] - pool_gb
+        if pool_gb:
+            # place() rejects pool draws on group-less servers, so a
+            # pool-carrying VM always has a real group.
+            group = self.group_of[sidx]
+            remaining = self.pool_used_gb[group] - pool_gb
             if remaining < 0.0:
                 # Clamp the tiny negative float drift repeated +=/-= of
                 # policy fractions accumulates; real imbalances stay loud.
@@ -310,39 +383,37 @@ class ArrayPlacementEngine:
                         f"({remaining} GB) -- simulator bug"
                     )
                 remaining = 0.0
-            pool_used[group] = remaining
-            if pool_gb > 0:
-                self.pool_free_gb[group] += pool_gb
+            self.pool_used_gb[group] = remaining
+            self.pool_free_gb[group] += pool_gb
+            self.pool_used_srv[sidx] -= pool_gb
 
         used_cores_srv = self.used_cores_srv
         used_gb_srv = self.used_gb_srv
         stc = self.server_total_cores
         std = self.server_total_dram_gb
         before_cores = used_cores_srv[sidx]
-        stranded_before = std - used_gb_srv[sidx] if before_cores >= stc else 0.0
-
-        pos = sidx * self.sockets + node
+        old_gb = used_gb_srv[sidx]
+        pos = sidx * self.sockets + self.vm_node[handle]
         self.node_used_cores[pos] -= cores
         self.node_used_gb[pos] -= local_gb
         new_cores = before_cores - cores
         used_cores_srv[sidx] = new_cores
-        new_gb = used_gb_srv[sidx] - local_gb
+        new_gb = old_gb - local_gb
         used_gb_srv[sidx] = new_gb
-        self.pool_used_srv[sidx] -= pool_gb
-
-        self.used_cores -= cores
-        self.used_local_gb -= local_gb
-        stranded_after = std - new_gb if new_cores >= stc else 0.0
-        self.stranded_gb += stranded_after - stranded_before
-        self.running_vms -= 1
-
-        key = self._bucket_key[sidx]
-        new_key = (stc - new_cores, std - new_gb)
-        if new_key != key:
-            bucket = self._buckets[key[0]]
-            del bucket[bisect_left(bucket, (key[1], sidx))]
-            insort(self._buckets[new_key[0]], (new_key[1], sidx))
-            self._bucket_key[sidx] = new_key
+        shard = self.shard
+        self.agg_cores[shard] -= cores
+        self.agg_local_gb[shard] -= local_gb
+        buckets = self._buckets
+        if before_cores >= stc:
+            # Full servers are unindexed; only a zero-core VM leaves one
+            # still full.
+            self.agg_stranded_gb[shard] += (
+                std - new_gb if new_cores >= stc else 0.0) - (std - old_gb)
+        else:
+            bucket = buckets[stc - before_cores]
+            del bucket[bisect_left(bucket, (std - old_gb, sidx))]
+        insort(buckets[stc - new_cores], (std - new_gb, sidx))
+        self.agg_running[shard] -= 1
 
         self.vm_server[handle] = -1
         self._free_handles.append(handle)
@@ -363,19 +434,16 @@ class ArrayPlacementEngine:
         ``pool_used`` can never drift negative through mitigations.
         """
         sidx = self.vm_server[handle]
-        node = self.vm_node[handle]
         pool_gb = self.vm_pool_gb[handle]
         if pool_gb <= 0.0:
             return 0.0
-        pos = sidx * self.sockets + node
-        std = self.server_total_dram_gb
+        pos = sidx * self.sockets + self.vm_node[handle]
         if self.node_used_gb[pos] + pool_gb > self.dram_per_socket_gb + 1e-9:
             return -1.0
 
         group = self.group_of[sidx]
         if group >= 0:
-            pool_used = self.pool_used_gb
-            remaining = pool_used[group] - pool_gb
+            remaining = self.pool_used_gb[group] - pool_gb
             if remaining < 0.0:
                 if remaining < -1e-6:
                     raise RuntimeError(
@@ -383,33 +451,28 @@ class ArrayPlacementEngine:
                         f"({remaining} GB) -- simulator bug"
                     )
                 remaining = 0.0
-            pool_used[group] = remaining
+            self.pool_used_gb[group] = remaining
             self.pool_free_gb[group] += pool_gb
         self.pool_used_srv[sidx] -= pool_gb
 
-        used_cores_srv = self.used_cores_srv
-        used_gb_srv = self.used_gb_srv
         stc = self.server_total_cores
-        cores_now = used_cores_srv[sidx]
-        stranded_before = std - used_gb_srv[sidx] if cores_now >= stc else 0.0
-
+        std = self.server_total_dram_gb
+        cores_now = self.used_cores_srv[sidx]
+        old_gb = self.used_gb_srv[sidx]
         self.node_used_gb[pos] += pool_gb
-        new_gb = used_gb_srv[sidx] + pool_gb
-        used_gb_srv[sidx] = new_gb
+        new_gb = old_gb + pool_gb
+        self.used_gb_srv[sidx] = new_gb
         if new_gb > self.peak_local_gb[sidx]:
             self.peak_local_gb[sidx] = new_gb
-
-        self.used_local_gb += pool_gb
-        stranded_after = std - new_gb if cores_now >= stc else 0.0
-        self.stranded_gb += stranded_after - stranded_before
-
-        key = self._bucket_key[sidx]
-        new_key = (stc - cores_now, std - new_gb)
-        if new_key != key:
-            bucket = self._buckets[key[0]]
-            del bucket[bisect_left(bucket, (key[1], sidx))]
-            insort(self._buckets[new_key[0]], (new_key[1], sidx))
-            self._bucket_key[sidx] = new_key
+        shard = self.shard
+        self.agg_local_gb[shard] += pool_gb
+        if cores_now >= stc:
+            # A full server is unindexed; its stranded memory shrinks.
+            self.agg_stranded_gb[shard] += (std - new_gb) - (std - old_gb)
+        else:
+            bucket = self._buckets[stc - cores_now]
+            del bucket[bisect_left(bucket, (std - old_gb, sidx))]
+            insort(bucket, (std - new_gb, sidx))
 
         self.vm_local_gb[handle] = self.vm_local_gb[handle] + pool_gb
         self.vm_pool_gb[handle] = 0.0
@@ -419,9 +482,25 @@ class ArrayPlacementEngine:
     def server_peaks(self) -> Tuple[Dict[str, float], Dict[str, float]]:
         """(peak local GB, peak local+pool GB) per server id."""
         ids = self.server_ids
-        local = {ids[i]: self.peak_local_gb[i] for i in range(self.n_servers)}
+        off = self.offset
+        local = {ids[i]: self.peak_local_gb[off + i]
+                 for i in range(self.n_servers)}
         total = {
-            ids[i]: self.peak_local_gb[i] + self.peak_pool_gb[i]
+            ids[i]: self.peak_local_gb[off + i] + self.peak_pool_gb[off + i]
             for i in range(self.n_servers)
         }
         return local, total
+
+
+def _full_bucket(used_cores: List[int], used_gb: List[float], stc: int,
+                 std: float, first: int, count: int) -> List[Tuple[float, int]]:
+    """Canonical full-server bucket of servers ``first .. first+count-1``.
+
+    A full server's key is its current state, so sorting the recomputed
+    keys reproduces the bucket an always-indexed engine would hold.
+    """
+    return sorted(
+        (std - used_gb[i], i)
+        for i in range(first, first + count)
+        if used_cores[i] >= stc
+    )

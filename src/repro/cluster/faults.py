@@ -27,11 +27,12 @@ subsystem:
   dropped: every outcome lands in the stats.
 
 The event-ordering contract (fault ticks vs QoS ticks vs samples) is
-DESIGN.md section 11.  The injector is engine-agnostic on purpose: it
-drives :class:`~repro.cluster.engine.ArrayPlacementEngine` methods only,
-so the cross-shard events pump (which also runs faulted single-cluster
-replays as one-shard fleets) needs no engine internals, and the fault-free
-replay paths never touch this module.
+DESIGN.md section 11.  The injector drives
+:class:`~repro.cluster.engine.ArrayPlacementEngine` methods only: the
+replay loop (``repro.cluster.pool_topology``) fires schedule events on
+their own pump timeline and calls the injector from cold hooks, and the
+engines share the loop's live state, so the injector needs no loop
+internals.  A replay without a schedule never builds an injector.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ class FaultSchedule:
     departures to free headroom first.
 
     An **empty** schedule is valid: it is an "off" switch.  The replay
-    entry points drop it before dispatch, so the replay runs on the static
-    loops and reports a zeroed :class:`FaultImpactStats`.  Passed directly
-    to the fault-aware loops, it must reproduce the static replay byte for
+    entry points drop it before the replay, so no injector is built and
+    the result reports a zeroed :class:`FaultImpactStats`.  Handed to the
+    replay loop directly, it must reproduce the static replay byte for
     byte (differential-tested).
     """
 
@@ -293,13 +294,12 @@ class FaultImpactStats:
 class FaultInjector:
     """Drives one replay's fault schedule against engines over a ledger.
 
-    Constructed by the fault-aware replay loop (the cross-shard events
-    pump, which also runs every faulted single-cluster replay as a
-    one-shard fleet); never by users.  The loop routes every placement and
-    departure through the injector's **token** indirection: the departure
-    heap stores a stable token, and
-    the injector maps it to the VM's current engine handle -- live
-    migration rewrites the mapping, a kill voids it (``-1``), so a
+    Constructed by the replay loop's cold hooks when a schedule has
+    events (every faulted single-cluster replay is a one-shard fleet);
+    never by users.  The loop routes every placement and departure through
+    the injector's **token** indirection: a departure slot stores a stable
+    token, and the injector maps it to the VM's current engine handle --
+    live migration rewrites the mapping, a kill voids it (``-1``), so a
     departure of a migrated VM releases the right placement and a departure
     of a killed VM is a no-op instead of corrupting a recycled handle.
     """
@@ -312,7 +312,7 @@ class FaultInjector:
         at_risk: Sequence[Dict[int, str]],
         stats: Sequence[FaultImpactStats],
         group_shards: Dict[int, Tuple[int, ...]],
-        done: Sequence[bool],
+        alive: Sequence[bool],
     ) -> None:
         self.schedule = schedule
         self.ledger = ledger
@@ -330,9 +330,9 @@ class FaultInjector:
             )
         #: group -> shards attached to it (blast-radius / liveness gating).
         self.group_shards = group_shards
-        #: The replay's per-shard ``done`` flags: a group's fault and retry
+        #: The replay's per-shard ``alive`` flags: a group's fault and retry
         #: work stops once every shard attached to it is past its horizon.
-        self.done = done
+        self.alive = alive
 
         self._cursor = 0
         #: token -> current engine handle (-1 once killed or departed).
@@ -359,8 +359,8 @@ class FaultInjector:
         return self.stats[self.group_shards[group][0]]
 
     def _live_group(self, group: int) -> bool:
-        done = self.done
-        return any(not done[s] for s in self.group_shards[group])
+        alive = self.alive
+        return any(alive[s] for s in self.group_shards[group])
 
     # -- loop callbacks ----------------------------------------------------------
     def note_place(self, shard: int, handle: int, vm_id: str,
@@ -394,8 +394,8 @@ class FaultInjector:
 
         The engines' unmediated ``pool_free += released`` on departures and
         pool->local migrations can overshoot a degraded group's surviving
-        capacity; the loops call this after any engine operation that
-        releases pool memory.  A no-op while nothing is degraded, so the
+        capacity; the injector and the QoS tick call this after any engine
+        operation that releases pool memory.  A no-op while nothing is degraded, so the
         empty-schedule replay's arithmetic is untouched.
         """
         ledger = self.ledger

@@ -309,13 +309,26 @@ class FleetResult:
         """EMC fault-impact accounting merged across shards.
 
         All zeros when the fleet ran without ``faults=...`` (shards then
-        carry no stats) or when no scheduled event fired.
+        carry no stats) or when no scheduled event fired.  Shardwise runs
+        number each shard's groups from 0, so their blast radii are
+        re-keyed to :meth:`PoolTopology.per_shard`'s fleet ids (offset by
+        the groups of earlier shards) before merging: two shards' group 0
+        are different failure domains.
         """
         merged = FaultImpactStats()
+        offset = 0
         for shard in self.shards:
             stats = shard.result.fault_stats
             if stats is not None:
+                if self.pool_topology is None and offset:
+                    stats = replace(stats, blast_radius_by_group={
+                        g + offset: n
+                        for g, n in stats.blast_radius_by_group.items()})
                 merged.add(stats)
+            if shard.pool_size_sockets:
+                per_group = max(
+                    1, shard.pool_size_sockets // shard.sockets_per_server)
+                offset += -(-shard.n_servers // per_group)
         return merged
 
     @property
@@ -933,8 +946,8 @@ class FleetSimulator:
 
     Each shard is one cluster: its own trace (materialised or streamed), its
     own simulator replay, its own policy instance; a fleet result is exactly
-    the component-wise sum of its shards' single-cluster results.  Three
-    execution modes (DESIGN.md sections 3-5):
+    the component-wise sum of its shards' single-cluster results.  Four
+    execution modes (DESIGN.md sections 3-5 and 8):
 
     * ``max_workers`` fans shards out over a process pool in :meth:`run` and
       :meth:`compute_baselines`;

@@ -20,35 +20,39 @@ single-cluster simulator:
   constructed over the *same* ledger dicts, so a pool draw in one shard is
   immediately visible to placement feasibility checks in another.
 * :func:`replay_crossshard` replays the shards of a fleet as **one merged
-  time-ordered event stream** (arrivals k-way merged across shards,
-  departures and per-shard samples in a single event heap), which is what
-  makes a shared group's capacity constraint physically meaningful: two
-  shards contending for one group contend at simulation time, not
+  time-ordered event stream** (arrivals merged across shards in
+  ``(arrival, shard)`` order; departures, fault events, the shared sample
+  grid and horizons on the pump's timelines), which is what makes a shared
+  group's capacity constraint physically meaningful: two shards
+  contending for one group contend at simulation time, not
   shard-serially.
 
-Ordering contract (the same as the brute-force reference replay in
-``tests/reference_replay.py``): at equal timestamps the order is
-departures, then samples, then arrivals, with deterministic shard-index
-tie-breaks; per shard, the relative event order is exactly a single
-cluster's, which is why the degenerate per-shard topology reproduces
-``FleetSimulator``'s classic results byte-for-byte (enforced by
-``tests/test_pool_topology.py``).  A single cluster is the one-shard case:
-``ClusterSimulator.run`` replays everything -- materialised traces,
-streams, online and faulted replays -- through :func:`replay_crossshard`.
+Ordering contract (the priority table of the brute-force fleet oracle in
+``tests/reference_replay.py``, DESIGN.md sections 10-11): at equal
+timestamps the order is departures, fault events, grid samples (each
+shard's sample followed by its QoS and evacuation-retry ticks), horizons,
+then arrivals, with deterministic shard-index tie-breaks; per shard, the
+relative event order is exactly a single cluster's, which is why the
+degenerate per-shard topology reproduces ``FleetSimulator``'s classic
+results byte-for-byte (enforced by ``tests/test_pool_topology.py``).  A
+single cluster is the one-shard case: ``ClusterSimulator.run`` replays
+everything -- materialised traces, streams, online and faulted replays --
+through :func:`replay_crossshard`, on its one loop.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+import math
 from bisect import bisect_left, bisect_right, insort
 from itertools import compress, repeat
 from operator import is_not
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.engine import ArrayPlacementEngine, PlacementError
+from repro.cluster.engine import ArrayPlacementEngine, _full_bucket
 from repro.cluster.faults import FaultImpactStats, FaultInjector, FaultSchedule
 from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import (
@@ -456,47 +460,8 @@ def _check_arrival_order(arrivals: np.ndarray, vm_ids: Sequence[str],
     return float(arrivals[n - 1])
 
 
-def _shard_arrival_events(
-    trace: TraceInput,
-    policy,
-    with_slowdowns: bool = False,
-) -> Iterator[Tuple[float, float, int, float, str, float]]:
-    """One shard's ``(arrival, departure, cores, memory, vm_id, pool_gb)``
-    stream for the events loop, in arrival order, with pool allocations
-    from the shared :func:`iter_policy_blocks`.
-
-    With ``with_slowdowns`` (the online replay's mitigation path) each
-    tuple carries a seventh element: the VM's estimated slowdown percent
-    from :func:`estimate_slowdown_batch` under ``policy``, computed once
-    per block."""
-    streaming = not isinstance(trace, ClusterTrace)
-    last_arrival = 0.0
-    for block, allocations in iter_policy_blocks(trace, policy, True):
-        vm_ids, arrivals, departs, cores, memory = block_replay_columns(block)
-        if streaming:
-            last_arrival = _check_arrival_order(arrivals, vm_ids, last_arrival)
-        columns = [arrivals.tolist(), departs.tolist(), cores.tolist(),
-                   memory.tolist(), vm_ids, allocations]
-        if with_slowdowns and allocations:
-            columns.append(estimate_slowdown_batch(
-                policy, block, np.asarray(allocations, dtype=np.float64),
-            ).tolist())
-        yield from zip(*columns)
-
-
-#: Event kinds in the merged heap; at equal timestamps departures fire first,
-#: then fault events, then grid samples, then horizon samples, then (outside
-#: the heap) arrivals -- the single-cluster simulator's ordering, per shard
-#: (DESIGN.md sections 10 and 11).
-_KIND_DEPARTURE = 0
-_KIND_FAULT = 1
-_KIND_SAMPLE = 2
-_KIND_HORIZON = 3
-_KIND_ARRIVAL = 4  # sentinel used only in pump limits; arrivals are not heaped
-
-#: Merged arrival rows per block of a materialised fleet in the inlined
-#: loop (see :func:`_materialised_blocks`).  Purely a memory knob: results
-#: do not depend on it.
+#: Most merged arrival rows per block (see :func:`_blocks`).  Purely a
+#: memory knob: results do not depend on it.
 _ARRIVAL_SLICE_ROWS = 16384
 
 
@@ -519,7 +484,9 @@ def replay_crossshard(
     shard is still one scheduling domain: VMs never migrate across shards);
     only the pool groups are fleet-owned.  Returns one
     :class:`SimulationResult` per shard plus the ledger, whose ``peak_gb``
-    holds the fleet-level per-group peaks.
+    holds the fleet-level per-group peaks.  Every shard must share one
+    server shape (sockets, cores per socket, DRAM per socket); a mixed-SKU
+    fleet raises ``ValueError``.
 
     For a :meth:`PoolTopology.per_shard` topology the per-shard results are
     byte-identical to running each shard through ``ClusterSimulator`` on its
@@ -530,84 +497,50 @@ def replay_crossshard(
     peak belongs to the fleet, not to any one shard (read it off the
     returned ledger).
 
-    The replay has two loops.  Static replays on a fleet of shards sharing
-    one server SKU, of materialised traces or of a one-shard stream, run
-    on the **inlined** merged loop (:func:`_replay_crossshard_inlined`):
-    the event heap is replaced by per-block presorted departures and the
-    per-event engine method calls by hoisted locals (the loop hoists the
-    SKU shape into scalars, hence the uniformity requirement).  Everything
-    else -- online or faulted replays, multi-shard streams and mixed-SKU
-    fleets -- runs on the engine-method event loop
-    (:func:`_replay_crossshard_events`), which also serves as the
-    differential reference pinning the inlined loop's byte-identical
-    results.  ``ClusterSimulator.run`` calls this function as a one-shard
-    fleet (``PoolTopology.per_shard([n_servers], ...)``, unpooled when the
-    cluster has no pool, with ``None`` policies for unpooled shards).
+    Every replay -- materialised traces or streams, any shard count,
+    static or controlled -- runs on one loop,
+    :func:`_replay_crossshard_inlined`.  ``ClusterSimulator.run`` calls
+    this function as a one-shard fleet (``PoolTopology.per_shard([n_servers],
+    ...)``, unpooled when the cluster has no pool, with ``None`` policies
+    for unpooled shards).
 
     ``online`` activates the online QoS/mitigation stage (DESIGN.md section
     10): after each shard's grid sample a QoS tick migrates that shard's
     at-risk pool-exposed VMs to local DRAM, updating the shared ledger.
-    Mitigation mutates per-VM state mid-replay, which the precomputed-order
-    inlined loop cannot express, so an enabled stage runs on the
-    engine-method event loop.  Each result gets a per-shard
+    Each result gets a per-shard
     :class:`~repro.core.control_plane.online.OnlineControlStats`.
 
     ``faults`` activates deterministic EMC fault injection (DESIGN.md
     section 11): :class:`~repro.cluster.faults.FaultSchedule` events (fleet
-    group ids) merge into the event heap -- after departures, before grid
-    samples at equal timestamps -- degrading the shared ledger and running
-    the degradation ladder over affected VMs; per-shard evacuation-retry
-    ticks fire after each shard's QoS tick (or directly after its grid
-    sample when ``online`` is off).  A schedule with events runs on the
-    engine-method event loop too.  Impact accounting lands on each
-    result's ``fault_stats`` (group-level counters on the group's home
-    shard).
+    group ids) fire on their own timeline in the loop's pump -- after
+    departures, before grid samples at equal timestamps -- degrading the
+    shared ledger and running the degradation ladder over affected VMs;
+    per-shard evacuation-retry ticks fire after each shard's QoS tick (or
+    directly after its grid sample when ``online`` is off).  Impact
+    accounting lands on each result's ``fault_stats`` (group-level
+    counters on the group's home shard).
 
     Switched "off" -- mitigation disabled (threshold ``inf``) or a schedule
-    without events -- a stage is dropped before dispatch
+    without events -- a stage is dropped before the replay
     (:func:`~repro.cluster.simulator.active_controls`), so the replay
-    dispatches like a static one and costs what a static one costs.  The
-    per-shard results are byte-identical to the static replay and still
-    carry zeroed ``online_stats`` / ``fault_stats`` (differential-tested
-    against the events loop run with the switches on it).
+    costs what a static one costs.  The per-shard results are
+    byte-identical to the static replay and still carry zeroed
+    ``online_stats`` / ``fault_stats``.
     """
     _validate_crossshard_args(
         inputs, policies, n_servers_per_shard, server_configs, topology)
     run_online, run_faults = active_controls(online, faults)
-    if (run_online is None and run_faults is None
-            and _inlinable(inputs, server_configs)):
-        results, ledger = _replay_crossshard_inlined(
-            inputs, policies, n_servers_per_shard, server_configs, topology,
-            capacity, constrain_memory, sample_interval_s, record_placements)
-    else:
-        results, ledger = _replay_crossshard_events(
-            inputs, policies, n_servers_per_shard, server_configs, topology,
-            capacity, constrain_memory, sample_interval_s, record_placements,
-            online=run_online, faults=run_faults)
+    results, ledger = _replay_crossshard_inlined(
+        inputs, policies, n_servers_per_shard, server_configs, topology,
+        capacity, constrain_memory, sample_interval_s, record_placements,
+        online=run_online, faults=run_faults)
     attach_control_stats(results, online, faults)
     return results, ledger
 
 
-def _inlinable(inputs: Sequence[TraceInput],
-               server_configs: Sequence[ServerConfig]) -> bool:
-    """Whether a static replay may take :func:`_replay_crossshard_inlined`.
-
-    Requires one server SKU fleet-wide, and materialised traces or a
-    one-shard stream (the loop merges shards by presorting, which needs
-    every shard's arrivals up front).
-    """
-    if len({
-        (cfg.sockets, cfg.cores_per_socket, cfg.dram_per_socket_gb)
-        for cfg in server_configs
-    }) > 1:
-        return False
-    return len(inputs) == 1 or all(
-        isinstance(trace, ClusterTrace) for trace in inputs)
-
-
 def _validate_crossshard_args(inputs, policies, n_servers_per_shard,
                               server_configs, topology) -> None:
-    """Shared shape validation for both cross-shard replay loops."""
+    """Shard counts, shard sizes and one server shape fleet-wide."""
     n_shards = len(inputs)
     if not (len(policies) == len(n_servers_per_shard) == len(server_configs)
             == n_shards == topology.n_shards):
@@ -618,110 +551,114 @@ def _validate_crossshard_args(inputs, policies, n_servers_per_shard,
                 f"topology maps {topology.shard_sizes[shard]} servers for "
                 f"shard {shard}, fleet has {n_servers_per_shard[shard]}"
             )
-
-
-def _crossshard_setup(n_servers_per_shard, server_configs, topology, capacity,
-                      constrain_memory):
-    """Ledger, per-shard engines/results, and derived per-shard views."""
-    n_shards = topology.n_shards
-    ledger = PoolGroupLedger.for_topology(topology, capacity)
-    engines: List[ArrayPlacementEngine] = []
-    results: List[SimulationResult] = []
-    for shard in range(n_shards):
-        engines.append(ArrayPlacementEngine(
-            n_servers_per_shard[shard],
-            effective_server_config(server_configs[shard], constrain_memory),
-            group_of=list(topology.group_of[shard]),
-            pool_free_gb=ledger.free_gb,
-            pool_used_gb=ledger.used_gb,
-            pool_peak_gb=ledger.peak_gb,
-        ))
-        results.append(SimulationResult())
-    shard_groups = [topology.groups_of_shard(s) for s in range(n_shards)]
-    total_cores = [e.total_cores for e in engines]
-    total_dram = [
-        n_servers_per_shard[s] * server_configs[s].total_dram_gb
-        for s in range(n_shards)
-    ]
-    return ledger, engines, results, shard_groups, total_cores, total_dram
-
-
-def _replay_crossshard_events(
-    inputs: Sequence[TraceInput],
-    policies: Sequence[object],
-    n_servers_per_shard: Sequence[int],
-    server_configs: Sequence[ServerConfig],
-    topology: PoolTopology,
-    capacity: Union[float, Dict[int, float]],
-    constrain_memory: bool,
-    sample_interval_s: float,
-    record_placements: bool = False,
-    online: Optional[OnlineControlConfig] = None,
-    faults: Optional[FaultSchedule] = None,
-) -> Tuple[List[SimulationResult], PoolGroupLedger]:
-    """The engine-method cross-shard event loop (differential reference).
-
-    Events live in an explicit heap and every placement/removal goes through
-    :class:`ArrayPlacementEngine` methods.  This is the loop the inlined
-    fast path (:func:`_replay_crossshard_inlined`) is differentially pinned
-    against; it also handles inputs the fast path cannot (multi-shard
-    streams, mixed-SKU fleets) and is the only
-    loop that carries the online QoS/mitigation stage (``online=...``:
-    per-shard QoS ticks fire after that shard's grid samples) and EMC fault
-    injection (``faults=...``).  Its ``pump`` is the one hand-scheduled
-    implementation of the ordering contract (DESIGN.md sections 10-11),
-    checked by ``repro.analysis.contracts``; online or faulted
-    single-cluster replays run here as a one-shard fleet.
-    """
-    _validate_crossshard_args(
-        inputs, policies, n_servers_per_shard, server_configs, topology)
-    n_shards = len(inputs)
-    ledger, engines, results, shard_groups, total_cores, total_dram = (
-        _crossshard_setup(n_servers_per_shard, server_configs, topology,
-                          capacity, constrain_memory)
-    )
-    last_sample: List[Optional[float]] = [None] * n_shards
-    done = [False] * n_shards
-    placed = [0] * n_shards
-    rejected = [0] * n_shards
-    total_memory = [0.0] * n_shards
-    total_pool = [0.0] * n_shards
-    placed_ids: List[List[str]] = [[] for _ in range(n_shards)]
-    placed_srv: List[List[int]] = [[] for _ in range(n_shards)]
-
-    # -- online QoS/mitigation state (one at-risk set + stats per shard) ----
-    mitigate = online is not None and online.mitigation_enabled
-    threshold = online.qos_threshold_percent if online is not None else 0.0
-    cost_per_gb = online.migration_cost_s_per_gb if online is not None else 0.0
-    stats_list: List[Optional[OnlineControlStats]] = [None] * n_shards
-    if online is not None:
-        for shard in range(n_shards):
-            stats_list[shard] = OnlineControlStats()
-            results[shard].online_stats = stats_list[shard]
-    at_risk: List[Dict[int, str]] = [{} for _ in range(n_shards)]
-
-    # -- fault injection (shared ledger degradation; DESIGN.md section 11) --
-    if faults is not None:
-        fstats = [FaultImpactStats() for _ in range(n_shards)]
-        for shard in range(n_shards):
-            results[shard].fault_stats = fstats[shard]
-        injector = FaultInjector(
-            faults, ledger, engines, at_risk, fstats,
-            group_shards={g: topology.group_shards[g]
-                          for g in range(topology.n_groups)},
-            done=done,
+    shapes = sorted({
+        (cfg.sockets, cfg.cores_per_socket, cfg.dram_per_socket_gb)
+        for cfg in server_configs
+    })
+    if len(shapes) > 1:
+        raise ValueError(
+            f"a cross-shard replay needs one server shape (sockets, "
+            f"cores_per_socket, dram_per_socket_gb) fleet-wide; the shards "
+            f"have {shapes}"
         )
-    else:
-        injector = None
 
-    def qos_tick(shard: int) -> None:
-        stats = stats_list[shard]
+
+class _Controls:
+    """The cold hooks of a replay with online control or faults on.
+
+    The loop holds one of these only when a control is on, and calls it at
+    placements, departures, grid samples and fault times; every call goes
+    through the existing engine and injector methods
+    (:meth:`ArrayPlacementEngine.migrate_pool_to_local`,
+    :meth:`FaultInjector.fire_next` / ``retry_tick`` / ``on_departure``),
+    which see the loop's live state because the engines share its lists.
+    A class, not closures, so the loop's hot locals never become cell
+    variables.
+    """
+
+    def __init__(self, online: Optional[OnlineControlConfig],
+                 faults: Optional[FaultSchedule],
+                 engines: List[ArrayPlacementEngine],
+                 results: List[SimulationResult], ledger: PoolGroupLedger,
+                 topology: PoolTopology, alive: List[bool]) -> None:
+        n_shards = len(engines)
+        self.engines = engines
+        #: shard -> {handle: vm_id} of live VMs flagged at risk on arrival.
+        self.at_risk: List[Dict[int, str]] = [{} for _ in range(n_shards)]
+        #: The current block's at-risk flags, one per row (``None``: off).
+        self.flags: Optional[List[bool]] = None
+        self.mitigate = online is not None and online.mitigation_enabled
+        self.cost_per_gb = online.migration_cost_s_per_gb if online else 0.0
+        self.stats: List[Optional[OnlineControlStats]] = [None] * n_shards
+        if online is not None:
+            for shard in range(n_shards):
+                self.stats[shard] = OnlineControlStats()
+                results[shard].online_stats = self.stats[shard]
+        self.injector: Optional[FaultInjector] = None
+        if faults is not None:
+            fstats = [FaultImpactStats() for _ in range(n_shards)]
+            for shard in range(n_shards):
+                results[shard].fault_stats = fstats[shard]
+            self.injector = FaultInjector(
+                faults, ledger, engines, self.at_risk, fstats,
+                group_shards={g: topology.group_shards[g]
+                              for g in range(topology.n_groups)},
+                alive=alive,
+            )
+
+    def next_fault(self) -> float:
+        """Time of the next unfired fault event (``inf``: none left)."""
+        return math.inf if self.injector is None else self.injector.next_time
+
+    def fire(self) -> float:
+        """Fire the next fault event; returns the one after it."""
+        self.injector.fire_next()
+        return self.injector.next_time
+
+    def place(self, shard: int, sidx: int, node: int, cores: int,
+              local_gb: float, pool_gb: float, vm_id: str, row: int):
+        """Register a placement the loop committed; returns its payload.
+
+        The payload is the departure token under faults (kills and live
+        migrations re-handle VMs), else ``(shard, handle)``.
+        """
+        handle = self.engines[shard]._new_handle(
+            sidx, node, cores, local_gb, pool_gb)
+        if self.injector is not None:
+            entry = self.injector.note_place(shard, handle, vm_id, pool_gb)
+        else:
+            entry = (shard, handle)
+        if self.flags is not None and self.flags[row]:
+            self.at_risk[shard][handle] = vm_id
+        return entry
+
+    def depart(self, entry) -> None:
+        """Remove a departing VM by its :meth:`place` payload."""
+        if self.injector is not None:
+            self.injector.on_departure(entry)
+            return
+        shard, handle = entry
+        # Departed VMs leave the at-risk set before the handle is recycled,
+        # or a later placement reusing the handle would inherit the flag.
+        self.at_risk[shard].pop(handle, None)
+        self.engines[shard].remove(handle)
+
+    def tick(self, shard: int) -> None:
+        """A shard's QoS tick, then its evacuation-retry tick."""
+        if self.mitigate:
+            self._qos_tick(shard)
+        if self.injector is not None:
+            self.injector.retry_tick(shard)
+
+    def _qos_tick(self, shard: int) -> None:
+        stats = self.stats[shard]
         stats.n_ticks += 1
-        flagged = at_risk[shard]
+        flagged = self.at_risk[shard]
         if not flagged:
             return
         stats.n_checks += len(flagged)
-        eng = engines[shard]
+        eng = self.engines[shard]
+        cost_per_gb = self.cost_per_gb
         for handle in list(flagged):
             moved = eng.migrate_pool_to_local(handle)
             if moved < 0.0:
@@ -732,285 +669,166 @@ def _replay_crossshard_events(
             stats.migrated_gb += moved
             stats.migration_time_s += cost_per_gb * moved
             stats.mitigated_vm_ids.append(flagged.pop(handle))
-        if injector is not None:
+        if self.injector is not None:
             # Engine releases credit the ledger's free pool unconditionally;
             # re-clamp any degraded group to its surviving capacity.
-            injector.resync_degraded()
+            self.injector.resync_degraded()
 
-    def take_sample(shard: int, time_s: float) -> None:
-        eng = engines[shard]
-        stranded = eng.stranded_gb
-        if stranded < 0.0:
-            stranded = 0.0
-        used_pool = 0.0
-        for group in shard_groups[shard]:
-            used_pool += ledger.used_gb[group]
-        results[shard].sample_buffer.append_row((
-            time_s,
-            eng.used_cores / total_cores[shard],
-            100.0 * eng.used_cores / total_cores[shard],
-            eng.used_local_gb,
-            used_pool,
-            stranded,
-            100.0 * stranded / total_dram[shard],
-            eng.running_vms,
-        ))
-        last_sample[shard] = time_s
-
-    # -- merged event heap: departures, faults, sample grids, horizons ------
-    # Entries: (time, _KIND_DEPARTURE, seq, shard, handle-or-token)
-    #          (time, _KIND_FAULT, event_index)
-    #          (time, _KIND_SAMPLE, shard)
-    #          (time, _KIND_HORIZON, shard)
-    # The (time, kind, tie) prefix is unique, so heap order is total and
-    # deterministic (seq is global, preserving per-shard placement order;
-    # fault events at one timestamp fire in schedule order).
-    events: list = [(0.0, _KIND_SAMPLE, shard) for shard in range(n_shards)]
-    if faults is not None:
-        for index, fault_event in enumerate(faults.events):
-            events.append((fault_event.time_s, _KIND_FAULT, index))
-    heapq.heapify(events)
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    def pump(limit) -> None:
-        """Apply every heaped event ordered before ``limit``."""
-        while events and events[0] < limit:
-            event = heappop(events)
-            kind = event[1]
-            if kind == _KIND_DEPARTURE:
-                if injector is not None:
-                    # Token-indirected (kills void the mapping, live
-                    # migrations rewrite it; degraded groups re-clamped).
-                    injector.on_departure(event[4])
-                    continue
-                shard = event[3]
-                # Departed VMs leave the at-risk set before the handle is
-                # recycled, or a later placement reusing the handle would
-                # inherit the stale flag.
-                at_risk[shard].pop(event[4], None)
-                engines[shard].remove(event[4])
-            elif kind == _KIND_FAULT:
-                # Heap order matches schedule order, so the cursor fires
-                # exactly this event; groups whose shards are all past
-                # their horizons are skipped inside (each shard's faults
-                # end at its own horizon).
-                injector.fire_next()
-            elif kind == _KIND_SAMPLE:
-                shard = event[2]
-                if done[shard]:
-                    continue  # past this shard's horizon; grid ends here
-                take_sample(shard, event[0])
-                heappush(events, (event[0] + sample_interval_s,
-                                  _KIND_SAMPLE, shard))
-                if mitigate:
-                    # QoS tick after the grid sample: samples always show
-                    # the pre-mitigation state (DESIGN.md section 10).
-                    qos_tick(shard)
-                if injector is not None:
-                    # Evacuation-retry tick after the QoS tick, scoped to
-                    # this shard's pending VMs (DESIGN.md section 11).
-                    injector.retry_tick(shard)
-            else:  # _KIND_HORIZON
-                shard = event[2]
-                end_time = event[0]
-                if last_sample[shard] is None or last_sample[shard] <= end_time:
-                    if last_sample[shard] == end_time:
-                        results[shard].sample_buffer.drop_last()
-                    take_sample(shard, end_time)
-                done[shard] = True
-
-    # -- k-way arrival merge (ties broken by shard index) -------------------
-    arrival_iters = [
-        _shard_arrival_events(inputs[shard], policies[shard],
-                              with_slowdowns=mitigate)
-        for shard in range(n_shards)
-    ]
-    shard_end = [0.0] * n_shards
-    merge_heap: list = []
-    for shard, it in enumerate(arrival_iters):
-        first = next(it, None)
-        if first is None:
-            # Empty shard trace: its horizon is time 0.0, like the
-            # single-cluster replay of an empty trace.
-            heappush(events, (0.0, _KIND_HORIZON, shard))
-        else:
-            merge_heap.append((first[0], shard, first))
-    heapq.heapify(merge_heap)
-
-    seq = 0
-    while merge_heap:
-        arrival_s, shard, record = heappop(merge_heap)
-        pump((arrival_s, _KIND_ARRIVAL))
-        _, departure_s, cores_r, memory_gb, vm_id, vm_pool_gb = record[:6]
-        local_gb = memory_gb - vm_pool_gb
-        eng = engines[shard]
-        try:
-            handle = eng.place(cores_r, local_gb, vm_pool_gb)
-        except PlacementError:
-            # Group-less pool request corner: counted as a rejection, peaks
-            # keep the transient placement.
-            handle = -1
-        if handle < 0:
-            rejected[shard] += 1
-        else:
-            placed[shard] += 1
-            if record_placements:
-                placed_ids[shard].append(vm_id)
-                placed_srv[shard].append(eng.vm_server[handle])
-            total_memory[shard] += memory_gb
-            total_pool[shard] += vm_pool_gb
-            seq += 1
-            if injector is not None:
-                # Token indirection: kills and live migrations change or
-                # void the handle before the departure fires.
-                token = injector.note_place(shard, handle, vm_id, vm_pool_gb)
-                heappush(events,
-                         (departure_s, _KIND_DEPARTURE, seq, shard, token))
-            else:
-                heappush(events,
-                         (departure_s, _KIND_DEPARTURE, seq, shard, handle))
-            if mitigate and vm_pool_gb > 0.0 and record[6] > threshold:
-                at_risk[shard][handle] = vm_id
-        shard_end[shard] = arrival_s
-        nxt = next(arrival_iters[shard], None)
-        if nxt is None:
-            # Shard exhausted: its horizon is its last arrival time.  The
-            # horizon fires after every departure and grid sample <= it.
-            heappush(events, (arrival_s, _KIND_HORIZON, shard))
-        else:
-            heappush(merge_heap, (nxt[0], shard, nxt))
-
-    # Drain: remaining departures in time order, each shard's grid samples up
-    # to its own horizon, then the horizon samples themselves; grid events
-    # past a fired horizon are discarded by ``pump``.
-    pump((float("inf"),))
-    if injector is not None:
-        injector.finalize()
-
-    for shard in range(n_shards):
-        res = results[shard]
-        eng = engines[shard]
-        res.placed_vms = placed[shard]
-        res.rejected_vms = rejected[shard]
-        res.total_memory_gb_allocated = total_memory[shard]
-        res.total_pool_gb_allocated = total_pool[shard]
-        res.server_peak_local_gb, res.server_peak_total_gb = eng.server_peaks()
-        if topology.is_per_shard:
-            local = topology.local_group_ids(shard)
-            res.pool_peak_gb = {
-                local[g]: ledger.peak_gb[g] for g in shard_groups[shard]
-            }
-        else:
-            res.pool_peak_gb = {}
-        if record_placements:
-            res._placed_vm_ids = placed_ids[shard]
-            res._placed_server_idx = placed_srv[shard]
-            res._placement_server_ids = eng.server_ids
-    return results, ledger
+    def finish(self) -> None:
+        if self.injector is not None:
+            self.injector.finalize()
 
 
-#: The inlined loop reads ``(rows, arrivals, departures, cores, ends)``
+#: The loop reads ``(rows, arrivals, departures, cores, ends, flags)``
 #: blocks: ``rows`` yields ``(shard, arrival, cores, memory_gb, pool_gb,
 #: vm_id)`` tuples of plain scalars; the arrays hold the same rows' columns
 #: for the departure presort and the cold-branch guards; ``ends`` lists the
-#: ``(horizon, shard)`` pairs that become pending at the block's start.
-#: The last block is the sentinel: one row arriving at ``+inf``, whose pump
-#: drains every remaining departure, grid sample and horizon.
-_SENTINEL_ROWS = ((0, float("inf"), 0, 0.0, 0.0, None),)
+#: ``(horizon, shard)`` pairs that become pending at the block's start;
+#: ``flags`` holds each row's at-risk flag when mitigation is on, else
+#: ``None``.  The last block is the sentinel: one row arriving at
+#: ``+inf``, whose pump drains every remaining departure, fault event, grid
+#: sample and horizon.
+_SENTINEL_ROWS = ((0, math.inf, 0, 0.0, 0.0, None),)
 _NO_TIMES = np.empty(0, dtype=np.float64)
 _NO_CORES = np.empty(0, dtype=np.int64)
 
 
-def _materialised_blocks(traces: Sequence[ClusterTrace], policies,
-                         record_placements: bool):
-    """``(rows per shard, last arrival per shard, blocks)`` of a fleet.
+def _at_risk_flags(policy, block, allocations: np.ndarray,
+                   threshold: float) -> np.ndarray:
+    """Which of a block's VMs the QoS monitor flags on arrival.
 
-    A stable ``np.lexsort`` over ``(arrival, shard)`` reproduces the events
-    loop's k-way merge exactly (its heap holds one entry per shard at a
-    time, so ties resolve by shard, then by per-shard stream order).  The
-    merged rows reach the inlined loop in blocks of
-    ``_ARRIVAL_SLICE_ROWS``, converted to Python scalars one block at a
-    time, so they never exist as whole lists.  Empty shards' horizons
-    (time 0) ride on the first block.
+    A VM is at risk when it draws pool memory and its estimated slowdown
+    (:func:`estimate_slowdown_batch`, one call per block, looked up as
+    this module's global) exceeds the threshold.
     """
-    columns = [trace.columns() for trace in traces]
-    counts = [c.arrival_s.shape[0] for c in columns]
-    horizons = [float(c.arrival_s[n - 1]) if n else 0.0
-                for c, n in zip(columns, counts)]
-    allocations = np.concatenate([
-        np.asarray(next(iter_policy_blocks(trace, policy, True))[1],
-                   dtype=np.float64)
-        for trace, policy in zip(traces, policies)
-    ])
-    arrival = np.concatenate([c.arrival_s for c in columns])
-    shard = np.repeat(np.arange(len(traces), dtype=np.int64), counts)
-    order = np.lexsort((shard, arrival))
-    departure = np.concatenate([c.departure_s for c in columns])
-    cores = np.concatenate([c.cores for c in columns])
-    memory = np.concatenate([c.memory_gb for c in columns])
-    vm_ids = None
-    if record_placements:
-        vm_ids = np.array(
-            [vm_id for c in columns for vm_id in c.vm_ids], dtype=object)
-
-    def blocks():
-        ends = tuple((0.0, s) for s, n in enumerate(counts) if not n)
-        step = _ARRIVAL_SLICE_ROWS
-        for lo in range(0, order.shape[0], step):
-            rows = order[lo:lo + step]
-            b_arrival = arrival[rows]
-            b_cores = cores[rows]
-            yield (zip(shard[rows].tolist(), b_arrival.tolist(),
-                       b_cores.tolist(), memory[rows].tolist(),
-                       allocations[rows].tolist(),
-                       repeat(None) if vm_ids is None
-                       else vm_ids[rows].tolist()),
-                   b_arrival, departure[rows], b_cores, ends)
-            ends = ()
-        yield _SENTINEL_ROWS, _NO_TIMES, _NO_TIMES, _NO_CORES, ends
-
-    return counts, horizons, blocks()
+    if not allocations.shape[0]:
+        return np.zeros(0, dtype=bool)
+    slowdown = estimate_slowdown_batch(policy, block, allocations)
+    return (allocations > 0.0) & (slowdown > threshold)
 
 
-def _stream_blocks(trace: TraceInput, policy):
-    """The blocks of a one-shard stream: one per chunk, read once.
+def _shard_chunks(trace: TraceInput, policy, threshold: Optional[float]):
+    """One shard's non-empty chunks as column lists, in arrival order.
 
-    The shard's horizon (its last arrival; 0 for an empty stream) rides on
-    the sentinel block: only then is the stream known to have run out.
+    Each chunk is ``[arrival, departure, cores, memory, allocations,
+    vm_ids, flags]``; a stream's chunks are checked to continue in arrival
+    order (the error names the shard's first late record).
     """
+    check = not isinstance(trace, ClusterTrace)
     last = 0.0
     for block, allocations in iter_policy_blocks(trace, policy, True):
         vm_ids, arrival, departure, cores, memory = block_replay_columns(block)
-        last = _check_arrival_order(arrival, vm_ids, last)
-        yield (zip(repeat(0), arrival.tolist(), cores.tolist(),
-                   memory.tolist(), allocations, vm_ids),
-               arrival, departure, cores, ())
-    yield _SENTINEL_ROWS, _NO_TIMES, _NO_TIMES, _NO_CORES, ((last, 0),)
+        if check:
+            last = _check_arrival_order(arrival, vm_ids, last)
+        if not arrival.shape[0]:
+            continue
+        flags = None
+        if threshold is not None:
+            flags = _at_risk_flags(
+                policy, block, np.asarray(allocations, dtype=np.float64),
+                threshold)
+        yield [arrival, departure, cores, memory, allocations, vm_ids, flags]
 
 
-def _full_bucket(used_cores: List[int], used_gb: List[float], stc: int,
-                 std: float, first: int, count: int) -> List[Tuple[float, int]]:
-    """Canonical full-server bucket of servers ``first .. first+count-1``.
+def _blocks(inputs: Sequence[TraceInput], policies, with_ids: bool,
+            threshold: Optional[float]):
+    """The loop's blocks: a k-way merge of the shards' chunks.
 
-    A full server's key is its current state, so sorting the recomputed
-    keys reproduces the engine's index.  A module-level function (like
-    :func:`_bucket_keys`) so the inlined loop's hot locals are never closed
-    over: a closure would make them cell variables.
+    A materialised trace is one chunk.  Every shard buffers at most one
+    chunk, and a buffered row is emitted once no other shard can still
+    produce a row that precedes it in ``(arrival, shard)`` order -- a
+    shard's later rows arrive no earlier than its buffer's last row -- so
+    the rows come in stable ``(arrival, shard)`` order.  A shard is
+    refilled only once its buffer is empty, so when it runs out its last
+    row was the last row of the block before: its horizon rides on the
+    next block (an empty shard's, time 0, on the first).
     """
-    return sorted(
-        (std - used_gb[i], i)
-        for i in range(first, first + count)
-        if used_cores[i] >= stc
-    )
+    n_shards = len(inputs)
+    sources = [_shard_chunks(inputs[s], policies[s], threshold)
+               for s in range(n_shards)]
+    buffers: List[Optional[list]] = [None] * n_shards
+    last = [0.0] * n_shards
+    live = [True] * n_shards
+    ends: List[Tuple[float, int]] = []
+    while True:
+        for s in range(n_shards):
+            if live[s] and buffers[s] is None:
+                buffers[s] = next(sources[s], None)
+                if buffers[s] is None:
+                    live[s] = False
+                    ends.append((last[s], s))
+                else:
+                    last[s] = float(buffers[s][0][-1])
+        shards = [s for s in range(n_shards) if buffers[s] is not None]
+        if not shards:
+            break
+        parts = []
+        for s in shards:
+            chunk = buffers[s]
+            n_rows = count = chunk[0].shape[0]
+            for other in shards:
+                if other != s:
+                    cut = int(np.searchsorted(
+                        chunk[0], last[other],
+                        "right" if s < other else "left"))
+                    if cut < count:
+                        count = cut
+            if count == n_rows:
+                parts.append((s, chunk))
+                buffers[s] = None
+            elif count:
+                parts.append((s, [None if c is None else c[:count]
+                                  for c in chunk]))
+                buffers[s] = [None if c is None else c[count:] for c in chunk]
+        yield from _sliced(parts, with_ids, tuple(ends))
+        ends = []
+    yield _SENTINEL_ROWS, _NO_TIMES, _NO_TIMES, _NO_CORES, tuple(ends), None
 
 
-def _bucket_keys(eng: ArrayPlacementEngine) -> List[Tuple[int, float]]:
-    """Every server's ``(free cores, free GB)`` bucket key."""
-    stc = eng.server_total_cores
-    std = eng.server_total_dram_gb
-    return [(stc - cores, std - gb)
-            for cores, gb in zip(eng.used_cores_srv, eng.used_gb_srv)]
+def _sliced(parts, with_ids: bool, ends):
+    """Merge chunk parts, then yield them in ``_ARRIVAL_SLICE_ROWS``-row
+    blocks, converted to Python scalars one block at a time (so whole
+    traces never exist as row lists).  ``ends`` rides on the first."""
+    if len(parts) == 1:
+        s, (arrival, departure, cores, memory, allocations, vm_ids,
+            flags) = parts[0]
+        shard = None
+    else:
+        arrival = np.concatenate([c[0] for _, c in parts])
+        shard = np.repeat(np.array([s for s, _ in parts], dtype=np.int64),
+                          [c[0].shape[0] for _, c in parts])
+        order = np.lexsort((shard, arrival))
+
+        def merged(column: int) -> np.ndarray:
+            return np.concatenate([c[column] for _, c in parts])[order]
+
+        arrival = arrival[order]
+        shard = shard[order]
+        departure, cores, memory = merged(1), merged(2), merged(3)
+        allocations = np.concatenate([
+            np.asarray(c[4], dtype=np.float64) for _, c in parts])[order]
+        vm_ids = None
+        if with_ids:
+            vm_ids = np.concatenate([
+                np.array(c[5], dtype=object) for _, c in parts])[order]
+        flags = None if parts[0][1][6] is None else merged(6)
+    step = _ARRIVAL_SLICE_ROWS
+    for lo in range(0, arrival.shape[0], step):
+        hi = lo + step
+        b_arrival = arrival[lo:hi]
+        b_cores = cores[lo:hi]
+        yield (zip(repeat(s) if shard is None else shard[lo:hi].tolist(),
+                   b_arrival.tolist(), b_cores.tolist(),
+                   memory[lo:hi].tolist(), _plain(allocations[lo:hi]),
+                   repeat(None) if not with_ids else _plain(vm_ids[lo:hi])),
+               b_arrival, departure[lo:hi], b_cores, ends,
+               None if flags is None else flags[lo:hi].tolist())
+        ends = ()
+
+
+def _plain(column):
+    """A list or tuple slice as is; an array slice as a list of scalars."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _replay_crossshard_inlined(
@@ -1023,84 +841,100 @@ def _replay_crossshard_inlined(
     constrain_memory: bool,
     sample_interval_s: float,
     record_placements: bool = False,
+    online: Optional[OnlineControlConfig] = None,
+    faults: Optional[FaultSchedule] = None,
 ) -> Tuple[List[SimulationResult], PoolGroupLedger]:
-    """The inlined cross-shard merged loop (heap-free, flat fleet state).
+    """The replay loop: one merged, heap-free pass over a fleet.
 
-    Replaces :func:`_replay_crossshard_events`' event heap and per-event
-    engine method calls with plain locals, for a uniform-SKU fleet of
-    materialised traces or a one-shard stream:
-
+    * **shared state**: the shard engines (:meth:`ArrayPlacementEngine.fleet`)
+      share fleet-wide per-server and per-node lists, per-shard aggregate
+      lists and the ledger's pool dicts; the loop binds those objects to
+      locals and inlines :meth:`ArrayPlacementEngine.place` /
+      ``remove`` over them statement for statement, so engine methods
+      called from a cold hook see live state and nothing is copied back
+      (a static replay, which calls no engine method, works on list copies
+      of the three pool dicts and writes them back at the end).
+      Bucket entries hold fleet server ids (a constant offset per shard
+      preserves within-shard order).  The server shape is uniform
+      (:func:`_validate_crossshard_args`), so it hoists into scalars and a
+      fleet server's first NUMA-node slot is just ``index * sockets``;
     * **arrival blocks**: the loop reads merged arrival rows one block at a
-      time -- fixed-size slices of a materialised fleet's lexsorted merge
-      (:func:`_materialised_blocks`), or one block per chunk of a stream
-      (:func:`_stream_blocks`) -- and ends with a sentinel block whose one
-      row arrives at ``+inf``: its pump is the final drain;
+      time from the k-way merge of the shards' chunks (:func:`_blocks`; a
+      materialised trace is one chunk), in slices of at most
+      ``_ARRIVAL_SLICE_ROWS`` rows, and ends with a sentinel block whose
+      one row arrives at ``+inf``: its pump is the final drain;
     * **departures**: at each block start, the block's departures are
       sorted together with the payloads earlier blocks have not drained
       yet, equal times in placement sequence (carried payloads first, then
-      the block's rows in order), which is the events loop's ``(time,
-      seq)`` heap order in O(block + live VMs) memory.  A placement stores its payload in its row's slot; the drain
-      walks the presorted order through a pointer, batched by one
-      ``bisect_right`` per pump bound, and clears each slot it drains.
-      Rejected, drained and not-yet-placed slots are ``None``;
-    * **flat fleet state**: every shard engine's per-server and per-NUMA-node
-      lists are concatenated into fleet-wide locals (a shard's server ``i``
-      becomes fleet index ``offset + i``), so the hot loop reads plain
-      locals instead of unpacking a per-shard state tuple per event.  The
-      dispatcher only routes uniform-SKU fleets here, so the server shape
-      (sockets, per-socket cores/DRAM, bucket count) hoists into scalars and
-      a fleet server's first NUMA-node slot is just ``index * sockets``.
-      Bucket entries carry fleet server ids during the run (a constant
-      offset preserves within-shard order, so walk order is unchanged) and
-      are translated back at the end;
-    * **grid samples and horizons**: every shard's grid is the same
-      ``k * sample_interval_s`` sequence, so one shared clock plus per-shard
-      alive flags replaces per-shard heap entries (shards fire in shard
-      order at each tick, exactly the heap's tie-break); horizons become
-      pending when their shard's last arrival is processed, matching the
-      heap push, and wait in a tiny heap of their own whose min is cached
-      in a local;
-    * the per-event arithmetic is statement-for-statement
-      :meth:`ArrayPlacementEngine.place` / ``remove``, with two structural
-      cuts: **full-server elision** -- a placement that fills a server
-      skips the insort and a departure from a full server skips the
-      delete, so ``buckets[0]`` goes stale and is rebuilt canonically per
-      shard at the end -- and a **GC pause** for the duration of the loop
+      the block's rows in order), in O(block + live VMs) memory.  A
+      placement stores its payload in its row's slot; the drain walks the
+      presorted order through a pointer, batched by one ``bisect_right``
+      per pump bound, and clears each slot it drains.  Rejected, drained
+      and not-yet-placed slots are ``None``;
+    * **pump timelines**: departures (the presorted drain), fault events
+      (``t_f``), the shared grid clock (``t_s``: every shard's grid is the
+      same ``k * sample_interval_s`` sequence, fired for alive shards in
+      shard order) and pending horizons (``t_h``, the min of a tiny heap;
+      a shard's horizon becomes pending at the block after its last row,
+      which the merge makes the last row of its block).  At equal times the order is the priority table of
+      DESIGN.md sections 10-11: departures, faults, grid samples (each
+      shard's sample followed by its QoS tick and its evacuation-retry
+      tick), horizons, arrivals;
+    * **cold hooks**: with a control on, :class:`_Controls` registers each
+      placement (handle, at-risk flag, fault token), removes departures
+      through the engine or the injector, runs the per-shard ticks and
+      fires fault events.  Static replays pay one ``is not None`` test per
+      placement, departure and grid sample, and one compare per pump
+      round for the fault timeline;
+    * **full-server elision** (shared with the engine): a placement that
+      fills a server skips the insort and a departure from a full server
+      skips the delete, so ``buckets[0]`` is stale until a zero-core
+      request rebuilds it; and a **GC pause** for the duration of the loop
       (the payload and bucket-key tuples allocated per event otherwise
       trigger young-generation scans over long-lived state).  Departures of
       VMs that drew no pool memory skip the pool ledger block entirely:
-      every write in it is a float no-op for ``pool_gb == 0``
-      (``x - 0.0 == x``; the quantities involved are never ``-0.0``), so
-      results are unchanged.
+      every write in it is a float no-op for ``pool_gb == 0``.
 
     Two row kinds only validation-bypassing records produce take cold
     branches, guarded per block: a VM departing at or before its arrival
     rewinds the drain pointer to its presorted rank (every slot between
     there and the old pointer is ``None``, so only this VM re-fires), and a
     zero-core VM, whose walk starts at ``buckets[0]``, rebuilds its shard's
-    stale full-server bucket first.  The stranded-memory updates on the
-    full-server branches are the general ones, so a zero-core VM on a full
-    server is counted once.
+    stale full-server bucket first.
 
-    Every static ``ClusterSimulator`` replay runs here as a one-shard
-    fleet.  Byte-identical to the events loop by construction; pinned by
-    the differential suites in ``tests/test_pool_topology.py`` and
-    ``tests/test_replay_fuzz.py`` and, through ``ClusterSimulator.run``,
-    against the brute-force reference replay.
+    Pinned by the brute-force oracles in ``tests/reference_replay.py``
+    (one cluster and static fleets) and by the fixtures the retired
+    replay loops left (``tests/fixtures``).
     """
     n_shards = len(inputs)
-    ledger, engines, results, shard_groups, total_cores, total_dram = (
-        _crossshard_setup(n_servers_per_shard, server_configs, topology,
-                          capacity, constrain_memory)
-    )
-    # Group ids are contiguous 0..n_groups-1, so the shared ledger dicts
-    # flatten into plain lists for the hot loop (a list subscript is ~2-3x
-    # cheaper than a dict lookup); the ledger dicts -- shared with the shard
-    # engines, which this loop never calls -- are refreshed at the end.
+    ledger = PoolGroupLedger.for_topology(topology, capacity)
+    engines = ArrayPlacementEngine.fleet(
+        n_servers_per_shard,
+        effective_server_config(server_configs[0], constrain_memory),
+        [g for groups in topology.group_of for g in groups],
+        ledger.free_gb, ledger.used_gb, ledger.peak_gb)
+    results = [SimulationResult() for _ in range(n_shards)]
+    shard_groups = [topology.groups_of_shard(s) for s in range(n_shards)]
+    total_cores = [e.total_cores for e in engines]
+    total_dram = [
+        n_servers_per_shard[s] * server_configs[s].total_dram_gb
+        for s in range(n_shards)
+    ]
+    # Group ids are contiguous 0..n_groups-1.  A static replay calls no
+    # engine method, so it flattens the ledger dicts into lists (a list
+    # subscript is ~2x cheaper than a dict lookup) and writes them back at
+    # the end; with a control on, the cold hooks' engine and injector calls
+    # read and write the ledger dicts, so the loop works on those.
     n_groups = topology.n_groups
-    pool_free = [ledger.free_gb[g] for g in range(n_groups)]
-    pool_used = [ledger.used_gb[g] for g in range(n_groups)]
-    pool_peak = [ledger.peak_gb[g] for g in range(n_groups)]
+    controlled = online is not None or faults is not None
+    if controlled:
+        pool_free = ledger.free_gb
+        pool_used = ledger.used_gb
+        pool_peak = ledger.peak_gb
+    else:
+        pool_free = [ledger.free_gb[g] for g in range(n_groups)]
+        pool_used = [ledger.used_gb[g] for g in range(n_groups)]
+        pool_peak = [ledger.peak_gb[g] for g in range(n_groups)]
 
     # -- uniform server shape, hoisted into scalars --------------------------
     e0 = engines[0]
@@ -1111,41 +945,23 @@ def _replay_crossshard_inlined(
     std = e0.server_total_dram_gb
     two_sockets = sockets == 2
 
-    # -- flat fleet state: per-shard engine lists concatenated ---------------
-    # (engines are freshly built, so this is a copy of all-zero state plus
-    # the initial full-free bucket, re-keyed to fleet server indices)
-    node_cores: List[int] = []
-    node_gb: List[float] = []
-    used_cores_srv: List[int] = []
-    used_gb_srv: List[float] = []
-    pool_used_srv: List[float] = []
-    peak_local: List[float] = []
-    peak_pool: List[float] = []
-    group_of: List[int] = []
-    srv_off: List[int] = []
-    buckets_l: List[List[List[Tuple[float, int]]]] = []
-    for eng in engines:
-        off = len(used_cores_srv)
-        srv_off.append(off)
-        node_cores.extend(eng.node_used_cores)
-        node_gb.extend(eng.node_used_gb)
-        used_cores_srv.extend(eng.used_cores_srv)
-        used_gb_srv.extend(eng.used_gb_srv)
-        pool_used_srv.extend(eng.pool_used_srv)
-        peak_local.extend(eng.peak_local_gb)
-        peak_pool.extend(eng.peak_pool_gb)
-        group_of.extend(eng.group_of)
-        buckets_l.append([
-            [(key_gb, idx + off) for key_gb, idx in bucket]
-            for bucket in eng._buckets
-        ])
+    # -- the engines' shared fleet state -------------------------------------
+    node_cores = e0.node_used_cores
+    node_gb = e0.node_used_gb
+    used_cores_srv = e0.used_cores_srv
+    used_gb_srv = e0.used_gb_srv
+    pool_used_srv = e0.pool_used_srv
+    peak_local = e0.peak_local_gb
+    peak_pool = e0.peak_pool_gb
+    group_of = e0.group_of
+    agg_cores = e0.agg_cores
+    agg_gb = e0.agg_local_gb
+    agg_stranded = e0.agg_stranded_gb
+    agg_running = e0.agg_running
+    buckets_l = [e._buckets for e in engines]
     n_buckets = len(buckets_l[0])
 
     append_rows = [r.sample_buffer.append_row for r in results]
-    agg_cores = [0] * n_shards
-    agg_gb = [0.0] * n_shards
-    agg_stranded = [0.0] * n_shards
-    agg_running = [0] * n_shards
     placed = [0] * n_shards
     rejected = [0] * n_shards
     total_memory = [0.0] * n_shards
@@ -1153,6 +969,13 @@ def _replay_crossshard_inlined(
     placed_ids: List[List[str]] = [[] for _ in range(n_shards)]
     placed_srv: List[List[int]] = [[] for _ in range(n_shards)]
     last_sample: List[Optional[float]] = [None] * n_shards
+    alive = [True] * n_shards
+    n_alive = n_shards
+
+    controls = None
+    if controlled:
+        controls = _Controls(online, faults, engines, results, ledger,
+                             topology, alive)
 
     def emit(shard: int, time_s: float, agg_cores=agg_cores, agg_gb=agg_gb,
              agg_stranded=agg_stranded, agg_running=agg_running,
@@ -1180,15 +1003,11 @@ def _replay_crossshard_inlined(
         ))
         last_sample[shard] = time_s
 
-    if isinstance(inputs[0], ClusterTrace):
-        remaining, horizons, blocks = _materialised_blocks(
-            inputs, policies, record_placements)
-    else:
-        # A one-shard stream: its row count is unknown, so the countdown
-        # below (from 0, going negative) never pushes its horizon; the
-        # sentinel block carries it.
-        remaining, horizons = [0], [0.0]
-        blocks = _stream_blocks(inputs[0], policies[0])
+    threshold = None
+    if online is not None and online.mitigation_enabled:
+        threshold = online.qos_threshold_percent
+    blocks = _blocks(inputs, policies, record_placements or controlled,
+                     threshold)
 
     #: Walk ranges, one per requested core count (reused, not allocated per
     #: placement; grown per block); indices past the last bucket walk
@@ -1200,16 +1019,14 @@ def _replay_crossshard_inlined(
     insort_ = insort
     heappush = heapq.heappush
     heappop = heapq.heappop
-    inf = float("inf")
+    inf = math.inf
 
     # -- departure drain state, rebuilt at every block start -----------------
-    payload: List[Optional[Tuple[int, int, int, int, float, float]]] = []
+    payload: list = []
     dep_order: List[int] = []
     dep_times: List[float] = []
     sorted_times = _NO_TIMES  # ``dep_times`` as an array
     p = 0
-    alive = [True] * n_shards
-    n_alive = n_shards
     #: Pending horizons (time, shard); ``t_h`` caches the heap min (the heap
     #: changes at most ``2 * n_shards`` times, so maintaining the cache is
     #: far cheaper than peeking every pump round).
@@ -1217,21 +1034,25 @@ def _replay_crossshard_inlined(
     t_h = inf
     #: Cached next grid tick (``inf`` once every shard's horizon passed).
     t_s = 0.0
+    #: Next fault event (``inf`` without faults or once all have fired).
+    t_f = inf if controls is None else controls.next_fault()
 
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        for rows, arrivals, departures, cores, ends in blocks:
+        for rows, arrivals, departures, cores, ends, flags in blocks:
             for end_time, shard in ends:
                 heappush(hor_heap, (end_time, shard))
             t_h = hor_heap[0][0] if hor_heap else inf
+            if controls is not None:
+                controls.flags = flags
 
             # -- presort: this block's departures + undrained payloads -------
             # Slots hold the carried payloads, then the block's rows (row
             # ``j`` is slot ``n_carry + j``), so slot order is placement
-            # sequence and a stable sort of the slots' departure times is
-            # the events loop's (time, seq) order.
+            # sequence and a stable sort of the slots' departure times puts
+            # equal times in placement order.
             entries = list(map(payload.__getitem__, dep_order[p:]))
             pending = np.fromiter(map(is_not, entries, repeat(None)),
                                   dtype=bool, count=len(entries))
@@ -1248,6 +1069,8 @@ def _replay_crossshard_inlined(
             p = 0
             next_dep = dep_times[0] if n_dep else inf
             nxt = t_s if t_s <= t_h else t_h
+            if t_f <= nxt:
+                nxt = t_f
             # next_event folds the pump-entry test into one compare per
             # arrival (the grid starts at 0.0, so the first arrival pumps).
             next_event = next_dep if next_dep <= nxt else nxt
@@ -1272,11 +1095,14 @@ def _replay_crossshard_inlined(
             k = n_carry - 1  # the slot of the current row
             for s, arrival_s, cores_r, memory_gb, vm_pool_gb, vm_id in rows:
                 k += 1
-                # -- pump: every heaped-order event before this arrival ------
+                # -- pump: every earlier-ranked event before this arrival ----
                 if next_event <= arrival_s:
                     while True:
-                        # A grid sample outranks a horizon at equal times.
+                        # Priority at equal times: departures, faults, grid
+                        # samples, horizons (DESIGN.md sections 10-11).
                         nxt = t_s if t_s <= t_h else t_h
+                        if t_f <= nxt:
+                            nxt = t_f
                         bound = nxt if nxt <= arrival_s else arrival_s
                         if next_dep <= bound:
                             end = bisect_r(dep_times, bound, p)
@@ -1285,6 +1111,9 @@ def _replay_crossshard_inlined(
                                 if entry is None:
                                     continue  # rejected, drained or unplaced
                                 payload[m] = None
+                                if controls is not None:
+                                    controls.depart(entry)
+                                    continue
                                 # -- departure (ArrayPlacementEngine.remove) -
                                 ds, sidx, pos, d_cores, d_local, d_pool = entry
                                 if d_pool:
@@ -1338,14 +1167,18 @@ def _replay_crossshard_inlined(
                             next_dep = dep_times[p] if p < n_dep else inf
                         if nxt > arrival_s or nxt == inf:
                             # (``nxt == inf`` ends the sentinel's pump:
-                            # every horizon has fired.)
+                            # every horizon and fault has fired.)
                             break
-                        if t_s <= t_h:
-                            # Grid tick: alive shards sample in shard order
-                            # (the heap's tie-break for equal-time samples).
+                        if t_f == nxt:
+                            t_f = controls.fire()
+                        elif t_s <= t_h:
+                            # Grid tick: alive shards sample in shard order,
+                            # each followed by its own control ticks.
                             for gs in range(n_shards):
                                 if alive[gs]:
                                     emit(gs, t_s)
+                                    if controls is not None:
+                                        controls.tick(gs)
                             t_s += sample_interval_s
                         else:
                             h, hs = heappop(hor_heap)
@@ -1368,8 +1201,8 @@ def _replay_crossshard_inlined(
                     # The walk starts at the full-server bucket, which the
                     # elision leaves stale.
                     buckets[0] = _full_bucket(
-                        used_cores_srv, used_gb_srv, stc, std, srv_off[s],
-                        n_servers_per_shard[s])
+                        used_cores_srv, used_gb_srv, stc, std,
+                        engines[s].offset, n_servers_per_shard[s])
                 local_gb = memory_gb - vm_pool_gb
 
                 # -- best-fit bucket walk (ArrayPlacementEngine.place) -------
@@ -1464,9 +1297,9 @@ def _replay_crossshard_inlined(
                         if group < 0:
                             # Group-less pool request corner (unreachable for
                             # topology-built engines, where every server has
-                            # a group; kept for exact parity with the events
-                            # loop's PlacementError handling): roll usage
-                            # back, peaks keep the transient placement.
+                            # a group; kept for parity with place()'s
+                            # PlacementError): roll usage back, peaks keep
+                            # the transient placement.
                             node_cores[pos] -= cores_r
                             node_gb[pos] -= local_gb
                             used_cores_srv[sidx] = new_cores - cores_r
@@ -1505,8 +1338,13 @@ def _replay_crossshard_inlined(
                         total_pool[s] += vm_pool_gb
                         # Storing the payload is the push: the drain has not
                         # passed this slot yet...
-                        payload[k] = (s, sidx, pos, cores_r, local_gb,
-                                      vm_pool_gb)
+                        if controls is not None:
+                            payload[k] = controls.place(
+                                s, sidx, best_node, cores_r, local_gb,
+                                vm_pool_gb, vm_id, k - n_carry)
+                        else:
+                            payload[k] = (s, sidx, pos, cores_r, local_gb,
+                                          vm_pool_gb)
                         if rewinds is not None:
                             rank_k = rewinds.get(k)
                             if rank_k is not None:
@@ -1517,56 +1355,20 @@ def _replay_crossshard_inlined(
                                 next_dep = dep_times[p]
                                 if next_dep < next_event:
                                     next_event = next_dep
-
-                remaining[s] -= 1
-                if not remaining[s]:
-                    # Shard exhausted: its horizon (this arrival's time)
-                    # becomes pending, exactly like the events loop's push.
-                    h = horizons[s]
-                    heappush(hor_heap, (h, s))
-                    if h < t_h:
-                        t_h = h
-                    if h < next_event:
-                        next_event = h
+        if controls is not None:
+            controls.finish()
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    # Refresh the shared ledger dicts (also referenced by the shard engines)
-    # from the flattened group state before anything reads them back.
-    for g in range(n_groups):
-        ledger.free_gb[g] = pool_free[g]
-        ledger.used_gb[g] = pool_used[g]
-        ledger.peak_gb[g] = pool_peak[g]
-
-    # -- hand the flat state back to the engines -----------------------------
+    if not controlled:
+        for g in range(n_groups):
+            ledger.free_gb[g] = pool_free[g]
+            ledger.used_gb[g] = pool_used[g]
+            ledger.peak_gb[g] = pool_peak[g]
     for shard in range(n_shards):
         res = results[shard]
         eng = engines[shard]
-        off = srv_off[shard]
-        n = eng.n_servers
-        base0 = off * sockets
-        n_nodes = n * sockets
-        eng.node_used_cores[:] = node_cores[base0:base0 + n_nodes]
-        eng.node_used_gb[:] = node_gb[base0:base0 + n_nodes]
-        eng.used_cores_srv[:] = used_cores_srv[off:off + n]
-        eng.used_gb_srv[:] = used_gb_srv[off:off + n]
-        eng.pool_used_srv[:] = pool_used_srv[off:off + n]
-        eng.peak_local_gb[:] = peak_local[off:off + n]
-        eng.peak_pool_gb[:] = peak_pool[off:off + n]
-        buckets = buckets_l[shard]
-        # Rebuild the unmaintained full-server bucket, then translate fleet
-        # ids back to shard-local.
-        buckets[0] = _full_bucket(used_cores_srv, used_gb_srv, stc, std, off, n)
-        eng._buckets = [
-            [(key_gb, idx - off) for key_gb, idx in bucket]
-            for bucket in buckets
-        ]
-        eng._bucket_key = _bucket_keys(eng)
-        eng.used_cores = agg_cores[shard]
-        eng.used_local_gb = agg_gb[shard]
-        eng.stranded_gb = agg_stranded[shard]
-        eng.running_vms = agg_running[shard]
         res.placed_vms = placed[shard]
         res.rejected_vms = rejected[shard]
         res.total_memory_gb_allocated = total_memory[shard]
@@ -1580,6 +1382,7 @@ def _replay_crossshard_inlined(
         else:
             res.pool_peak_gb = {}
         if record_placements:
+            off = eng.offset
             res._placed_vm_ids = placed_ids[shard]
             res._placed_server_idx = [g - off for g in placed_srv[shard]]
             res._placement_server_ids = eng.server_ids

@@ -401,8 +401,7 @@ def active_controls(
 
     Disabled mitigation (threshold ``inf``) and a fault schedule without
     events change nothing a replay computes, so both become ``None`` and
-    the replay dispatches like a static one -- onto the inlined loops when
-    its inputs allow.  Shared by :meth:`ClusterSimulator.run` and the
+    the replay builds no control hooks, like a static one.  Shared by :meth:`ClusterSimulator.run` and the
     cross-shard fleet replay; pair it with :func:`attach_control_stats`.
     """
     if online is not None and not online.mitigation_enabled:
@@ -421,7 +420,7 @@ def attach_control_stats(
 
     A replay whose switches :func:`active_controls` dropped still reports a
     zeroed ``online_stats`` / ``fault_stats`` -- exactly what the control
-    loops attach when no tick or fault event does any work.
+    hooks attach when no tick or fault event does any work.
     """
     for result in results:
         if online is not None and result.online_stats is None:
@@ -490,12 +489,13 @@ class ClusterSimulator:
         The replay is a one-shard fleet: one
         :func:`~repro.cluster.pool_topology.replay_crossshard` call over
         ``PoolTopology.per_shard([n_servers], ...)`` (unpooled when
-        ``pool_size_sockets`` is 0), which sends static replays to its
-        inlined loop -- materialised traces in fixed-size slices, streams
-        one chunk at a time -- and online/fault replays to its
-        engine-method events loop.  Static replays are differential-tested
-        byte for byte against a brute-force reference replay
-        (``tests/reference_replay.py``).
+        ``pool_size_sockets`` is 0), which runs every replay -- static,
+        online or faulted; materialised traces in fixed-size slices,
+        streams one chunk at a time -- on its one loop, with the controls
+        as cold hooks.  Static replays are differential-tested byte for
+        byte against a brute-force reference replay
+        (``tests/reference_replay.py``); controlled replays against pinned
+        fixtures.
 
         ``online`` activates the online QoS/mitigation stage: after every
         grid sample a QoS tick scans live pool-exposed VMs whose estimated
@@ -504,16 +504,16 @@ class ClusterSimulator:
 
         ``faults`` activates deterministic EMC fault injection: a
         :class:`~repro.cluster.faults.FaultSchedule` fires timed
-        fail/repair events for pool groups inside the merged event
-        stream, degrading the group ledger and running the degradation
+        fail/repair events for pool groups on the replay's fault
+        timeline, degrading the group ledger and running the degradation
         ladder over affected VMs (DESIGN.md section 11).  Impact accounting
         lands on ``result.fault_stats``.  An unpooled cluster has no groups
         to fail, so a schedule with events raises ``ValueError``.
 
         Switched "off" -- mitigation disabled
         (``qos_threshold_percent=inf``) or a schedule without events -- a
-        stage is dropped before dispatch (:func:`active_controls`), so the
-        replay costs what a static replay costs; the result is
+        stage is dropped before the replay (:func:`active_controls`), so
+        the replay costs what a static replay costs; the result is
         byte-identical to the static replay and still carries zeroed
         ``online_stats`` / ``fault_stats``.
         """

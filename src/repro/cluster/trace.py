@@ -249,6 +249,22 @@ class ClusterTrace:
         else:
             self.cluster_id = "empty"
 
+    @classmethod
+    def from_block(cls, block: TraceColumns,
+                   cluster_id: Optional[str] = None) -> "ClusterTrace":
+        """The trace of one block's records, keeping the block's columns.
+
+        When the block is in arrival order its columns become the cached
+        :meth:`columns` view as they are (``record_source=None``), so they
+        are not rebuilt from the records; otherwise the view is rebuilt on
+        first use, as for any trace.
+        """
+        trace = cls(block.require_records("a ClusterTrace"), cluster_id)
+        arrival = block.arrival_s
+        if arrival is not None and not np.any(arrival[1:] < arrival[:-1]):
+            trace._columns = dataclasses.replace(block, record_source=None)
+        return trace
+
     def __len__(self) -> int:
         return len(self.records)
 

@@ -403,10 +403,14 @@ class TraceGenerator:
         all, use :meth:`stream` instead -- it yields the very same records.
         Unlike :meth:`stream`, it builds every record.
         """
-        records: List[VMTraceRecord] = []
-        for block in self.iter_window_records():
-            records.extend(block.records)
-        return ClusterTrace(records, cluster_id=self.config.cluster_id)
+        windows = [(block, 0, len(block))
+                   for block in self.iter_window_records()]
+        if not windows:
+            return ClusterTrace([], cluster_id=self.config.cluster_id)
+        block = _concat_rows(windows)
+        del windows  # the windows' columns are copied: free them first
+        return ClusterTrace.from_block(block,
+                                       cluster_id=self.config.cluster_id)
 
     def stream(self, chunk_size: int = 8192) -> "GeneratedTraceStream":
         """Lazy :class:`TraceStream` over this generator's trace.

@@ -1,4 +1,4 @@
-"""The repro.analysis suite: determinism lint, pickle safety, contracts, sanitizer.
+"""The repro.analysis suite: determinism lint, pickle safety, sanitizer.
 
 Lock-down for the project-specific static analysis (DESIGN.md section 12):
 
@@ -12,20 +12,16 @@ Lock-down for the project-specific static analysis (DESIGN.md section 12):
 * **Pickle safety**: hazardous attributes on pool-boundary classes are
   flagged through the static closure; ``__getstate__`` classes are
   trusted; the real source tree is clean.
-* **Contracts**: the real replay loops satisfy the documented event
-  ordering, and a fixture copy with fault/sample ordering swapped fails.
 * **Sanitizer**: deliberately corrupted engine/ledger state trips the
   ``REPRO_SANITIZE`` invariants; clean replay sequences do not.
 """
 
 import json
-import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.contracts import check_contracts, check_pump
 from repro.analysis.det_rules import lint_source
 from repro.analysis.findings import (
     Finding,
@@ -316,106 +312,6 @@ class TestPickleSafety:
         assert check_pickle_safety(SRC) == []
 
 
-class TestContracts:
-    POOL_TOPOLOGY = SRC / "repro" / "cluster" / "pool_topology.py"
-
-    def mutated_pump(self, tmp_path, mutate):
-        """A copy of the real pool_topology.py after ``mutate``."""
-        source = self.POOL_TOPOLOGY.read_text()
-        mutated = mutate(source)
-        assert mutated != source, "anchor text changed; update this test"
-        fixture = tmp_path / "pool_topology_mutated.py"
-        fixture.write_text(mutated)
-        return fixture
-
-    def test_real_loops_pass(self):
-        assert check_pump(self.POOL_TOPOLOGY) == []
-        assert check_contracts() == []
-
-    def test_swapped_fault_sample_ordering_fails(self, tmp_path):
-        """Swapping the fault and sample heap priorities in a copy of the
-        real pump module must fail the checker (acceptance criterion)."""
-        def swap(source):
-            return (source.replace("_KIND_FAULT = 1", "_KIND_FAULT = @")
-                    .replace("_KIND_SAMPLE = 2", "_KIND_SAMPLE = 1")
-                    .replace("_KIND_FAULT = @", "_KIND_FAULT = 2"))
-        findings = check_pump(self.mutated_pump(tmp_path, swap))
-        assert "ORD005" in rules_of(findings)
-
-    def test_sample_arm_order_swap_fails(self, tmp_path):
-        """Moving the QoS tick ahead of take_sample in a copy of the real
-        pump must fail ORD007."""
-        def move_qos_tick(source):
-            source, removed = re.subn(
-                r"\n\s+if mitigate:\n(?:\s+#.*\n)*\s+qos_tick\(shard\)\n",
-                "\n", source, count=1)
-            assert removed == 1
-            anchor = "                take_sample(shard, event[0])\n"
-            assert source.count(anchor) == 1
-            return source.replace(
-                anchor, "                qos_tick(shard)\n" + anchor)
-        findings = check_pump(self.mutated_pump(tmp_path, move_qos_tick))
-        assert "ORD007" in rules_of(findings)
-
-    def test_missing_anchor_fails_loudly(self, tmp_path):
-        fixture = tmp_path / "empty.py"
-        fixture.write_text("x = 1\n")
-        assert "ORD001" in rules_of(check_pump(fixture))
-
-    PUMP_TEMPLATE = """\
-        _KIND_DEPARTURE = {dep}
-        _KIND_FAULT = {fault}
-        _KIND_SAMPLE = {sample}
-        _KIND_HORIZON = 3
-        _KIND_ARRIVAL = 4
-
-        def _replay_crossshard_events():
-            def pump(limit):
-                while events and events[0] < limit:
-                    event = heappop(events)
-                    kind = event[1]
-                    if kind == _KIND_DEPARTURE:
-                        injector.on_departure(event[4])
-                    elif kind == _KIND_FAULT:
-                        injector.fire_next()
-                    elif kind == _KIND_SAMPLE:
-                        take_sample(shard, event[0])
-                        heappush(events, (event[0] + s, _KIND_SAMPLE, shard))
-                        if mitigate:
-                            qos_tick(shard)
-                        if injector is not None:
-                            injector.retry_tick(shard)
-                    else:
-                        done[shard] = True
-        """
-
-    def test_minimal_pump_fixture_passes(self, tmp_path):
-        fixture = tmp_path / "pump.py"
-        fixture.write_text(textwrap.dedent(
-            self.PUMP_TEMPLATE.format(dep=0, fault=1, sample=2)))
-        assert check_pump(fixture) == []
-
-    def test_sample_dispatched_before_fault_fails(self, tmp_path):
-        source = textwrap.dedent(
-            self.PUMP_TEMPLATE.format(dep=0, fault=1, sample=2))
-        fault_arm = source[source.index("        elif kind == _KIND_FAULT:"):
-                           source.index("        elif kind == _KIND_SAMPLE:")]
-        sample_arm = source[source.index("        elif kind == _KIND_SAMPLE:"):
-                            source.index("        else:")]
-        swapped = source.replace(fault_arm + sample_arm,
-                                 sample_arm + fault_arm)
-        assert swapped != source
-        fixture = tmp_path / "pump.py"
-        fixture.write_text(swapped)
-        assert "ORD006" in rules_of(check_pump(fixture))
-
-    def test_kind_priority_swap_fails(self, tmp_path):
-        fixture = tmp_path / "pump.py"
-        fixture.write_text(textwrap.dedent(
-            self.PUMP_TEMPLATE.format(dep=0, fault=2, sample=1)))
-        assert "ORD005" in rules_of(check_pump(fixture))
-
-
 @pytest.fixture
 def sanitized():
     sanitizer.install()
@@ -563,14 +459,9 @@ class TestCLI:
                      "--update-baseline"]) == 0
         assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
 
-    def test_contracts_subcommand_clean(self):
-        from repro.analysis.cli import main
-
-        assert main(["contracts"]) == 0
-
     def test_explain_knows_every_rule(self):
         from repro.analysis.cli import main
 
         assert main(["explain"]) == 0
-        assert main(["explain", "DET002", "PCK004", "ORD005"]) == 0
+        assert main(["explain", "DET002", "PCK004"]) == 0
         assert main(["explain", "ZZZ999"]) == 1

@@ -176,7 +176,7 @@ class TestStreamedVsMaterialised:
             pool_capacity_gb_per_group=400.0, constrain_memory=constrain,
             sample_interval_s=1800.0)
         policy = FixedFractionPolicy(0.3)
-        forbid(pool_topology, "_replay_crossshard_events")
+        forbid(pool_topology, "_Controls")
         materialised = sim.run(trace, policy)
         for chunk_size in (1, 97, 4096, 10 * len(trace)):
             assert_identical(

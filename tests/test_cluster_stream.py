@@ -15,7 +15,7 @@ import pytest
 from reference_replay import reference_replay
 from repro.cluster.fleet import FleetSimulator, pond_policy_factory
 from repro.cluster.pool import FixedFractionPolicy, PoolDimensioner
-from repro.cluster.pool_topology import PoolTopology, _replay_crossshard_events
+from repro.cluster.pool_topology import PoolTopology, replay_crossshard
 from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import (
@@ -224,10 +224,11 @@ class TestStreamedReplayEquality:
         with pytest.raises(ValueError, match=message):
             ClusterSimulator(n_servers=1).run(BoundaryStream())
         with pytest.raises(ValueError, match=message):
-            _replay_crossshard_events(
-                [BoundaryStream()], [None], [1], [ServerConfig()],
-                PoolTopology.per_shard([1], 2, 0), float("inf"), True,
-                3600.0)
+            # Two shards: the error comes out of the k-way chunk merge.
+            replay_crossshard(
+                [BoundaryStream(), BoundaryStream()], [None, None], [1, 1],
+                [ServerConfig()] * 2, PoolTopology.per_shard([1, 1], 2, 0),
+                float("inf"), True, 3600.0)
         with pytest.raises(ValueError, match=message):
             reference_replay(BoundaryStream(), n_servers=1)
 
@@ -498,8 +499,8 @@ class TestFleetCapacitySearch:
                                                       topology, monkeypatch):
         """Probes replay one pool-connected component each, so a streamed
         fleet whose groups never cross a shard seam replays one-shard
-        streams on the inlined loop -- never the events loop -- and
-        matches the materialised search."""
+        streams as static replays -- no control hooks -- and matches the
+        materialised search."""
         import repro.cluster.pool_topology as topomod
 
         if topology == "spanning":
@@ -511,9 +512,9 @@ class TestFleetCapacitySearch:
             pool_topology=topology)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("streamed probe took the events loop")
+            raise AssertionError("streamed probe built control hooks")
 
-        monkeypatch.setattr(topomod, "_replay_crossshard_events", forbidden)
+        monkeypatch.setattr(topomod, "_Controls", forbidden)
         fleet = FleetSimulator.sharded(2, search_config, stream_chunk_size=300)
         got = fleet.capacity_search(factory, search_steps=3,
                                     pool_size_sockets=16,

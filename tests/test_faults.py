@@ -2,11 +2,11 @@
 
 Lock-down for the ``faults=FaultSchedule(...)`` replay stage:
 
-* **Differential**: an empty schedule is dropped before dispatch, so the
-  replay takes the static loops; the fault-aware events loop, called
-  directly with it, must stay byte-identical to the static replay -- on a
-  single cluster (a one-shard fleet), composed with the online control
-  loop, and on both cross-shard topologies.
+* **Differential**: an empty schedule is dropped before the replay, so
+  no injector is built; the replay loop, handed the empty schedule
+  directly, must stay byte-identical to the static replay -- on a single
+  cluster (a one-shard fleet), composed with the online control stage,
+  and on both cross-shard topologies.
 * **Determinism**: seeded schedules replay bit-identically across
   process-pool vs serial fleet fan-out (``as_dict`` canonical forms).
 * **Degradation ladder**: pool-to-local first, live migration second,
@@ -41,7 +41,7 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.pool_topology import (
     PoolGroupLedger,
-    _replay_crossshard_events,
+    _replay_crossshard_inlined,
     replay_crossshard,
 )
 from repro.core.control_plane.online import OnlineControlConfig
@@ -272,14 +272,15 @@ class TestLedgerDegradation:
 
 class TestEmptyScheduleByteIdentity:
     """An empty schedule is an "off" switch: ``run``/``replay_crossshard``
-    drop it before dispatch, so the replay takes the static loops, stays
-    byte-identical and still reports zeroed ``fault_stats``.  The
-    ``*_reference_loop`` tests call the fault-aware loops directly and pin
-    them to the same output."""
+    drop it before the replay, so no ``FaultInjector`` is built, the
+    result stays byte-identical and still reports zeroed ``fault_stats``.
+    The ``*_reference_loop`` tests hand the empty schedule to the replay
+    loop directly (an injector with no events, token-indirected
+    departures) and pin it to the same output."""
 
     def test_single_cluster(self, trace, policy, forbid):
         static = make_simulator().run(trace, policy)
-        forbid(pool_topology, "_replay_crossshard_events")
+        forbid(pool_topology, "FaultInjector")
         faulted = make_simulator().run(trace, policy, faults=FaultSchedule())
         assert_results_identical(static, faulted)
         assert static.fault_stats is None
@@ -293,7 +294,7 @@ class TestEmptyScheduleByteIdentity:
     def test_single_cluster_constrained(self, trace, policy, forbid):
         kwargs = dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)
         static = make_simulator(**kwargs).run(trace, policy)
-        forbid(pool_topology, "_replay_crossshard_events")
+        forbid(pool_topology, "FaultInjector")
         faulted = make_simulator(**kwargs).run(trace, policy,
                                                faults=FaultSchedule())
         assert_results_identical(static, faulted)
@@ -315,7 +316,7 @@ class TestEmptyScheduleByteIdentity:
                                    forbid):
         common = crossshard_case(policy, topology, 600.0, True)
         static_results, static_ledger = replay_crossshard(*common)
-        forbid(pool_topology, "_replay_crossshard_events")
+        forbid(pool_topology, "FaultInjector")
         faulted_results, faulted_ledger = replay_crossshard(
             *common, faults=FaultSchedule())
         for static, faulted in zip(static_results, faulted_results):
@@ -338,7 +339,7 @@ class TestEmptyScheduleByteIdentity:
         traces = fleet.generate_traces()
         factory = static_policy_factory(fraction=0.3)
         static = fleet.run(factory, traces=traces, compute_baseline=False)
-        forbid(pool_topology, "_replay_crossshard_events")
+        forbid(pool_topology, "FaultInjector")
         faulted = fleet.run(factory, traces=traces, compute_baseline=False,
                             faults=FaultSchedule())
         for a, b in zip(static.shards, faulted.shards):
@@ -351,7 +352,7 @@ class TestEmptyScheduleByteIdentity:
     def test_single_cluster_reference_loop(self, trace, policy, kwargs,
                                            one_shard):
         static = make_simulator(**kwargs).run(trace, policy)
-        (faulted,), _ = _replay_crossshard_events(
+        (faulted,), _ = _replay_crossshard_inlined(
             *one_shard(make_simulator(**kwargs), trace, policy),
             faults=FaultSchedule())
         assert_results_identical(static, faulted)
@@ -362,7 +363,7 @@ class TestEmptyScheduleByteIdentity:
                                        crossshard_case):
         common = crossshard_case(policy, topology, 600.0, True)
         static_results, static_ledger = replay_crossshard(*common)
-        faulted_results, faulted_ledger = _replay_crossshard_events(
+        faulted_results, faulted_ledger = _replay_crossshard_inlined(
             *common, faults=FaultSchedule())
         for static, faulted in zip(static_results, faulted_results):
             assert_results_identical(static, faulted)
@@ -371,12 +372,12 @@ class TestEmptyScheduleByteIdentity:
         assert static_ledger.used_gb == faulted_ledger.used_gb
 
     def test_online_reference_loop(self, trace, policy, one_shard):
-        """Enabled mitigation next to an empty schedule: the fault-aware
-        online loop (token-indirected departures, injector hooks) must
-        match the online loop without faults."""
+        """Enabled mitigation next to an empty schedule handed to the loop
+        (token-indirected departures, injector hooks) must match the
+        online replay without faults."""
         online = OnlineControlConfig(qos_threshold_percent=5.0)
         plain = make_simulator().run(trace, policy, online=online)
-        (faulted,), _ = _replay_crossshard_events(
+        (faulted,), _ = _replay_crossshard_inlined(
             *one_shard(make_simulator(), trace, policy), online=online,
             faults=FaultSchedule())
         assert_results_identical(plain, faulted)
@@ -392,7 +393,7 @@ class TestEmptyScheduleByteIdentity:
         plain, plain_ledger = replay_crossshard(*common, online=online)
         public, public_ledger = replay_crossshard(*common, online=online,
                                                   faults=FaultSchedule())
-        faulted, faulted_ledger = _replay_crossshard_events(
+        faulted, faulted_ledger = _replay_crossshard_inlined(
             *common, online=online, faults=FaultSchedule())
         for a, b, c in zip(plain, public, faulted):
             assert_results_identical(a, b)
@@ -431,13 +432,13 @@ def tight_fault_run(retry_budget=1, events=None):
 class TestDegradationLadder:
     def test_seeded_schedule_reaches_fault_loop(self, monkeypatch):
         calls = []
-        original = pool_topology._replay_crossshard_events
+        original = pool_topology._replay_crossshard_inlined
 
         def spy(*args, **kwargs):
             calls.append(kwargs["faults"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(pool_topology, "_replay_crossshard_events", spy)
+        monkeypatch.setattr(pool_topology, "_replay_crossshard_inlined", spy)
         result = tight_fault_run()
         assert len(calls) == 1 and calls[0].events
         assert result.fault_stats.n_fail_events > 0
@@ -612,6 +613,37 @@ class TestFleetDeterminism:
                 b.result.fault_stats.as_dict()
             assert np.array_equal(a.result.sample_buffer.rows(),
                                   b.result.sample_buffer.rows())
+
+    def test_shardwise_merge_keys_groups_like_per_shard_topology(self):
+        """Group 0 of two shards are two failure domains: the shardwise
+        merge keeps their blast radii apart, exactly as the per-shard
+        topology run (fleet groups 0 and 2) reports them."""
+        base = TraceGenConfig(n_servers=8, duration_days=0.5,
+                              mean_lifetime_hours=2.0,
+                              target_core_utilization=0.9, seed=7)
+        kwargs = dict(pool_capacity_gb_per_group=400.0, constrain_memory=True)
+        shardwise = FleetSimulator.sharded(2, base, pool_size_sockets=8,
+                                           **kwargs)
+        traces = shardwise.generate_traces()
+        factory = static_policy_factory(fraction=0.4)
+        split = shardwise.run(factory, traces=traces, compute_baseline=False,
+                              faults=FaultSchedule([
+                                  FaultEvent(20000.0, "fail", 0, shard=0),
+                                  FaultEvent(20000.0, "fail", 0, shard=1)]))
+        topology = FleetSimulator.sharded(
+            2, base, pool_topology=PoolTopology.per_shard([8, 8], 2, 8),
+            **kwargs)
+        joint = topology.run(factory, traces=traces, compute_baseline=False,
+                             faults=FaultSchedule([
+                                 FaultEvent(20000.0, "fail", 0),
+                                 FaultEvent(20000.0, "fail", 2)]))
+        blast = [s.result.fault_stats.blast_radius_by_group
+                 for s in split.shards]
+        assert list(blast[0]) == list(blast[1]) == [0]
+        assert split.fault_stats.n_fail_events == 2
+        assert split.fault_stats.blast_radius_by_group == {
+            0: blast[0][0], 2: blast[1][0]}
+        assert split.fault_stats.as_dict() == joint.fault_stats.as_dict()
 
     def test_shardwise_fleet_matches_single_cluster(self):
         """for_shard routing: each shard replays exactly its own events."""

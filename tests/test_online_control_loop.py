@@ -44,7 +44,7 @@ from repro.cluster.fleet import (
     prediction_policy_factory,
 )
 from repro.cluster.pool_topology import (
-    _replay_crossshard_events,
+    _replay_crossshard_inlined,
     replay_crossshard,
 )
 from repro.cluster.server import ServerConfig
@@ -94,14 +94,14 @@ def make_simulator(**kwargs):
 
 class TestDisabledMitigationIsStatic:
     """QoS threshold ``inf`` is an "off" switch: ``run``/``replay_crossshard``
-    drop it before dispatch, so the replay takes the static loops, stays
+    drop it before the replay, so no QoS tick runs, the result stays
     byte-identical and still reports zeroed ``online_stats``.  The
-    ``*_reference_loop`` tests call the online loops directly and pin them
-    to the same output."""
+    ``*_reference_loop`` tests hand the disabled config to the replay loop
+    directly and pin it to the same output."""
 
     def test_array_engine_byte_identity(self, trace, policy, forbid):
         static = make_simulator().run(trace, policy)
-        forbid(pool_topology, "_replay_crossshard_events")
+        forbid(pool_topology._Controls, "_qos_tick")
         online = make_simulator().run(trace, policy, online=DISABLED)
         assert_results_identical(static, online)
         assert static.online_stats is None
@@ -123,7 +123,7 @@ class TestDisabledMitigationIsStatic:
     def test_constrained_replay_byte_identity(self, trace, policy, forbid):
         kwargs = dict(constrain_memory=True, pool_capacity_gb_per_group=600.0)
         static = make_simulator(**kwargs).run(trace, policy)
-        forbid(pool_topology, "_replay_crossshard_events")
+        forbid(pool_topology._Controls, "_qos_tick")
         online = make_simulator(**kwargs).run(trace, policy, online=DISABLED)
         assert_results_identical(static, online)
 
@@ -132,7 +132,7 @@ class TestDisabledMitigationIsStatic:
                                    forbid):
         common = crossshard_case(policy, topology, float("inf"), False)
         static_results, static_ledger = replay_crossshard(*common)
-        forbid(pool_topology, "_replay_crossshard_events")
+        forbid(pool_topology._Controls, "_qos_tick")
         online_results, online_ledger = replay_crossshard(*common,
                                                           online=DISABLED)
         for static, online in zip(static_results, online_results):
@@ -163,7 +163,7 @@ class TestDisabledMitigationIsStatic:
     def test_array_engine_reference_loop(self, trace, policy, kwargs,
                                          one_shard):
         static = make_simulator(**kwargs).run(trace, policy)
-        (online,), _ = _replay_crossshard_events(
+        (online,), _ = _replay_crossshard_inlined(
             *one_shard(make_simulator(**kwargs), trace, policy),
             online=DISABLED)
         assert_results_identical(static, online)
@@ -174,7 +174,7 @@ class TestDisabledMitigationIsStatic:
                                        crossshard_case):
         common = crossshard_case(policy, topology, float("inf"), False)
         static_results, static_ledger = replay_crossshard(*common)
-        online_results, online_ledger = _replay_crossshard_events(
+        online_results, online_ledger = _replay_crossshard_inlined(
             *common, online=DISABLED)
         for static, online in zip(static_results, online_results):
             assert_results_identical(static, online)
@@ -209,13 +209,13 @@ class TestMitigationEffects:
     def test_enabled_mitigation_reaches_online_loop(self, trace, policy,
                                                     monkeypatch):
         calls = []
-        original = pool_topology._replay_crossshard_events
+        original = pool_topology._replay_crossshard_inlined
 
         def spy(*args, **kwargs):
             calls.append(kwargs["online"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(pool_topology, "_replay_crossshard_events", spy)
+        monkeypatch.setattr(pool_topology, "_replay_crossshard_inlined", spy)
         enabled = OnlineControlConfig(qos_threshold_percent=5.0)
         result = make_simulator().run(trace, policy, online=enabled)
         assert calls == [enabled]

@@ -12,6 +12,7 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
+from reference_replay import reference_fleet_replay
 from repro.cluster.fleet import (
     FleetSimulator,
     PoolTopology,
@@ -319,14 +320,14 @@ class BatchFractionPolicy:
 
 
 class TestInlinedLoopDifferential:
-    """The inlined cross-shard pump == the engine-method reference loop.
+    """The replay loop == the brute-force fleet oracle.
 
-    ``replay_crossshard`` dispatches materialised uniform-SKU inputs to the
-    flat-array inlined loop (`_replay_crossshard_inlined`); the
-    engine-method event loop (`_replay_crossshard_events`) stays as the
-    differential reference.  Everything observable must match byte for
-    byte: placements, rejections, totals, per-server peaks, per-group
-    ledger state, and the full sample matrices.
+    ``replay_crossshard`` runs every replay on one loop
+    (`_replay_crossshard_inlined`); ``reference_fleet_replay`` replays the
+    same fleet with a global priority-ordered event heap and linear
+    best-fit scans.  Everything observable must match byte for byte:
+    placements, rejections, totals, per-server peaks, per-group ledger
+    state, and the full sample matrices.
     """
 
     @pytest.fixture(scope="class")
@@ -370,7 +371,6 @@ class TestInlinedLoopDifferential:
     @pytest.mark.parametrize("capacity", [120.0, 1e6])
     def test_byte_identical(self, shard_traces, topo_name, pol_name,
                             capacity):
-        from repro.cluster.pool_topology import _replay_crossshard_events
         make = (PoolTopology.per_shard if topo_name == "per_shard"
                 else PoolTopology.spanning)
         topo = make([6, 8, 5], 2, 16)
@@ -383,18 +383,17 @@ class TestInlinedLoopDifferential:
         self._assert_identical(
             self._run(replay_crossshard, shard_traces, topo, policies,
                       capacity),
-            self._run(_replay_crossshard_events, shard_traces, topo,
+            self._run(reference_fleet_replay, shard_traces, topo,
                       policies, capacity),
         )
 
     def test_byte_identical_dict_capacity(self, shard_traces):
-        from repro.cluster.pool_topology import _replay_crossshard_events
         topo = PoolTopology.spanning([6, 8, 5], 2, 16)
         caps = {g: 100.0 + 10.0 * g for g in range(topo.n_groups)}
         policies = [BatchFractionPolicy(0.4)] * 3
         self._assert_identical(
             self._run(replay_crossshard, shard_traces, topo, policies, caps),
-            self._run(_replay_crossshard_events, shard_traces, topo,
+            self._run(reference_fleet_replay, shard_traces, topo,
                       policies, caps),
         )
 
@@ -415,7 +414,7 @@ class TestInlinedLoopDifferential:
                             topo, policies, 120.0)
         self._assert_identical(
             inlined,
-            self._run(pt._replay_crossshard_events, shard_traces, topo,
+            self._run(reference_fleet_replay, shard_traces, topo,
                       policies, 120.0),
         )
         # 7 rows splits the fleet's arrivals; 10**9 holds them all.
@@ -440,20 +439,14 @@ class TestInlinedLoopDifferential:
         )
         assert calls == [1]
 
-    def test_dispatcher_falls_back_on_mixed_skus(self, shard_traces,
-                                                 monkeypatch):
-        """Mixed server SKUs must use the engine-method reference loop."""
-        import repro.cluster.pool_topology as pt
-        monkeypatch.setattr(
-            pt, "_replay_crossshard_inlined",
-            lambda *a, **k: pytest.fail("inlined loop used for mixed SKUs"),
-        )
+    def test_mixed_skus_rejected(self, shard_traces):
+        """One loop hoists one server shape: mixed SKUs are an error."""
         cfgs = [ServerConfig(),
                 ServerConfig(name="fat", dram_per_socket_gb=512.0),
                 ServerConfig()]
         topo = PoolTopology.spanning([6, 8, 5], 2, 16)
-        results, _ = replay_crossshard(
-            shard_traces, [BatchFractionPolicy(0.4)] * 3, [6, 8, 5],
-            cfgs, topo, 120.0, False, 3600.0,
-        )
-        assert sum(r.placed_vms for r in results) > 0
+        with pytest.raises(ValueError, match="one server shape"):
+            replay_crossshard(
+                shard_traces, [BatchFractionPolicy(0.4)] * 3, [6, 8, 5],
+                cfgs, topo, 120.0, False, 3600.0,
+            )

@@ -121,6 +121,27 @@ def test_generate_bulk_still_builds_records(no_generated_records):
         TraceGenerator(CONFIG).generate_bulk()
 
 
+def test_generate_bulk_keeps_its_window_columns(monkeypatch):
+    """``generate_bulk`` hands the trace the columns it generated: its
+    ``columns()`` view is never rebuilt from records, and equals that
+    rebuild bit for bit."""
+    for config in (CONFIG, TraceGenConfig(cluster_id="cold", n_servers=4,
+                                          duration_days=0.6, seed=5,
+                                          warm_start=False)):
+        fresh = TraceGenerator(config).generate_bulk()
+        rebuilt = TraceColumns.from_records(fresh.records)
+        with monkeypatch.context() as patch:
+            patch.setattr(TraceColumns, "from_records", None)
+            columns = fresh.columns()
+        assert columns.record_source is None
+        assert columns.vm_ids == rebuilt.vm_ids
+        for name in ("memory_gb", "untouched_fraction", "arrival_s",
+                     "departure_s", "cores"):
+            got, want = getattr(columns, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+
 # -- records built on demand equal the materialised trace's ------------------
 def test_lazy_records_equal_generate_bulk(trace):
     for size in chunk_sizes(trace):

@@ -6,9 +6,11 @@
   departures tie with arrivals; lifetimes may be zero or negative and VMs
   may ask for zero cores; pooled and unpooled, finite pool capacity,
   memory-constrained or not, materialised or streamed at odd chunk sizes.
-* The inlined cross-shard loop against the engine-method events loop on
-  small static spanning and per-shard fleets, with the same degenerate
-  rows; one-shard fleets may replay a stream at chunk size 1, 3 or 7.
+* ``replay_crossshard`` against
+  :func:`reference_replay.reference_fleet_replay` on small static
+  spanning and per-shard fleets of up to three shards, with the same
+  degenerate rows; every shard may replay a stream at chunk size 1, 3 or
+  7 (multi-shard streams go through the loop's k-way chunk merge).
 
 Both compare byte for byte.  The search is derandomized and keeps no
 example database, so every run checks the same examples.  Shrunk
@@ -18,14 +20,10 @@ counterexamples are pinned with ``@example``.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_replay import reference_replay
+from reference_replay import reference_fleet_replay, reference_replay
 from replay_fixtures import digest, raw_record
 from repro.cluster.pool import FixedFractionPolicy
-from repro.cluster.pool_topology import (
-    PoolTopology,
-    _replay_crossshard_events,
-    _replay_crossshard_inlined,
-)
+from repro.cluster.pool_topology import PoolTopology, replay_crossshard
 from repro.cluster.server import ServerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import ClusterTrace
@@ -115,10 +113,9 @@ def fleet_cases(draw):
     topology = make(sizes, sockets, sockets * draw(st.integers(1, 3)))
     traces = [trace_of(draw(vm_rows(20, degenerate=True)), f"s{shard}")
               for shard in range(len(sizes))]
-    if len(sizes) == 1:
-        chunk = draw(st.sampled_from([None, 1, 3, 7]))
-        if chunk is not None:
-            traces = [traces[0].stream(chunk_size=chunk)]
+    chunk = draw(st.sampled_from([None, 1, 3, 7]))
+    if chunk is not None:
+        traces = [trace.stream(chunk_size=chunk) for trace in traces]
     policies = [FixedFractionPolicy(draw(st.sampled_from([0.0, 0.3, 1.0])))
                 for _ in sizes]
     return (traces, policies, sizes, [config] * len(sizes), topology,
@@ -128,10 +125,10 @@ def fleet_cases(draw):
 
 @FUZZ
 @given(fleet_cases())
-def test_inlined_crossshard_matches_events_loop(args):
-    inlined, inlined_ledger = _replay_crossshard_inlined(*args, True)
-    events, events_ledger = _replay_crossshard_events(*args, True)
-    assert [digest(r) for r in inlined] == [digest(r) for r in events]
-    assert inlined_ledger.free_gb == events_ledger.free_gb
-    assert inlined_ledger.used_gb == events_ledger.used_gb
-    assert inlined_ledger.peak_gb == events_ledger.peak_gb
+def test_crossshard_matches_reference_fleet_replay(args):
+    results, ledger = replay_crossshard(*args, True)
+    reference, reference_ledger = reference_fleet_replay(*args, True)
+    assert [digest(r) for r in results] == [digest(r) for r in reference]
+    assert ledger.free_gb == reference_ledger.free_gb
+    assert ledger.used_gb == reference_ledger.used_gb
+    assert ledger.peak_gb == reference_ledger.peak_gb
