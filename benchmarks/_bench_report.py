@@ -45,8 +45,8 @@ except ImportError:  # invoked without PYTHONPATH=src: resolve the repo layout
         validate_report,
     )
 
-__all__ = ["smoke_mode", "pick", "emit_report", "REQUIRED_REPORT_FIELDS",
-           "validate_report", "check_perf_floors"]
+__all__ = ["smoke_mode", "pick", "emit_report", "timed_pair",
+           "REQUIRED_REPORT_FIELDS", "validate_report", "check_perf_floors"]
 
 
 def smoke_mode() -> bool:
@@ -57,6 +57,25 @@ def smoke_mode() -> bool:
 def pick(full, smoke):
     """Pick the full-scale or smoke-scale value for a benchmark constant."""
     return smoke if smoke_mode() else full
+
+
+def timed_pair(rep: int, first, second):
+    """Run two callables back to back, ``second`` first on odd reps.
+
+    Returns ``(first_result, first_seconds, second_result,
+    second_seconds)``.  An off-switch ratio compares two replays that run
+    the same code, so a minimum over reps measures whichever replay a
+    host spike missed; alternating the order and taking the median of the
+    per-rep ratios keeps warm-up and drift off one side.
+    """
+    runs = (first, second)
+    results = [None, None]
+    seconds = [0.0, 0.0]
+    for side in ((0, 1) if rep % 2 == 0 else (1, 0)):
+        start = time.perf_counter()
+        results[side] = runs[side]()
+        seconds[side] = time.perf_counter() - start
+    return results[0], seconds[0], results[1], seconds[1]
 
 
 @functools.lru_cache(maxsize=None)

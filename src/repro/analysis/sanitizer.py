@@ -23,10 +23,11 @@ at the faulty call, so a tier-1 run under the sanitizer pinpoints the
 mutation that broke the ledger rather than the replay that later noticed.
 
 The wrappers see the engine methods the replay loop's cold hooks call
-(QoS mitigations, the fault ladder's migrations and kills, and every
-departure of an online or faulted replay).  The loop's inlined
-placements and static departures bypass them by design: the brute-force
-oracles and the pinned fixtures cover that path.
+(QoS mitigations, the fault ladder's migrations and kills).  The loop
+inlines every placement and departure, so those bypass the wrappers; for
+them the loop calls :func:`check_replay_sample` before each sample row
+(decided once per replay, so an unsanitized replay pays nothing).  The
+brute-force oracles and the pinned fixtures cover that path too.
 
 Overhead is a few dict walks per mutation -- fine for tests, not for
 benchmarks; that is why it is opt-in.
@@ -41,6 +42,7 @@ from typing import Dict, Optional
 
 __all__ = [
     "SanitizerError",
+    "check_replay_sample",
     "install",
     "uninstall",
     "is_installed",
@@ -166,6 +168,49 @@ def _check_ledger(ledger, group) -> None:
         raise SanitizerError(
             f"ledger group {group}: free={free} GB exceeds "
             f"capacity={capacity} GB"
+        )
+
+
+def check_replay_sample(where: str, counters, groups, running: int,
+                        live: int) -> None:
+    """The replay loop's per-sample check of one shard's state.
+
+    The loop inlines placements and departures, so the wrappers below
+    never see them; under the sanitizer it calls this before each sample
+    row instead.  ``counters`` holds ``(name, values)`` pairs of the
+    shard's node and server accounting, and ``groups`` holds ``(group,
+    free, used, capacity, degraded)`` rows of its pool groups.  Checks:
+    nothing is negative; ``free + used == capacity`` on healthy finite
+    groups; ``free <= max(0, capacity - used)`` on degraded groups (the
+    loop re-clamps them after every release); and ``running`` (the
+    shard's ``running_vms``) equals ``live``, its count of live VMs.
+    """
+    for name, values in counters:
+        low = min(values, default=0.0)
+        if low < -_NEG_TOL:
+            raise SanitizerError(f"{where}: {name} went negative ({low})")
+    for group, free, used, capacity, degraded in groups:
+        if used < -_NEG_TOL or free < -_NEG_TOL:
+            raise SanitizerError(
+                f"{where}: pool group {group} negative accounting "
+                f"(used={used}, free={free})"
+            )
+        if degraded:
+            if free > max(0.0, capacity - used) + _CONSERVE_TOL:
+                raise SanitizerError(
+                    f"{where}: degraded pool group {group} has free={free} "
+                    f"GB beyond capacity={capacity} - used={used}"
+                )
+        elif math.isfinite(capacity) and abs(
+                free + used - capacity) > _CONSERVE_TOL:
+            raise SanitizerError(
+                f"{where}: pool group {group}: free+used={free + used} GB "
+                f"drifted from capacity={capacity} GB"
+            )
+    if running != live:
+        raise SanitizerError(
+            f"{where}: running_vms={running} but {live} VMs are live -- a "
+            "placement or departure bypassed the accounting"
         )
 
 

@@ -31,8 +31,9 @@ DESIGN.md section 11.  The injector drives
 :class:`~repro.cluster.engine.ArrayPlacementEngine` methods only: the
 replay loop (``repro.cluster.pool_topology``) fires schedule events on
 their own pump timeline and calls the injector from cold hooks, and the
-engines share the loop's live state, so the injector needs no loop
-internals.  A replay without a schedule never builds an injector.
+engines share the loop's live state.  Between hooks the loop keeps the
+per-VM bookkeeping the injector reads (departure tokens, the pool-VM
+index) inline.  A replay without a schedule never builds an injector.
 """
 
 from __future__ import annotations
@@ -296,12 +297,15 @@ class FaultInjector:
 
     Constructed by the replay loop's cold hooks when a schedule has
     events (every faulted single-cluster replay is a one-shard fleet);
-    never by users.  The loop routes every placement and departure through
-    the injector's **token** indirection: a departure slot stores a stable
-    token, and the injector maps it to the VM's current engine handle --
-    live migration rewrites the mapping, a kill voids it (``-1``), so a
-    departure of a migrated VM releases the right placement and a departure
-    of a killed VM is a no-op instead of corrupting a recycled handle.
+    never by users.  Departures go through a **token** indirection: a
+    departure slot stores a stable token, and ``_token_handle`` maps it to
+    the VM's current engine handle -- live migration rewrites the mapping,
+    a kill voids it (``-1``), so a departure of a migrated VM releases the
+    right placement and a departure of a killed VM is a no-op instead of
+    corrupting a recycled handle.  The replay loop fills and drains the
+    token maps and the pool-VM index itself, inline: its commit issues
+    the token, and its drain does :meth:`on_departure`'s work.  The
+    injector runs only at fault events and retry ticks.
     """
 
     def __init__(
@@ -335,7 +339,8 @@ class FaultInjector:
         self.alive = alive
 
         self._cursor = 0
-        #: token -> current engine handle (-1 once killed or departed).
+        #: token -> current engine handle (-1 once killed or departed).  The
+        #: replay loop issues tokens and files pool VMs at each placement.
         self._token_handle: List[int] = []
         self._token_shard: List[int] = []
         #: group -> {token: vm_id} of live pool-exposed VMs, insertion order.
@@ -362,23 +367,12 @@ class FaultInjector:
         alive = self.alive
         return any(alive[s] for s in self.group_shards[group])
 
-    # -- loop callbacks ----------------------------------------------------------
-    def note_place(self, shard: int, handle: int, vm_id: str,
-                   pool_gb: float) -> int:
-        """Register a successful placement; returns its departure token."""
-        token = len(self._token_handle)
-        self._token_handle.append(handle)
-        self._token_shard.append(shard)
-        if pool_gb > 0.0:
-            engine = self.engines[shard]
-            group = engine.group_of[engine.vm_server[handle]]
-            if group >= 0:
-                self._pool_vms[group][token] = vm_id
-                self._token_group[token] = group
-        return token
-
+    # -- departures ---------------------------------------------------------------
     def on_departure(self, token: int) -> None:
-        """Process one departure event by token (kill-aware)."""
+        """Process one departure event by token (kill-aware).
+
+        The reference for the replay loop's drain, which inlines it.
+        """
         handle = self._token_handle[token]
         if handle < 0:
             return  # killed earlier; the heap entry is stale
@@ -452,9 +446,9 @@ class FaultInjector:
             stats.n_recoveries += 1
         # Pending evacuations of a repaired group are cancelled: the VMs
         # keep running against the restored capacity.
-        for token in [t for t, g in self._token_group.items()  # repro: noqa DET007 -- tokens are inserted in placement order, which is deterministic replay order
-                      if g == group and t in self._pending]:
-            self._pending.pop(token, None)
+        for token in [t for t in self._pending
+                      if self._token_group[t] == group]:
+            del self._pending[token]
 
     def _evacuate(self, group: int) -> None:
         """Run the ladder over the group's pool VMs until demand fits."""

@@ -45,6 +45,7 @@ from __future__ import annotations
 import gc
 import heapq
 import math
+import sys
 from bisect import bisect_left, bisect_right, insort
 from itertools import compress, repeat
 from operator import is_not
@@ -566,27 +567,34 @@ def _validate_crossshard_args(inputs, policies, n_servers_per_shard,
 class _Controls:
     """The cold hooks of a replay with online control or faults on.
 
-    The loop holds one of these only when a control is on, and calls it at
-    placements, departures, grid samples and fault times; every call goes
-    through the existing engine and injector methods
+    The loop holds one of these only when a control is on.  It keeps the
+    per-VM bookkeeping inline (engine handles, at-risk flags, departure
+    tokens and the injector's pool-VM index, all bound from here) and calls
+    this object only at grid samples and fault times, through the existing
+    engine and injector methods
     (:meth:`ArrayPlacementEngine.migrate_pool_to_local`,
-    :meth:`FaultInjector.fire_next` / ``retry_tick`` / ``on_departure``),
-    which see the loop's live state because the engines share its lists.
-    A class, not closures, so the loop's hot locals never become cell
-    variables.
+    :meth:`FaultInjector.fire_next` / ``retry_tick``).  Those methods see
+    the loop's live per-server and per-node state because the engines
+    share its lists.  The pool groups are the exception: the loop keeps
+    them in group-indexed lists, and those methods use the ledger dicts,
+    so the loop calls :meth:`publish` before each hook and :meth:`collect`
+    after it.  A class, not closures, so the loop's hot locals never become
+    cell variables.
     """
 
     def __init__(self, online: Optional[OnlineControlConfig],
                  faults: Optional[FaultSchedule],
                  engines: List[ArrayPlacementEngine],
                  results: List[SimulationResult], ledger: PoolGroupLedger,
-                 topology: PoolTopology, alive: List[bool]) -> None:
+                 topology: PoolTopology, alive: List[bool],
+                 pools: Tuple[List[float], List[float], List[float]]) -> None:
         n_shards = len(engines)
         self.engines = engines
+        self.ledger = ledger
+        #: The loop's group-indexed free, used and peak GB lists.
+        self.pools = pools
         #: shard -> {handle: vm_id} of live VMs flagged at risk on arrival.
         self.at_risk: List[Dict[int, str]] = [{} for _ in range(n_shards)]
-        #: The current block's at-risk flags, one per row (``None``: off).
-        self.flags: Optional[List[bool]] = None
         self.mitigate = online is not None and online.mitigation_enabled
         self.cost_per_gb = online.migration_cost_s_per_gb if online else 0.0
         self.stats: List[Optional[OnlineControlStats]] = [None] * n_shards
@@ -606,6 +614,23 @@ class _Controls:
                 alive=alive,
             )
 
+    def _pairs(self):
+        ledger = self.ledger
+        return zip((ledger.free_gb, ledger.used_gb, ledger.peak_gb),
+                   self.pools)
+
+    def publish(self) -> None:
+        """Write the loop's group lists into the ledger dicts."""
+        for by_group, values in self._pairs():
+            for group, value in enumerate(values):
+                by_group[group] = value
+
+    def collect(self) -> None:
+        """Read the ledger dicts back into the loop's group lists."""
+        for by_group, values in self._pairs():
+            for group in range(len(values)):
+                values[group] = by_group[group]
+
     def next_fault(self) -> float:
         """Time of the next unfired fault event (``inf``: none left)."""
         return math.inf if self.injector is None else self.injector.next_time
@@ -614,34 +639,6 @@ class _Controls:
         """Fire the next fault event; returns the one after it."""
         self.injector.fire_next()
         return self.injector.next_time
-
-    def place(self, shard: int, sidx: int, node: int, cores: int,
-              local_gb: float, pool_gb: float, vm_id: str, row: int):
-        """Register a placement the loop committed; returns its payload.
-
-        The payload is the departure token under faults (kills and live
-        migrations re-handle VMs), else ``(shard, handle)``.
-        """
-        handle = self.engines[shard]._new_handle(
-            sidx, node, cores, local_gb, pool_gb)
-        if self.injector is not None:
-            entry = self.injector.note_place(shard, handle, vm_id, pool_gb)
-        else:
-            entry = (shard, handle)
-        if self.flags is not None and self.flags[row]:
-            self.at_risk[shard][handle] = vm_id
-        return entry
-
-    def depart(self, entry) -> None:
-        """Remove a departing VM by its :meth:`place` payload."""
-        if self.injector is not None:
-            self.injector.on_departure(entry)
-            return
-        shard, handle = entry
-        # Departed VMs leave the at-risk set before the handle is recycled,
-        # or a later placement reusing the handle would inherit the flag.
-        self.at_risk[shard].pop(handle, None)
-        self.engines[shard].remove(handle)
 
     def tick(self, shard: int) -> None:
         """A shard's QoS tick, then its evacuation-retry tick."""
@@ -831,6 +828,52 @@ def _plain(column):
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
+def _sanitizer_installed() -> bool:
+    """Whether the runtime sanitizer (``REPRO_SANITIZE=1``) is installed.
+
+    Looked up, not imported: installing it loads the module, and importing
+    the analysis package would cost every replaying process ~10 ms.
+    """
+    module = sys.modules.get("repro.analysis.sanitizer")
+    return module is not None and module.is_installed()
+
+
+def _checked_emit(emit, engines: List[ArrayPlacementEngine],
+                  ledger: PoolGroupLedger, shard_groups, pool_free: List[float],
+                  pool_used: List[float], payload: Optional[list]):
+    """``emit`` behind the sanitizer's per-sample invariant checks.
+
+    Before each sample row, :func:`~repro.analysis.sanitizer
+    .check_replay_sample` checks the shard's node, server and pool-group
+    accounting and its ``running_vms``: against its engine's live handles
+    in a controlled replay (``payload is None``), else against the shard's
+    live departure payloads.
+    """
+    from repro.analysis.sanitizer import check_replay_sample
+
+    def checked(shard: int, time_s: float) -> None:
+        eng = engines[shard]
+        first, last = eng.offset, eng.offset + eng.n_servers
+        nodes = slice(first * eng.sockets, last * eng.sockets)
+        if payload is None:
+            live = len(eng.vm_server) - len(eng._free_handles)
+        else:
+            live = sum(1 for entry in payload
+                       if entry is not None and entry[0] == shard)
+        check_replay_sample(
+            f"shard {shard} at t={time_s}",
+            (("node used cores", eng.node_used_cores[nodes]),
+             ("node used GB", eng.node_used_gb[nodes]),
+             ("server used cores", eng.used_cores_srv[first:last]),
+             ("server used GB", eng.used_gb_srv[first:last]),
+             ("server pool GB", eng.pool_used_srv[first:last])),
+            [(g, pool_free[g], pool_used[g], ledger.capacity_gb[g],
+              ledger.is_degraded(g)) for g in shard_groups[shard]],
+            eng.running_vms, live)
+        emit(shard, time_s)
+    return checked
+
+
 def _replay_crossshard_inlined(
     inputs: Sequence[TraceInput],
     policies: Sequence[object],
@@ -847,13 +890,16 @@ def _replay_crossshard_inlined(
     """The replay loop: one merged, heap-free pass over a fleet.
 
     * **shared state**: the shard engines (:meth:`ArrayPlacementEngine.fleet`)
-      share fleet-wide per-server and per-node lists, per-shard aggregate
-      lists and the ledger's pool dicts; the loop binds those objects to
-      locals and inlines :meth:`ArrayPlacementEngine.place` /
-      ``remove`` over them statement for statement, so engine methods
-      called from a cold hook see live state and nothing is copied back
-      (a static replay, which calls no engine method, works on list copies
-      of the three pool dicts and writes them back at the end).
+      share fleet-wide per-server and per-node lists and per-shard
+      aggregate lists; the loop binds those objects to locals and inlines
+      :meth:`ArrayPlacementEngine.place` / ``remove`` over them statement
+      for statement, so engine methods called from a cold hook see live
+      state and nothing is copied back.  The pool groups are the one copy:
+      group ids are contiguous, so every replay keeps the ledger's three
+      pool dicts as group-indexed lists (a list subscript is ~2x cheaper
+      than a dict lookup), writes them into the dicts before each cold
+      hook and reads them back right after it (the hooks' engine and
+      injector methods use the dicts), and writes them back at the end.
       Bucket entries hold fleet server ids (a constant offset per shard
       preserves within-shard order).  The server shape is uniform
       (:func:`_validate_crossshard_args`), so it hoists into scalars and a
@@ -880,12 +926,23 @@ def _replay_crossshard_inlined(
       DESIGN.md sections 10-11: departures, faults, grid samples (each
       shard's sample followed by its QoS tick and its evacuation-retry
       tick), horizons, arrivals;
-    * **cold hooks**: with a control on, :class:`_Controls` registers each
-      placement (handle, at-risk flag, fault token), removes departures
-      through the engine or the injector, runs the per-shard ticks and
-      fires fault events.  Static replays pay one ``is not None`` test per
-      placement, departure and grid sample, and one compare per pump
-      round for the fault timeline;
+    * **controlled replays**: with a control on, the commit also does
+      :meth:`ArrayPlacementEngine._new_handle`'s work and files the VM's
+      at-risk flag and departure token (under faults, also the injector's
+      pool-VM index), and a departure payload is the token.  The drain
+      does :meth:`FaultInjector.on_departure`'s work: a killed VM's token
+      maps to ``-1`` and its departure is a no-op; otherwise the VM leaves
+      the at-risk, pool-VM and pending maps, the static removal statements
+      run on its handle's fields, the handle is freed, and every degraded
+      group's ``free`` is re-clamped to ``max(0, capacity - used)``.
+      Static replays pay two ``controlled`` tests per departure and one
+      per placement;
+    * **cold hooks** (:class:`_Controls`): a fault event, and each alive
+      shard's QoS-plus-retry tick right after its grid sample.  The pool
+      lists are synced around each hook, per shard, because the next
+      shard's sample reads group usage the tick changed.  Static replays
+      pay one test per grid sample and one compare per pump round for the
+      fault timeline;
     * **full-server elision** (shared with the engine): a placement that
       fills a server skips the insort and a departure from a full server
       skips the delete, so ``buckets[0]`` is stale until a zero-core
@@ -920,21 +977,12 @@ def _replay_crossshard_inlined(
         n_servers_per_shard[s] * server_configs[s].total_dram_gb
         for s in range(n_shards)
     ]
-    # Group ids are contiguous 0..n_groups-1.  A static replay calls no
-    # engine method, so it flattens the ledger dicts into lists (a list
-    # subscript is ~2x cheaper than a dict lookup) and writes them back at
-    # the end; with a control on, the cold hooks' engine and injector calls
-    # read and write the ledger dicts, so the loop works on those.
+    # Group ids are contiguous 0..n_groups-1, so the ledger dicts become
+    # lists, synced around each cold hook and written back at the end.
     n_groups = topology.n_groups
-    controlled = online is not None or faults is not None
-    if controlled:
-        pool_free = ledger.free_gb
-        pool_used = ledger.used_gb
-        pool_peak = ledger.peak_gb
-    else:
-        pool_free = [ledger.free_gb[g] for g in range(n_groups)]
-        pool_used = [ledger.used_gb[g] for g in range(n_groups)]
-        pool_peak = [ledger.peak_gb[g] for g in range(n_groups)]
+    pool_free = [ledger.free_gb[g] for g in range(n_groups)]
+    pool_used = [ledger.used_gb[g] for g in range(n_groups)]
+    pool_peak = [ledger.peak_gb[g] for g in range(n_groups)]
 
     # -- uniform server shape, hoisted into scalars --------------------------
     e0 = engines[0]
@@ -972,10 +1020,33 @@ def _replay_crossshard_inlined(
     alive = [True] * n_shards
     n_alive = n_shards
 
+    controlled = online is not None or faults is not None
     controls = None
+    # The controlled replay's per-VM bookkeeping (see the docstring);
+    # static replays never read these.
+    at_risk = vm_lists = token_handle = token_shard = None
+    token_group = pool_vms = retrying = degraded = capacities = None
     if controlled:
-        controls = _Controls(online, faults, engines, results, ledger,
-                             topology, alive)
+        controls = _Controls(
+            online, faults, engines, results, ledger, topology, alive,
+            (pool_free, pool_used, pool_peak))
+        at_risk = controls.at_risk
+        vm_lists = [(e._free_handles, e.vm_server, e.vm_node, e.vm_cores,
+                     e.vm_local_gb, e.vm_pool_gb) for e in engines]
+        injector = controls.injector
+        if injector is None:
+            # Online control alone: tokens still map to handles; no VM is
+            # ever killed, moved or degraded.
+            token_handle, token_shard = [], []
+            token_group, retrying = {}, {}
+        else:
+            token_handle = injector._token_handle
+            token_shard = injector._token_shard
+            token_group = injector._token_group
+            pool_vms = injector._pool_vms
+            retrying = injector._pending
+        degraded = ledger._healthy_capacity_gb
+        capacities = ledger.capacity_gb
 
     def emit(shard: int, time_s: float, agg_cores=agg_cores, agg_gb=agg_gb,
              agg_stranded=agg_stranded, agg_running=agg_running,
@@ -1003,6 +1074,13 @@ def _replay_crossshard_inlined(
         ))
         last_sample[shard] = time_s
 
+    # Departure slots (see the docstring), refilled in place at each block
+    # start, so the sanitizer's sample check reads the live list.
+    payload: list = []
+    if _sanitizer_installed():
+        emit = _checked_emit(emit, engines, ledger, shard_groups, pool_free,
+                             pool_used, None if controlled else payload)
+
     threshold = None
     if online is not None and online.mitigation_enabled:
         threshold = online.qos_threshold_percent
@@ -1022,7 +1100,6 @@ def _replay_crossshard_inlined(
     inf = math.inf
 
     # -- departure drain state, rebuilt at every block start -----------------
-    payload: list = []
     dep_order: List[int] = []
     dep_times: List[float] = []
     sorted_times = _NO_TIMES  # ``dep_times`` as an array
@@ -1045,8 +1122,6 @@ def _replay_crossshard_inlined(
             for end_time, shard in ends:
                 heappush(hor_heap, (end_time, shard))
             t_h = hor_heap[0][0] if hor_heap else inf
-            if controls is not None:
-                controls.flags = flags
 
             # -- presort: this block's departures + undrained payloads -------
             # Slots hold the carried payloads, then the block's rows (row
@@ -1056,7 +1131,7 @@ def _replay_crossshard_inlined(
             entries = list(map(payload.__getitem__, dep_order[p:]))
             pending = np.fromiter(map(is_not, entries, repeat(None)),
                                   dtype=bool, count=len(entries))
-            payload = list(compress(entries, pending.tolist()))
+            payload[:] = compress(entries, pending.tolist())
             n_carry = len(payload)
             n_block = departures.shape[0]
             payload += repeat(None, n_block)
@@ -1111,11 +1186,30 @@ def _replay_crossshard_inlined(
                                 if entry is None:
                                     continue  # rejected, drained or unplaced
                                 payload[m] = None
-                                if controls is not None:
-                                    controls.depart(entry)
-                                    continue
+                                if controlled:
+                                    # -- FaultInjector.on_departure ----------
+                                    handle = token_handle[entry]
+                                    if handle < 0:
+                                        continue  # killed: a no-op
+                                    ds = token_shard[entry]
+                                    # Departed VMs leave the at-risk set
+                                    # before the handle is recycled.
+                                    at_risk[ds].pop(handle, None)
+                                    tg = token_group.pop(entry, None)
+                                    if tg is not None:
+                                        pool_vms[tg].pop(entry, None)
+                                    retrying.pop(entry, None)
+                                    (free_h, v_srv, v_node, v_cores, v_local,
+                                     v_pool) = vm_lists[ds]
+                                    sidx = v_srv[handle]
+                                    pos = sidx * sockets + v_node[handle]
+                                    d_cores = v_cores[handle]
+                                    d_local = v_local[handle]
+                                    d_pool = v_pool[handle]
+                                else:
+                                    (ds, sidx, pos, d_cores, d_local,
+                                     d_pool) = entry
                                 # -- departure (ArrayPlacementEngine.remove) -
-                                ds, sidx, pos, d_cores, d_local, d_pool = entry
                                 if d_pool:
                                     # place() rejects pool draws on group-less
                                     # servers, so a pool-carrying payload
@@ -1163,6 +1257,16 @@ def _replay_crossshard_inlined(
                                 insort_(buckets[stc - new_cores],
                                         (std - new_gb, sidx))
                                 agg_running[ds] -= 1
+                                if controlled:
+                                    v_srv[handle] = -1
+                                    free_h.append(handle)
+                                    token_handle[entry] = -1
+                                    # The release credited ``free``
+                                    # unmediated; re-clamp degraded groups.
+                                    for g in degraded:
+                                        room = capacities[g] - pool_used[g]
+                                        pool_free[g] = (room if room > 0.0
+                                                        else 0.0)
                             p = end
                             next_dep = dep_times[p] if p < n_dep else inf
                         if nxt > arrival_s or nxt == inf:
@@ -1170,15 +1274,20 @@ def _replay_crossshard_inlined(
                             # every horizon and fault has fired.)
                             break
                         if t_f == nxt:
+                            controls.publish()
                             t_f = controls.fire()
+                            controls.collect()
                         elif t_s <= t_h:
                             # Grid tick: alive shards sample in shard order,
-                            # each followed by its own control ticks.
+                            # each followed by its own control ticks (the
+                            # next shard's sample reads what they changed).
                             for gs in range(n_shards):
                                 if alive[gs]:
                                     emit(gs, t_s)
-                                    if controls is not None:
+                                    if controlled:
+                                        controls.publish()
                                         controls.tick(gs)
+                                        controls.collect()
                             t_s += sample_interval_s
                         else:
                             h, hs = heappop(hor_heap)
@@ -1338,10 +1447,35 @@ def _replay_crossshard_inlined(
                         total_pool[s] += vm_pool_gb
                         # Storing the payload is the push: the drain has not
                         # passed this slot yet...
-                        if controls is not None:
-                            payload[k] = controls.place(
-                                s, sidx, best_node, cores_r, local_gb,
-                                vm_pool_gb, vm_id, k - n_carry)
+                        if controlled:
+                            # -- ArrayPlacementEngine._new_handle ------------
+                            (free_h, v_srv, v_node, v_cores, v_local,
+                             v_pool) = vm_lists[s]
+                            if free_h:
+                                handle = free_h.pop()
+                                v_srv[handle] = sidx
+                                v_node[handle] = best_node
+                                v_cores[handle] = cores_r
+                                v_local[handle] = local_gb
+                                v_pool[handle] = vm_pool_gb
+                            else:
+                                handle = len(v_srv)
+                                v_srv.append(sidx)
+                                v_node.append(best_node)
+                                v_cores.append(cores_r)
+                                v_local.append(local_gb)
+                                v_pool.append(vm_pool_gb)
+                            # The departure token; under faults a pool VM
+                            # also joins its group's evacuation list.
+                            token = len(token_handle)
+                            token_handle.append(handle)
+                            token_shard.append(s)
+                            if need_pool and pool_vms is not None:
+                                pool_vms[group][token] = vm_id
+                                token_group[token] = group
+                            if flags is not None and flags[k - n_carry]:
+                                at_risk[s][handle] = vm_id
+                            payload[k] = token
                         else:
                             payload[k] = (s, sidx, pos, cores_r, local_gb,
                                           vm_pool_gb)
@@ -1361,11 +1495,10 @@ def _replay_crossshard_inlined(
         if gc_was_enabled:
             gc.enable()
 
-    if not controlled:
-        for g in range(n_groups):
-            ledger.free_gb[g] = pool_free[g]
-            ledger.used_gb[g] = pool_used[g]
-            ledger.peak_gb[g] = pool_peak[g]
+    for g in range(n_groups):
+        ledger.free_gb[g] = pool_free[g]
+        ledger.used_gb[g] = pool_used[g]
+        ledger.peak_gb[g] = pool_peak[g]
     for shard in range(n_shards):
         res = results[shard]
         eng = engines[shard]

@@ -33,9 +33,13 @@ from repro.analysis.findings import (
 from repro.analysis.perf_floors import check_perf_floors, check_reports
 from repro.analysis.pickle_safety import check_pickle_safety
 from repro.analysis import sanitizer
+from repro.cluster import pool_topology
 from repro.cluster.engine import ArrayPlacementEngine
-from repro.cluster.pool_topology import PoolGroupLedger
+from repro.cluster.faults import FaultEvent, FaultSchedule
+from repro.cluster.pool_topology import PoolGroupLedger, replay_crossshard
 from repro.cluster.server import ServerConfig
+from repro.core.control_plane.online import OnlineControlConfig
+from repro.core.policies import StaticFractionPolicy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -385,6 +389,36 @@ class TestSanitizer:
         ledger.degrade(0, 1.0)  # total group loss: capacity pinned to 0
         engine.remove(handle)  # unmediated free += on the dead group
         ledger.resync(0)
+
+    def test_clean_replays_pass_the_sample_checks(self, sanitized,
+                                                  crossshard_case):
+        """Static and controlled replays alike satisfy every per-sample
+        invariant the loop checks under the sanitizer."""
+        common = crossshard_case(StaticFractionPolicy(0.3), "spanning",
+                                 600.0, True)
+        replay_crossshard(*common)
+        replay_crossshard(*common, online=OnlineControlConfig(5.0),
+                          faults=FaultSchedule([FaultEvent(9000.0, "fail", 1),
+                                                FaultEvent(20000.0, "repair",
+                                                           1)]))
+
+    def test_replay_sample_check_trips_on_corrupted_ledger(
+            self, sanitized, crossshard_case, monkeypatch):
+        """The loop inlines placements and departures, so no engine wrapper
+        sees them; its per-sample check catches a ledger a cold hook left
+        drifted."""
+        tick = pool_topology._Controls.tick
+
+        def corrupting_tick(controls, shard):
+            tick(controls, shard)
+            controls.ledger.used_gb[1] += 25.0
+
+        monkeypatch.setattr(pool_topology._Controls, "tick", corrupting_tick)
+        common = crossshard_case(StaticFractionPolicy(0.3), "spanning",
+                                 600.0, True)
+        with pytest.raises(sanitizer.SanitizerError,
+                           match=r"at t=.*pool group 1: free\+used"):
+            replay_crossshard(*common, online=OnlineControlConfig(5.0))
 
     def test_uninstall_restores(self):
         sanitizer.install()

@@ -24,9 +24,11 @@ import pytest
 
 from repro.cluster import (
     ClusterSimulator,
+    ClusterTrace,
     ServerConfig,
     TraceGenConfig,
     TraceGenerator,
+    VMTraceRecord,
     pool_topology,
 )
 from repro.cluster.faults import (
@@ -519,6 +521,93 @@ class TestDegradationLadder:
             assert merged.blast_radius_by_group[group] == (
                 a.blast_radius_by_group.get(group, 0)
                 + b.blast_radius_by_group.get(group, 0))
+
+
+class TestDrainBookkeeping:
+    """The replay loop's drain does ``FaultInjector.on_departure``'s work
+    inline; a hand-built cluster pins what it must do after the ladder ran.
+
+    Three servers (two sockets of 4 cores and 16 GB; groups ``[0, 0, 1]``)
+    with QoS threshold 0.01%, fault retry budget 1 and a full loss of group 0
+    at t=10.  ``move`` (4 GB local + 8 GB pool) and ``kill`` (8 + 12 GB)
+    share server 0's node 0, and ``fill`` (14 GB, no pool) takes its node
+    1, so neither pool VM fits back on its node.  ``early`` (8 + 12 GB) on
+    server 1 is flagged too and departs at t=7, still flagged: the t=5 QoS
+    tick cannot move any of the three.  The ladder live-migrates ``move``
+    to server 1 and kills ``kill``, which no node can hold all-local.
+    Then ``move`` departs at t=20, ``kill``'s queued departure comes at
+    t=30, and ``fill`` departs at t=40; ``tail`` arrives at t=50 to carry
+    the sample grid past them.
+    """
+
+    POOL_GB = {"move": 8.0, "kill": 12.0, "fill": 0.0, "early": 12.0,
+               "tail": 0.0}
+
+    def replay(self, monkeypatch):
+        def vm(vm_id, arrival_s, departure_s, cores, memory_gb):
+            return VMTraceRecord(vm_id, "drain", arrival_s,
+                                 departure_s - arrival_s, cores, memory_gb)
+
+        trace = ClusterTrace([
+            vm("move", 0.0, 20.0, 2, 12.0),
+            vm("kill", 1.0, 30.0, 2, 20.0),
+            vm("fill", 2.0, 40.0, 2, 14.0),
+            vm("early", 3.0, 7.0, 2, 20.0),
+            vm("tail", 50.0, 60.0, 1, 1.0),
+        ])
+        seen = []
+        tick = pool_topology._Controls.tick
+
+        def spy(controls, shard):
+            seen.append((controls, list(controls.engines[0].used_cores_srv)))
+            tick(controls, shard)
+
+        monkeypatch.setattr(pool_topology._Controls, "tick", spy)
+        sim = ClusterSimulator(
+            n_servers=3, server_config=ServerConfig(
+                name="drain", sockets=2, cores_per_socket=4,
+                dram_per_socket_gb=16.0),
+            pool_size_sockets=4, pool_capacity_gb_per_group=100.0,
+            constrain_memory=True, sample_interval_s=5.0)
+        result = sim.run(
+            trace, lambda record: self.POOL_GB[record.vm_id],
+            online=OnlineControlConfig(qos_threshold_percent=0.01),
+            faults=FaultSchedule([FaultEvent(10.0, "fail", 0)],
+                                 migration_retry_budget=1))
+        return result, seen
+
+    def test_kill_and_live_migration(self, monkeypatch):
+        result, seen = self.replay(monkeypatch)
+        stats = result.fault_stats
+        assert (stats.vms_live_migrated, stats.vms_killed) == (1, 1)
+        assert stats.killed_vm_ids == ["kill"]
+        # The t=5 tick fails on all three; a flag left behind by a departure
+        # would follow a recycled handle into a later tick's mitigations.
+        assert result.online_stats.n_failed_mitigations == 3
+        assert result.online_stats.mitigated_vm_ids == []
+        times = result.sample_array("time_s").tolist()
+        assert times[:11] == [5.0 * i for i in range(11)]
+        running = result.sample_array("running_vms").tolist()
+        assert running[:10] == [0, 4, 2, 2, 1, 1, 1, 1, 0, 0]
+        # A killed VM's queued departure (t=30) changes nothing.
+        rows = result.sample_buffer.rows()
+        assert np.array_equal(rows[5, 1:], rows[6, 1:])
+        assert np.array_equal(rows[5, 1:], rows[7, 1:])
+        # A live-migrated VM's departure (t=20) frees its new server.
+        cores_by_tick = [cores for _, cores in seen]
+        assert cores_by_tick[1] == [6, 2, 0]
+        assert cores_by_tick[2:4] == [[2, 2, 0]] * 2
+        assert cores_by_tick[4] == [2, 0, 0]
+        assert cores_by_tick[8] == [0, 0, 0]
+
+    def test_handles_and_flags_settle(self, monkeypatch):
+        _, seen = self.replay(monkeypatch)
+        controls = seen[-1][0]
+        for engine in controls.engines:
+            assert (len(engine.vm_server) - len(engine._free_handles)
+                    == engine.running_vms)
+        # ``early`` left the at-risk set by departing.
+        assert all(not flagged for flagged in controls.at_risk)
 
 
 class TestSpanningGroupKill:
