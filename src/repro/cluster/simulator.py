@@ -328,8 +328,8 @@ def iter_policy_blocks(
     :class:`TraceColumns` chunk); the replay loops read its replay columns
     (:func:`block_replay_columns`) instead of touching record objects.
 
-    A materialised trace is one block (its columnar view is cached on the
-    trace); a stream yields one block per chunk, with the policy evaluated
+    A materialised trace is one block (its own, read through
+    :meth:`ClusterTrace.columns`); a stream yields one block per chunk, with the policy evaluated
     per chunk so at most one chunk's allocations exist at a time.
 
     ``pool_allocations`` holds one plain float per VM: ``decide_batch``

@@ -11,11 +11,12 @@ to look up latency sensitivity.
 
 Two trace representations coexist (see DESIGN.md section 4):
 
-* :class:`ClusterTrace` -- the fully materialised record list, convenient for
-  analysis and small studies.
+* :class:`ClusterTrace` -- the whole trace in memory, as one arrival-ordered
+  :class:`TraceColumns` block whose records are built on first read;
+  convenient for analysis and small studies.
 * :class:`TraceStream` -- a chunked, re-iterable source of
-  :class:`TraceColumns` blocks that never holds more than one chunk of
-  records in memory.  The simulator and fleet runner consume either form;
+  :class:`TraceColumns` blocks that never holds more than one chunk in
+  memory.  The simulator and fleet runner consume either form;
   streams keep peak trace memory at O(chunk) -- plus one generation
   window for generator-backed streams -- for million-VM replays.
 """
@@ -151,18 +152,22 @@ def check_record_columns(arrival_s: np.ndarray, lifetime_s: np.ndarray,
 class TraceColumns:
     """Columnar view of (a chunk of) a trace, in iteration (arrival) order.
 
-    Three producers build these blocks:
+    Every trace is made of these blocks.  Their producers:
 
-    * :meth:`ClusterTrace.columns` -- a cached whole-trace view (``records``
-      is ``None``; the owning trace already holds the records), so batch
-      policy evaluation and the simulator's precomputed-allocation path
-      extract per-VM attributes once per trace instead of once per pass.
-    * :meth:`from_records` -- the chunks of CSV and materialised streams,
-      which keep the records they were built from.
-    * Generated stream chunks (:mod:`repro.cluster.tracegen`) -- columns
-      only, plus the columns only records need; ``records`` is built on
-      its first read and cached.  Batch policies and the replay loops read
-      columns, so a streamed replay builds no record objects.
+    * :meth:`from_records` -- the block of a :class:`ClusterTrace` built
+      from records, and the chunks of CSV streams; they keep the records
+      they were built from.
+    * Generated blocks (:mod:`repro.cluster.tracegen`) -- columns, plus
+      the columns only records need; ``records`` is built on its first
+      read and cached.  :meth:`TraceGenerator.generate_bulk` makes one
+      block the whole trace, and generated streams yield one per chunk.
+    * :meth:`take` -- a block's rows: materialised-stream chunks and the
+      arrival reorder of :meth:`ClusterTrace.from_block`.
+
+    :meth:`ClusterTrace.columns` hands out its trace's block without the
+    record source.  Batch policies and the replay loops read columns only,
+    so neither a streamed replay nor a replay of a generated trace builds
+    a record object.
     """
 
     vm_ids: Tuple[str, ...]
@@ -177,9 +182,9 @@ class TraceColumns:
     cores: Optional[np.ndarray] = None
     #: Where :attr:`records` comes from: the records tuple itself
     #: (:meth:`from_records`), an object whose ``build_records(block)``
-    #: builds them (generated blocks), or ``None`` for a block without
-    #: records (the cached whole-trace view, which would otherwise cycle
-    #: with its trace, and hand-built blocks).
+    #: builds them and whose ``take(rows)`` selects its rows (generated
+    #: blocks), or ``None`` for a block without records
+    #: (:meth:`ClusterTrace.columns` and hand-built blocks).
     record_source: Any = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -209,6 +214,33 @@ class TraceColumns:
     def untouched_gb(self) -> np.ndarray:
         return self.memory_gb * self.untouched_fraction
 
+    def take(self, rows) -> "TraceColumns":
+        """The block's ``rows`` (a slice, or an array of row indices) as a
+        new block.  The record source comes along: records already built
+        (or kept from :meth:`from_records`) are indexed like the columns,
+        and a generated source selects its own rows."""
+        def pick(values):
+            if isinstance(rows, slice):
+                return values[rows]
+            return tuple(values[i] for i in rows.tolist())
+
+        def column(values):
+            return None if values is None else values[rows]
+
+        source = self.__dict__.get("records", self.record_source)
+        if source is not None:
+            source = (pick(source) if isinstance(source, tuple)
+                      else source.take(rows))
+        return TraceColumns(
+            vm_ids=pick(self.vm_ids),
+            memory_gb=self.memory_gb[rows],
+            untouched_fraction=self.untouched_fraction[rows],
+            arrival_s=column(self.arrival_s),
+            departure_s=column(self.departure_s),
+            cores=column(self.cores),
+            record_source=source,
+        )
+
     @classmethod
     def from_records(cls, records: Iterable[VMTraceRecord]) -> "TraceColumns":
         """Build a self-contained block (columns + records) from records."""
@@ -237,36 +269,70 @@ class TraceColumns:
 
 
 class ClusterTrace:
-    """An ordered collection of VM trace records for one or more clusters."""
+    """An arrival-ordered trace of VMs for one or more clusters.
+
+    The trace is one :class:`TraceColumns` block in arrival order, with
+    its record source.  :attr:`records`, iteration and indexing build the
+    :class:`VMTraceRecord` objects on first read and cache them; ``len``,
+    :meth:`columns`, :attr:`duration_s` and :attr:`arrival_span_s` read
+    the block, so a trace that only feeds batch policies and replays never
+    builds a record.
+    """
 
     def __init__(self, records: Sequence[VMTraceRecord], cluster_id: Optional[str] = None):
-        self.records: List[VMTraceRecord] = sorted(records, key=lambda r: r.arrival_s)
-        self._columns: Optional[TraceColumns] = None
-        if cluster_id is not None:
-            self.cluster_id = cluster_id
-        elif self.records:
-            self.cluster_id = self.records[0].cluster_id
-        else:
-            self.cluster_id = "empty"
+        self._adopt(TraceColumns.from_records(
+            sorted(records, key=lambda r: r.arrival_s)), cluster_id)
 
     @classmethod
     def from_block(cls, block: TraceColumns,
                    cluster_id: Optional[str] = None) -> "ClusterTrace":
-        """The trace of one block's records, keeping the block's columns.
+        """The trace of one block, which it keeps as its own.
 
-        When the block is in arrival order its columns become the cached
-        :meth:`columns` view as they are (``record_source=None``), so they
-        are not rebuilt from the records; otherwise the view is rebuilt on
-        first use, as for any trace.
+        The block needs its replay columns.  An arrival-ordered block is
+        adopted as it is; any other is reordered with a stable argsort, the
+        order ``ClusterTrace(records)`` gives its records.  No record is
+        built.
         """
-        trace = cls(block.require_records("a ClusterTrace"), cluster_id)
         arrival = block.arrival_s
-        if arrival is not None and not np.any(arrival[1:] < arrival[:-1]):
-            trace._columns = dataclasses.replace(block, record_source=None)
+        if np.any(arrival[1:] < arrival[:-1]):
+            block = block.take(np.argsort(arrival, kind="stable"))
+        trace = cls.__new__(cls)
+        trace._adopt(block, cluster_id)
         return trace
 
+    def _adopt(self, block: TraceColumns, cluster_id: Optional[str]) -> None:
+        self._block = block
+        self._records: Optional[List[VMTraceRecord]] = None
+        self._columns: Optional[TraceColumns] = None
+        if cluster_id is None:
+            source = block.record_source
+            if not len(block) or source is None:
+                cluster_id = "empty"
+            elif isinstance(source, tuple):
+                cluster_id = source[0].cluster_id
+            else:
+                cluster_id = source.cluster_id
+        self.cluster_id = cluster_id
+
+    @property
+    def records(self) -> List[VMTraceRecord]:
+        """The records, in arrival order, built on first read.
+
+        The list is a view of the trace's block: mutating it changes
+        neither ``len`` nor :meth:`columns`.  Assigning ``records``
+        replaces the trace's block with one built from the new records,
+        in the order given.
+        """
+        if self._records is None:
+            self._records = list(self._block.require_records("ClusterTrace"))
+        return self._records
+
+    @records.setter
+    def records(self, records: Sequence[VMTraceRecord]) -> None:
+        self._adopt(TraceColumns.from_records(records), self.cluster_id)
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._block)
 
     def __iter__(self) -> Iterator[VMTraceRecord]:
         return iter(self.records)
@@ -275,33 +341,26 @@ class ClusterTrace:
         return self.records[index]
 
     def columns(self) -> TraceColumns:
-        """Cached columnar view of the records, aligned with iteration order.
-
-        The record list is treated as immutable once a columnar view has been
-        built; callers that mutate ``records`` afterwards get stale columns.
-        """
-        if self._columns is None or len(self._columns.vm_ids) != len(self.records):
-            # One column-building implementation (from_records); the cached
-            # whole-trace view just drops the records backlink, which would
-            # otherwise cycle with this trace.
-            self._columns = dataclasses.replace(
-                TraceColumns.from_records(self.records), record_source=None
-            )
+        """The trace's block without its record source (cached), in
+        iteration order; reading it builds no record."""
+        if self._columns is None:
+            self._columns = dataclasses.replace(self._block,
+                                                record_source=None)
         return self._columns
 
     # -- derived properties -----------------------------------------------------------
     @property
     def duration_s(self) -> float:
-        if not self.records:
+        if not len(self):
             return 0.0
-        return max(r.departure_s for r in self.records)
+        return float(self._block.departure_s.max())
 
     @property
     def arrival_span_s(self) -> float:
         """Time of the last VM arrival (the observation window of the trace)."""
-        if not self.records:
+        if not len(self):
             return 0.0
-        return max(r.arrival_s for r in self.records)
+        return float(self._block.arrival_s.max())
 
     @property
     def total_core_hours(self) -> float:
@@ -356,7 +415,8 @@ class ClusterTrace:
         """A chunked :class:`TraceStream` view over this (in-memory) trace.
 
         Useful for differential tests and for feeding APIs that consume
-        streams; it saves no memory by itself (the records already exist).
+        streams; it saves no memory by itself (the trace is already in
+        memory).  Its chunks are rows of the trace's block.
         """
         return MaterializedTraceStream(self, chunk_size=chunk_size)
 
@@ -365,10 +425,11 @@ class ClusterTrace:
         """Write the trace as CSV (path or open text handle) with a header row.
 
         Delegates to :func:`write_csv`, which writes in ``chunk_size``-record
-        chunks (the records are already in memory here, so chunking only
-        bounds the writer's working set; streams use the same code path to
-        export without materialising at all).  File-like targets such as
-        ``io.StringIO`` are written in place and left open.
+        chunks (the export reads the trace's records, which builds them on
+        first read; chunking only bounds the writer's working set; streams
+        use the same code path to export without materialising at all).
+        File-like targets such as ``io.StringIO`` are written in place and
+        left open.
         """
         write_csv(self, path, chunk_size=chunk_size)
 
@@ -532,9 +593,9 @@ class MaterializedTraceStream(TraceStream):
         self.cluster_id = trace.cluster_id
 
     def chunks(self) -> Iterator[TraceColumns]:
-        records = self.trace.records
-        for start in range(0, len(records), self.chunk_size):
-            yield TraceColumns.from_records(records[start:start + self.chunk_size])
+        block = self.trace._block
+        for start in range(0, len(block), self.chunk_size):
+            yield block.take(slice(start, start + self.chunk_size))
 
 
 class CsvTraceStream(TraceStream):

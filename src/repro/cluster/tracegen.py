@@ -105,6 +105,11 @@ class _RecordColumns:
     ROW_FIELDS = ("lifetime_s", "customer_index", "type_index", "is_linux",
                   "workload_index")
 
+    def take(self, rows) -> "_RecordColumns":
+        """The source of the block's ``rows`` (see :meth:`TraceColumns.take`)."""
+        return replace(self, **{name: getattr(self, name)[rows]
+                                for name in self.ROW_FIELDS})
+
     def build_records(self, block: TraceColumns) -> Tuple[VMTraceRecord, ...]:
         """The block's records, through the :class:`VMTraceRecord`
         constructor, from ``.tolist()`` copies of the columns."""
@@ -401,7 +406,8 @@ class TraceGenerator:
         10^5..10^6-VM traces the scale benchmarks replay; :meth:`generate`
         delegates here.  For traces that should never be materialised at
         all, use :meth:`stream` instead -- it yields the very same records.
-        Unlike :meth:`stream`, it builds every record.
+        The trace holds the concatenated window columns as its block, so
+        it builds no record until one is read, just like :meth:`stream`.
         """
         windows = [(block, 0, len(block))
                    for block in self.iter_window_records()]

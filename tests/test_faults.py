@@ -610,6 +610,61 @@ class TestDrainBookkeeping:
         assert all(not flagged for flagged in controls.at_risk)
 
 
+class TestRepairCancelsPendingEvacuations:
+    """A repair cancels its group's pending evacuations, so a VM's failed
+    attempts before the repair do not count toward a later failure's kill
+    budget.
+
+    One server (two sockets of 4 cores and 16 GB) is group 0.  ``victim``
+    (4 GB local + 8 GB pool) and ``fill_a`` (12 GB) fill one node, and
+    ``fill_b`` (14 GB) the other, so the ladder can neither move
+    ``victim``'s pool memory home nor live-migrate it.  Retry budget 2;
+    retry ticks every 10 s.  Group 0 fails at t=12 (attempt 1 fails),
+    is repaired at t=14 and fails again at t=16, all before the t=20
+    tick.  ``fill_b`` departs at t=18, so the t=20 retry live-migrates
+    ``victim``.  Counting the t=12 attempt at t=16 would kill it instead.
+    """
+
+    POOL_GB = {"victim": 8.0, "fill_a": 0.0, "fill_b": 0.0, "tail": 0.0}
+
+    def replay(self, events):
+        def vm(vm_id, arrival_s, departure_s, cores, memory_gb):
+            return VMTraceRecord(vm_id, "refail", arrival_s,
+                                 departure_s - arrival_s, cores, memory_gb)
+
+        trace = ClusterTrace([
+            vm("victim", 0.0, 45.0, 2, 12.0),
+            vm("fill_a", 1.0, 60.0, 2, 12.0),
+            vm("fill_b", 2.0, 18.0, 2, 14.0),
+            vm("tail", 30.0, 40.0, 1, 1.0),
+        ])
+        sim = ClusterSimulator(
+            n_servers=1, server_config=ServerConfig(
+                name="refail", sockets=2, cores_per_socket=4,
+                dram_per_socket_gb=16.0),
+            pool_size_sockets=2, pool_capacity_gb_per_group=100.0,
+            constrain_memory=True, sample_interval_s=10.0)
+        return sim.run(trace, lambda record: self.POOL_GB[record.vm_id],
+                       faults=FaultSchedule(events, migration_retry_budget=2))
+
+    def test_refail_before_the_next_retry_tick_starts_a_fresh_budget(self):
+        stats = self.replay([FaultEvent(12.0, "fail", 0),
+                             FaultEvent(14.0, "repair", 0),
+                             FaultEvent(16.0, "fail", 0)]).fault_stats
+        assert (stats.n_fail_events, stats.n_repair_events) == (2, 1)
+        assert stats.vms_affected == 2  # one per failure
+        assert (stats.vms_live_migrated, stats.vms_killed) == (1, 0)
+        assert stats.live_migrated_gb == 12.0
+
+    def test_without_the_repair_the_second_failure_kills(self):
+        """Unrepaired, ``victim`` is still pending when the group fails
+        again, and that second failed attempt spends the budget."""
+        stats = self.replay([FaultEvent(12.0, "fail", 0),
+                             FaultEvent(16.0, "fail", 0)]).fault_stats
+        assert (stats.vms_live_migrated, stats.vms_killed) == (0, 1)
+        assert stats.killed_vm_ids == ["victim"]
+
+
 class TestSpanningGroupKill:
     def make_fleet_traces(self):
         srv = ServerConfig(name="tight", sockets=2, cores_per_socket=24,

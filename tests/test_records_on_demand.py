@@ -1,14 +1,19 @@
-"""Generated trace chunks carry columns; records are built on demand.
+"""Generated traces carry columns; records are built on demand.
 
-A generated :class:`TraceColumns` block builds its ``VMTraceRecord``s only
-when a consumer reads ``block.records`` (a per-record policy callback,
-``materialize``, CSV export).  Batch policies and the replay loops read
-columns, so a static streamed replay builds no record at all.  The records
-built on demand must equal the materialised trace's, at every chunk size,
-and every generated VM is still validated, in bulk, per window.
+A generated :class:`TraceColumns` block -- a stream chunk, or the one
+block a :meth:`TraceGenerator.generate_bulk` trace holds -- builds its
+``VMTraceRecord``s only when a consumer reads them (a per-record policy
+callback, ``materialize``, CSV export, iterating or indexing the trace).
+Batch policies and the replay loops read columns, so neither a streamed
+replay nor a replay of a generated trace builds a record at all.  The
+records built on demand must equal the records-first path's, at every
+chunk size, before and after a pickle round trip, and every generated VM
+is still validated, in bulk, per window.
 """
 
+import dataclasses
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from repro.cluster.fleet import FleetSimulator, pond_policy_factory
 from repro.cluster.pool import FixedFractionPolicy
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.trace import (
+    ClusterTrace,
     TraceColumns,
     TraceStream,
     VMTraceRecord,
@@ -116,9 +122,13 @@ def test_streamed_fig21_study_builds_no_records(no_generated_records):
     assert study.savings and all(study.savings.values())
 
 
-def test_generate_bulk_still_builds_records(no_generated_records):
-    with pytest.raises(pytest.fail.Exception, match="built a VMTraceRecord"):
-        TraceGenerator(CONFIG).generate_bulk()
+def test_generate_bulk_replay_builds_no_records(no_generated_records):
+    """A generated trace replayed under a batch policy builds no record:
+    generation keeps columns, and the replay reads only those."""
+    trace = TraceGenerator(CONFIG).generate_bulk()
+    result = simulator().run(trace, FixedFractionPolicy(0.25))
+    assert result.placed_vms + result.rejected_vms == len(trace)
+    assert trace.duration_s > trace.arrival_span_s > 0.0
 
 
 def test_generate_bulk_keeps_its_window_columns(monkeypatch):
@@ -134,12 +144,17 @@ def test_generate_bulk_keeps_its_window_columns(monkeypatch):
             patch.setattr(TraceColumns, "from_records", None)
             columns = fresh.columns()
         assert columns.record_source is None
-        assert columns.vm_ids == rebuilt.vm_ids
-        for name in ("memory_gb", "untouched_fraction", "arrival_s",
-                     "departure_s", "cores"):
-            got, want = getattr(columns, name), getattr(rebuilt, name)
-            assert got.dtype == want.dtype, name
-            assert got.tobytes() == want.tobytes(), name
+        assert_columns_equal(columns, rebuilt)
+
+
+def assert_columns_equal(got, want):
+    """Equal ids, and equal columns bit for bit and dtype for dtype."""
+    assert got.vm_ids == want.vm_ids
+    for name in ("memory_gb", "untouched_fraction", "arrival_s",
+                 "departure_s", "cores"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 # -- records built on demand equal the materialised trace's ------------------
@@ -175,6 +190,75 @@ def test_per_record_callback_sees_the_materialised_records(trace):
                                  callback(streamed))
         assert streamed == trace.records, size
         assert digest(result) == expected, size
+
+
+def record_fields(record):
+    return [(type(value), value) for value in dataclasses.astuple(record)]
+
+
+def test_generated_trace_reads_records_like_a_records_block():
+    """A generated trace's records, built on first read through any of
+    ``records``, iteration or indexing, equal field for field (and type
+    for type) the records a :meth:`TraceColumns.from_records` block keeps."""
+    stream = TraceGenerator(CONFIG).stream(97)
+    expected = [record_fields(r) for r in TraceColumns.from_records(
+        r for chunk in stream.chunks() for r in chunk.records).records]
+    readers = {
+        "records": lambda t: t.records,
+        "iter": list,
+        "getitem": lambda t: [t[i] for i in range(len(t))],
+    }
+    for name, read in readers.items():
+        fresh = TraceGenerator(CONFIG).generate_bulk()
+        got = read(fresh)
+        assert [record_fields(r) for r in got] == expected, name
+        assert fresh.records == got and fresh.records is fresh.records
+
+
+def test_generated_trace_pickles_before_its_records_are_read(
+        trace, no_generated_records):
+    fresh = TraceGenerator(CONFIG).generate_bulk()
+    restored = pickle.loads(pickle.dumps(fresh))
+    assert (restored.cluster_id, len(restored)) == (CONFIG.cluster_id,
+                                                    len(trace))
+    assert_columns_equal(restored.columns(), trace.columns())
+    assert digest(simulator().run(restored, FixedFractionPolicy(0.25))) == \
+        digest(simulator().run(fresh, FixedFractionPolicy(0.25)))
+
+
+def test_generated_trace_pickles_after_its_records_are_read(trace):
+    fresh = TraceGenerator(CONFIG).generate_bulk()
+    assert fresh.records == trace.records
+    restored = pickle.loads(pickle.dumps(fresh))
+    assert restored.records == trace.records
+    assert_columns_equal(restored.columns(), trace.columns())
+    assert [c.records for c in restored.stream(97).chunks()] == \
+        [c.records for c in trace.stream(97).chunks()]
+
+
+def test_time_spans_read_the_columns_exactly(trace, tmp_path):
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    for case in (TraceGenerator(CONFIG).generate_bulk(),
+                 ClusterTrace.from_csv(path)):
+        records = case.records
+        assert case.duration_s == max(r.departure_s for r in records)
+        assert case.arrival_span_s == max(r.arrival_s for r in records)
+        assert type(case.duration_s) is type(case.arrival_span_s) is float
+    empty = ClusterTrace([])
+    assert (empty.duration_s, empty.arrival_span_s) == (0.0, 0.0)
+
+
+def test_from_block_reorders_like_the_record_sort(trace):
+    """An unordered block is put in the stable arrival order that
+    ``ClusterTrace(records)`` gives its records."""
+    whole = next(TraceGenerator(CONFIG).stream(len(trace) + 10).chunks())
+    shuffled = whole.take(np.random.default_rng(3).permutation(len(trace)))
+    reordered = ClusterTrace.from_block(shuffled)
+    expected = ClusterTrace(shuffled.records)
+    assert reordered.cluster_id == expected.cluster_id == CONFIG.cluster_id
+    assert reordered.records == expected.records
+    assert_columns_equal(reordered.columns(), expected.columns())
 
 
 def test_from_records_blocks_keep_their_records(trace):
