@@ -5,9 +5,9 @@ that physically span chassis and racks; this benchmark replays a multi-shard
 fleet whose pool groups span cluster boundaries (``PoolTopology.spanning``)
 through the merged cross-shard event loop and asserts that
 
-* the degenerate per-shard topology reproduces the classic shardwise
-  ``FleetSimulator.run`` savings and per-shard peaks **identically** (the
-  topology path is a generalisation, not an approximation),
+* the degenerate per-shard topology reproduces the savings and per-shard
+  peaks of the same fleet run without a topology **identically** (both
+  replay one shard per pool-connected component),
 * the spanning replay covers >=100k VMs with at least one group spanning
   shards, produces computable fleet-owned savings, and sustains a sane
   throughput, and
@@ -89,7 +89,7 @@ def test_bench_crossshard_spanning_groups_at_scale(fleet_and_traces):
     legacy_times, degenerate_times, spanning_times = [], [], []
     legacy = degenerate = result = None
     for _ in range(TIMING_REPS):
-        # classic shardwise path (the reference)
+        # no topology: every shard pools alone (the reference)
         start = time.perf_counter()
         legacy = legacy_fleet.run(factory, traces=traces, baselines=baselines)
         legacy_times.append(time.perf_counter() - start)
@@ -109,8 +109,8 @@ def test_bench_crossshard_spanning_groups_at_scale(fleet_and_traces):
     vms_per_s = total_vms / spanning_seconds
     events_per_s = 2 * total_vms / spanning_seconds
 
-    # Identical savings output, shard for shard: the topology engine is a
-    # generalisation of the shardwise path, not an approximation of it.
+    # Identical savings output, shard for shard: an explicit per-shard
+    # topology is exactly the grouping of a fleet without one.
     assert degenerate.savings == legacy.savings
     assert degenerate.placed_vms == legacy.placed_vms
     assert degenerate.rejected_vms == legacy.rejected_vms

@@ -7,7 +7,7 @@ emits canonical JSON (sorted keys) on stdout, one object per line:
 * a single-cluster array replay,
 * cross-shard replays on both topologies (per-shard and spanning, with
   the shard sizes chosen so spanning groups cross the shard seam),
-* a fleet run, serial vs process-pool (shardwise ``for_shard`` routing).
+* a fleet run, serial vs process-pool (``(shard, group)`` event routing).
 
 CI runs this twice with different ``PYTHONHASHSEED`` values and diffs the
 outputs: seeded fault injection must be hash-seed independent (DESIGN.md
@@ -116,7 +116,7 @@ def run_determinism_check(emit=print) -> int:
         for shard, result in enumerate(results):
             line(f"crossshard_{scope}_shard{shard}", result.fault_stats)
 
-    # Fleet, serial vs process pool: shardwise for_shard routing.
+    # Fleet, serial vs process pool: events routed by (shard, group).
     events: List = []
     for shard in range(2):
         events.extend(_make_schedule(2, shard=shard).events)

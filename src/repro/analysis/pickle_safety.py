@@ -1,7 +1,7 @@
 """Pickle/process-pool safety pass over pool-boundary classes.
 
-Shard replays and capacity probes ship objects into ``ProcessPoolExecutor``
-workers (``fleet._ShardSpec`` and everything hanging off it), and probe
+Fleet runs and capacity probes ship objects into ``ProcessPoolExecutor``
+workers (every argument of ``fleet._run_component``), and probe
 memoisation fingerprints are built from *pickled model state*.  Two ways
 that goes wrong:
 
@@ -13,7 +13,7 @@ that goes wrong:
   fixed by ``DecisionTree.__getstate__``).
 
 This pass is static: it walks the attribute closure of a set of root
-classes (the ones named in ``_ShardSpec`` and the policy factories) across
+classes (those argument types and the policy factories) across
 the source tree and flags hazardous attribute assignments on classes that
 do **not** define ``__getstate__``/``__reduce__``.  Classes that do are
 trusted to scrub their own state and are not traversed further.
@@ -78,14 +78,16 @@ PICKLE_RULES: Dict[str, Tuple[str, str]] = {
     ),
 }
 
-#: Classes shipped across process-pool boundaries today: the fleet shard
-#: spec and every class reachable from its fields, plus the policy factories
-#: capacity probes pickle into workers.
+#: Classes shipped across process-pool boundaries today: the argument types
+#: of a fleet component task (every trace input included) and every class
+#: reachable from their fields, plus the policies factories build.
 DEFAULT_ROOTS: Tuple[str, ...] = (
-    "repro.cluster.fleet._ShardSpec",
     "repro.cluster.faults.FaultSchedule",
     "repro.cluster.pool_topology.PoolTopology",
     "repro.cluster.trace.ClusterTrace",
+    "repro.cluster.trace.MaterializedTraceStream",
+    "repro.cluster.trace.CsvTraceStream",
+    "repro.cluster.tracegen.GeneratedTraceStream",
     "repro.cluster.tracegen.TraceGenConfig",
     "repro.cluster.server.ServerConfig",
     "repro.core.control_plane.online.OnlineControlConfig",

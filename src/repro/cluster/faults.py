@@ -62,11 +62,11 @@ class FaultEvent:
 
     ``severity`` is the fraction of the group's healthy capacity lost on
     ``fail`` (``1.0`` = the whole EMC; ``0.5`` = half the blades of a
-    multi-EMC group).  ``shard`` addresses the event in *shardwise* fleet
-    runs (no :class:`PoolTopology`): group ids are shard-local there, so
-    the schedule tags each event with the fleet shard it belongs to and
-    :meth:`FaultSchedule.for_shard` routes it.  Topology replays use
-    fleet-level group ids and ignore ``shard``.
+    multi-EMC group).  ``shard`` addresses the event in fleets without a
+    :class:`PoolTopology`: group ids are shard-local there, so the event
+    names group ``group`` of fleet shard ``shard`` (``FleetSimulator.run``
+    maps it to its fleet group id).  Topology replays use fleet-level
+    group ids and ignore ``shard``.
     """
 
     time_s: float
@@ -171,19 +171,6 @@ class FaultSchedule:
                     FaultEvent(repair_t, "repair", group, severity, shard))
                 t = repair_t + rng.expovariate(rate)
         return cls(events, migration_retry_budget=migration_retry_budget)
-
-    def for_shard(self, shard: int) -> "FaultSchedule":
-        """The sub-schedule addressed to one fleet shard, re-homed to 0.
-
-        Shardwise fleet workers replay each shard as an independent
-        single-cluster simulation, so the filtered events are re-tagged
-        ``shard=0`` (their group ids are already shard-local).
-        """
-        return FaultSchedule(
-            (FaultEvent(e.time_s, e.kind, e.group, e.severity, 0)
-             for e in self.events if e.shard == shard),
-            migration_retry_budget=self.migration_retry_budget,
-        )
 
     def groups(self) -> Tuple[int, ...]:
         """Distinct group ids the schedule touches (ascending)."""

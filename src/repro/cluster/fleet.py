@@ -13,10 +13,11 @@ instance.  Because policy decisions are keyed on stable per-VM digests (see
 fleet result is exactly the sum of its shards' single-cluster results,
 which the fleet benchmark asserts.
 
-Shards are embarrassingly parallel; ``max_workers`` optionally runs them in
-a ``concurrent.futures`` process pool (everything a worker needs --
-``TraceGenConfig``, the policy factory, optionally a pregenerated trace --
-must be picklable, so policy factories are built from module-level
+Every fleet call replays one pool-connected component per task (one shard
+per component unless pool groups span shards), optionally on a reusable
+``concurrent.futures`` process pool (``max_workers``; everything a task
+needs -- ``TraceGenConfig``, the policy factory, optionally a pregenerated
+trace -- must be picklable, so policy factories are built from module-level
 functions via ``functools.partial``).  The default is in-process serial
 execution, which is also what the fleet benchmark times so the batch-vs-
 callback comparison is not confounded by pool overhead.
@@ -31,11 +32,10 @@ fleet): the smallest shared fleet-wide server DRAM size within a rejection
 budget aggregated across shards, probed one pool-connected component at a
 time (DESIGN.md section 5).
 
-Two later extensions relax the strict shard independence: ``pool_topology``
-replays the fleet as one merged time-ordered event stream over fleet-owned
-pool groups that may span shards (:mod:`repro.cluster.pool_topology`,
-DESIGN.md section 8), and the capacity-search probe session plus the shard
-fanout executor are reused across calls (DESIGN.md section 7; release with
+``pool_topology`` relaxes the shard independence: fleet-owned pool groups
+may span shards, whose component then replays as one merged time-ordered
+event stream (:mod:`repro.cluster.pool_topology`, DESIGN.md section 8).
+Executors are reused across calls (DESIGN.md section 7; release with
 :meth:`FleetSimulator.close` or the context-manager protocol).
 """
 
@@ -47,7 +47,9 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.cluster.faults import FaultImpactStats, FaultSchedule
 from repro.cluster.pool import (
@@ -57,7 +59,7 @@ from repro.cluster.pool import (
     uniform_pool_requirement_gb,
 )
 from repro.cluster.pool_topology import PoolTopology, replay_crossshard
-from repro.cluster.simulator import ClusterSimulator, SimulationResult, TraceInput
+from repro.cluster.simulator import SimulationResult, TraceInput
 from repro.cluster.trace import ClusterTrace
 from repro.cluster.tracegen import TraceGenConfig, TraceGenerator, fleet_shard_configs
 from repro.core.control_plane.online import (
@@ -207,8 +209,8 @@ class FleetResult:
     """Merged view over all shards of one fleet run."""
 
     shards: List[FleetShardResult] = field(default_factory=list)
-    #: Cross-shard pool topology of the run (``None`` for the classic
-    #: shardwise path, where every pool group is owned by one shard).
+    #: Cross-shard pool topology of the run (``None`` for a fleet without
+    #: one, where every shard pools alone).
     pool_topology: Optional[PoolTopology] = None
     #: Fleet-level per-group pool peaks (topology runs only), keyed by fleet
     #: group id.  Spanning groups have no owning shard, so their peaks live
@@ -259,10 +261,9 @@ class FleetResult:
     def required_pool_dram_gb(self) -> float:
         """Uniform pool provisioning for the fleet.
 
-        Shardwise runs (and degenerate per-shard topologies) sum each shard's
-        own uniform requirement, exactly as before; a spanning topology has
-        fleet-owned groups, so the requirement is computed from the fleet
-        ledger's per-group peaks instead.
+        Per-shard groups sum each shard's own uniform requirement; a
+        topology that is not per-shard has fleet-owned groups, so the
+        requirement comes from the fleet's per-group peaks instead.
         """
         if self.pool_topology is not None and not self.pool_topology.is_per_shard:
             return self.pool_topology.uniform_pool_requirement_gb(
@@ -309,26 +310,13 @@ class FleetResult:
         """EMC fault-impact accounting merged across shards.
 
         All zeros when the fleet ran without ``faults=...`` (shards then
-        carry no stats) or when no scheduled event fired.  Shardwise runs
-        number each shard's groups from 0, so their blast radii are
-        re-keyed to :meth:`PoolTopology.per_shard`'s fleet ids (offset by
-        the groups of earlier shards) before merging: two shards' group 0
-        are different failure domains.
+        carry no stats) or when no scheduled event fired.  Blast radii are
+        keyed by fleet group id, so two shards' failure domains stay apart.
         """
         merged = FaultImpactStats()
-        offset = 0
         for shard in self.shards:
-            stats = shard.result.fault_stats
-            if stats is not None:
-                if self.pool_topology is None and offset:
-                    stats = replace(stats, blast_radius_by_group={
-                        g + offset: n
-                        for g, n in stats.blast_radius_by_group.items()})
-                merged.add(stats)
-            if shard.pool_size_sockets:
-                per_group = max(
-                    1, shard.pool_size_sockets // shard.sockets_per_server)
-                offset += -(-shard.n_servers // per_group)
+            if shard.result.fault_stats is not None:
+                merged.add(shard.result.fault_stats)
         return merged
 
     @property
@@ -390,34 +378,6 @@ class FleetCapacitySearchResult:
     )
 
 
-@dataclass(frozen=True)
-class _ShardSpec:
-    """Everything one worker needs to run a shard (must stay picklable)."""
-
-    index: int
-    config: TraceGenConfig
-    trace: Optional[TraceInput]
-    policy_factory: Optional[PolicyFactory]
-    batch: bool
-    compute_baseline: bool
-    pool_size_sockets: int
-    pool_capacity_gb_per_group: float
-    constrain_memory: bool
-    sample_interval_s: float
-    #: Precomputed no-pooling baseline (skips the baseline replay).
-    baseline_required_dram_gb: Optional[float] = None
-    #: When set (and no trace is supplied), the worker replays a lazy
-    #: ``GeneratedTraceStream`` of this chunk size instead of materialising.
-    stream_chunk_size: Optional[int] = None
-    #: Online QoS/mitigation stage for the pooled replay (see
-    #: repro.core.control_plane.online).
-    online: Optional[OnlineControlConfig] = None
-    #: EMC fault-injection schedule for the pooled replay, already filtered
-    #: to this shard's local events (see repro.cluster.faults and DESIGN.md
-    #: section 11).
-    faults: Optional[FaultSchedule] = None
-
-
 def _shard_trace_input(cfg: TraceGenConfig, trace: Optional[TraceInput],
                        stream_chunk_size: Optional[int]) -> TraceInput:
     """Resolve a shard's replay input: supplied trace/stream, lazy stream,
@@ -427,20 +387,6 @@ def _shard_trace_input(cfg: TraceGenConfig, trace: Optional[TraceInput],
     if stream_chunk_size is not None:
         return TraceGenerator(cfg).stream(stream_chunk_size)
     return TraceGenerator(cfg).generate_bulk()
-
-
-def _shard_baseline_gb(cfg: TraceGenConfig, trace: TraceInput,
-                       sample_interval_s: float) -> float:
-    """One shard's no-pooling uniform baseline (memory-unconstrained replay)."""
-    baseline_sim = ClusterSimulator(
-        n_servers=cfg.n_servers,
-        server_config=cfg.server_config,
-        pool_size_sockets=0,
-        constrain_memory=False,
-        sample_interval_s=sample_interval_s,
-        record_placements=False,
-    )
-    return baseline_sim.run(trace).uniform_required_local_dram_gb
 
 
 def _same_traces(traces: Optional[Sequence[TraceInput]],
@@ -453,58 +399,94 @@ def _same_traces(traces: Optional[Sequence[TraceInput]],
         a is b for a, b in zip(traces, key))
 
 
-def _baseline_task(
-    args: Tuple[TraceGenConfig, Optional[TraceInput], float, Optional[int]]
-) -> float:
-    """Baseline replay for one shard; module-level so a pool can pickle it."""
-    cfg, trace, sample_interval_s, stream_chunk_size = args
-    trace = _shard_trace_input(cfg, trace, stream_chunk_size)
-    return _shard_baseline_gb(cfg, trace, sample_interval_s)
-
-
-def _run_shard(spec: _ShardSpec) -> FleetShardResult:
-    """Generate (if needed) and replay one shard; module-level for pickling."""
-    cfg = spec.config
-    trace = _shard_trace_input(cfg, spec.trace, spec.stream_chunk_size)
-    policy = spec.policy_factory(spec.index) if spec.policy_factory else None
-    simulator = ClusterSimulator(
-        n_servers=cfg.n_servers,
-        server_config=cfg.server_config,
-        pool_size_sockets=spec.pool_size_sockets,
-        pool_capacity_gb_per_group=spec.pool_capacity_gb_per_group,
-        constrain_memory=spec.constrain_memory,
-        sample_interval_s=spec.sample_interval_s,
-        record_placements=False,
-    )
+def _run_component(
+    topology: PoolTopology,
+    fleet_ids: Tuple[int, ...],
+    shards: Tuple[int, ...],
+    configs: Sequence[TraceGenConfig],
+    traces: Sequence[Optional[TraceInput]],
+    factory: Optional[PolicyFactory],
+    capacity: Union[float, Dict[int, float]],
+    constrain_memory: bool,
+    sample_interval_s: float,
+    batch: bool = True,
+    unpooled_policies: bool = True,
+    online: Optional[OnlineControlConfig] = None,
+    faults: Optional[FaultSchedule] = None,
+    stream_chunk_size: Optional[int] = None,
+    compute_baseline: bool = False,
+    baselines: Optional[Sequence[Optional[float]]] = None,
+) -> Tuple[List[FleetShardResult], Dict[int, float]]:
+    """Replay one pool-connected component of a fleet on its own, then
+    each requested no-pooling baseline on the same input (module-level, so
+    a process pool can pickle it).  A component shares no pool group with
+    the rest of the fleet, so this is exactly its slice of a whole-fleet
+    replay.  ``topology`` is the component's own (groups ``0 .. k-1``);
+    ``fleet_ids`` maps them to the fleet ids that a ``capacity`` dict,
+    ``faults``, the returned pool peaks and the blast radii use.
+    ``unpooled_policies=False`` hands an unpooled replay no policy, as
+    ``ClusterSimulator`` does (otherwise its pool requests are rejected).
+    """
+    inputs = [_shard_trace_input(cfg, trace, stream_chunk_size)
+              for cfg, trace in zip(configs, traces)]
+    policies = [factory(shard) if factory is not None else None
+                for shard in shards]
+    consult = topology.pool_size_sockets or unpooled_policies
+    replay_policies = [
+        None if not consult
+        else policy.__call__
+        if not batch and hasattr(policy, "decide_batch") else policy
+        for policy in policies
+    ]
+    if isinstance(capacity, dict):
+        capacity = {local: capacity[g] for local, g in enumerate(fleet_ids)}
+    if faults is not None:
+        local = {g: i for i, g in enumerate(fleet_ids)}
+        faults = FaultSchedule(
+            [replace(e, group=local[e.group]) for e in faults
+             if e.group in local],
+            migration_retry_budget=faults.migration_retry_budget)
     start = time.perf_counter()
-    if policy is not None and not spec.batch and hasattr(policy, "decide_batch"):
-        # Forced per-VM-callback path (the batch engine's differential /
-        # benchmark baseline): hide decide_batch from the simulator.
-        result = simulator.run(trace, policy=policy.__call__,
-                               online=spec.online, faults=spec.faults)
-    else:
-        result = simulator.run(trace, policy=policy, online=spec.online,
-                               faults=spec.faults)
-    run_seconds = time.perf_counter() - start
-
-    baseline = spec.baseline_required_dram_gb
-    if baseline is None and spec.compute_baseline:
-        baseline = _shard_baseline_gb(cfg, trace, spec.sample_interval_s)
-
-    return FleetShardResult(
-        shard_id=cfg.cluster_id,
-        shard_index=spec.index,
-        # Every record is either placed or rejected, so this equals the trace
-        # length -- without needing a __len__, which streams don't have.
-        n_vms=result.placed_vms + result.rejected_vms,
-        n_servers=cfg.n_servers,
-        sockets_per_server=cfg.server_config.sockets,
-        pool_size_sockets=spec.pool_size_sockets,
-        result=result,
-        baseline_required_dram_gb=baseline,
-        policy_stats=getattr(policy, "stats", None),
-        run_seconds=run_seconds,
+    results, ledger = replay_crossshard(
+        inputs, replay_policies, [cfg.n_servers for cfg in configs],
+        [cfg.server_config for cfg in configs], topology, capacity,
+        constrain_memory, sample_interval_s, online=online, faults=faults,
     )
+    # A component's shards replay interleaved: they share its wall-clock.
+    run_seconds = (time.perf_counter() - start) / len(inputs)
+    fleet_shards = []
+    for shard, cfg, trace, result, policy, baseline in zip(
+            shards, configs, inputs, results, policies,
+            baselines or [None] * len(shards)):
+        if baseline is None and compute_baseline:
+            # The same input on an unpooled, memory-unconstrained cluster.
+            (unpooled,), _peaks = _run_component(
+                PoolTopology.per_shard([cfg.n_servers],
+                                       cfg.server_config.sockets, 0),
+                (), (shard,), (cfg,), (trace,), None, float("inf"), False,
+                sample_interval_s)
+            baseline = unpooled.result.uniform_required_local_dram_gb
+        if result.fault_stats is not None:
+            result.fault_stats.blast_radius_by_group = {
+                fleet_ids[g]: n
+                for g, n in result.fault_stats.blast_radius_by_group.items()}
+        fleet_shards.append(FleetShardResult(
+            shard_id=cfg.cluster_id,
+            shard_index=shard,
+            # Every record is either placed or rejected, so this equals the
+            # trace length -- without needing a __len__, which streams
+            # don't have.
+            n_vms=result.placed_vms + result.rejected_vms,
+            n_servers=cfg.n_servers,
+            sockets_per_server=cfg.server_config.sockets,
+            pool_size_sockets=topology.pool_size_sockets,
+            result=result,
+            baseline_required_dram_gb=baseline,
+            policy_stats=getattr(policy, "stats", None),
+            run_seconds=run_seconds,
+        ))
+    return fleet_shards, {fleet_ids[g]: peak
+                          for g, peak in ledger.peak_gb.items()}
 
 
 # -- capacity-search probes ------------------------------------------------------------
@@ -551,52 +533,33 @@ def _probe_init(state: dict) -> None:
 
 def _run_probe(task: ProbeTask,
                state: Optional[dict] = None) -> CapacityProbeOutcome:
-    """Replay one pool-connected component of ``task``'s topology.
-
-    Components share no pool group, so a component replayed alone is
-    exactly its shards' slice of the whole-fleet replay.  Its sub-topology
-    numbers the groups ``0 .. k-1``; the outcome maps them back to fleet
-    ids.  Policies are built per probe (decisions are digest-keyed, so a
-    fresh instance decides identically), which makes the returned
-    ``policy_stats`` a clean per-probe delta.  ``state`` is the inline
-    session's copy of the worker state.
+    """Replay one pool-connected component of ``task``'s topology
+    (:func:`_run_component`), on the candidate server of size ``dram``
+    when one is given.  Policies are built per probe, which makes the
+    returned ``policy_stats`` a clean per-probe delta.  ``state`` is the
+    inline session's copy of the worker state.
     """
     factory, topology, component, caps_items, dram = task
     if state is None:
         state = _PROBE_STATE
     configs = [state["shard_configs"][shard] for shard in component]
-    sub, fleet_ids = topology.component_topology(component)
-    policies = [factory(shard) if factory is not None else None
-                for shard in component]
-    if dram is None:
-        server_configs = [cfg.server_config for cfg in configs]
-    else:
-        server_configs = [
-            capacity_candidate_config(configs[0].server_config, dram)
-        ] * len(component)
-    capacity: object = float("inf")
-    if caps_items is not None:
-        caps = dict(caps_items)
-        capacity = {local: caps[g] for local, g in enumerate(fleet_ids)}
-    results, ledger = replay_crossshard(
-        [state["inputs"][shard] for shard in component], policies,
-        [cfg.n_servers for cfg in configs], server_configs, sub, capacity,
+    if dram is not None:
+        server = capacity_candidate_config(configs[0].server_config, dram)
+        configs = [replace(cfg, server_config=server) for cfg in configs]
+    shards, peaks = _run_component(
+        *topology.component_topology(component), component, configs,
+        [state["inputs"][shard] for shard in component], factory,
+        float("inf") if caps_items is None else dict(caps_items),
         dram is not None, state["sample_interval_s"],
     )
-    merged = None
-    for policy in policies:
-        stats = getattr(policy, "stats", None)
-        if stats is not None:
-            merged = merged or PolicyStats()
-            merged.add(stats)
+    merged = FleetResult(shards=shards)
     return CapacityProbeOutcome(
-        placed_vms=sum(r.placed_vms for r in results),
-        rejected_vms=sum(r.rejected_vms for r in results),
-        pool_peak_gb={fleet_ids[g]: peak
-                      for g, peak in ledger.peak_gb.items()},
-        pool_gb=tuple(r.total_pool_gb_allocated for r in results),
-        memory_gb=tuple(r.total_memory_gb_allocated for r in results),
-        policy_stats=merged,
+        placed_vms=merged.placed_vms,
+        rejected_vms=merged.rejected_vms,
+        pool_peak_gb=peaks,
+        pool_gb=tuple(s.result.total_pool_gb_allocated for s in shards),
+        memory_gb=tuple(s.result.total_memory_gb_allocated for s in shards),
+        policy_stats=merged.policy_stats,
     )
 
 
@@ -942,33 +905,19 @@ def bisect_min_dram(hi: float, steps: int, budget: int,
 
 
 class FleetSimulator:
-    """Shards a fleet workload across N independent cluster simulations.
+    """Shards a fleet workload across cluster simulations.
 
-    Each shard is one cluster: its own trace (materialised or streamed), its
-    own simulator replay, its own policy instance; a fleet result is exactly
-    the component-wise sum of its shards' single-cluster results.  Four
-    execution modes (DESIGN.md sections 3-5 and 8):
+    Each shard is one cluster with its own trace (materialised, or streamed
+    with ``stream_chunk_size``) and policy instance.  ``pool_topology`` maps
+    servers to fleet pool groups that may span shards; without one, every
+    shard pools alone at ``pool_size_sockets``.  :meth:`run`,
+    :meth:`compute_baselines` and :meth:`capacity_search` replay one
+    pool-connected component per task, inline or, with ``max_workers >
+    1``, on a process pool (DESIGN.md sections 3-5, 7 and 8).
 
-    * ``max_workers`` fans shards out over a process pool in :meth:`run` and
-      :meth:`compute_baselines`;
-    * ``stream_chunk_size`` replays each shard through a lazy
-      ``GeneratedTraceStream`` so no shard trace is ever materialised (peak
-      trace memory drops from O(trace) to O(generation window + chunk +
-      live VMs)); it composes
-      with either of the other modes;
-    * :meth:`capacity_search` finds the smallest shared per-server DRAM
-      size within a fleet-wide rejection budget, one probe per
-      pool-connected component and candidate; with ``max_workers > 1`` the
-      probes run on a reusable process-pool session (DESIGN.md sections 5
-      and 7);
-    * ``pool_topology`` replays the fleet as one merged event stream over
-      fleet-owned pool groups, so a group can span cluster shards
-      (DESIGN.md section 8); the degenerate per-shard topology is
-      byte-identical to the classic shardwise path.
-
-    Reusable executors (the shard-fanout pool and the capacity-search probe
-    session) stay alive across calls; ``close()`` -- or using the fleet as a
-    context manager -- releases them.
+    Reusable executors (the component-task pool and the capacity-search
+    probe session) stay alive across calls; ``close()`` -- or using the
+    fleet as a context manager -- releases them.
 
     Worked example -- a streamed 4-cluster savings study::
 
@@ -1010,8 +959,8 @@ class FleetSimulator:
                     f"the topology's {pool_topology.pool_size_sockets}"
                 )
             pool_size_sockets = pool_topology.pool_size_sockets
-        #: Cross-shard pool topology; ``None`` keeps the classic shardwise
-        #: path where every pool group is confined to one shard.
+        #: Cross-shard pool topology; ``None``: every shard pools alone at
+        #: ``pool_size_sockets``.
         self.pool_topology = pool_topology
         self.pool_size_sockets = pool_size_sockets
         self.pool_capacity_gb_per_group = pool_capacity_gb_per_group
@@ -1083,21 +1032,6 @@ class FleetSimulator:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _shard_executor(self) -> ProcessPoolExecutor:
-        """The reusable shard-fanout pool for :meth:`run` / baselines.
-
-        Kept alive across calls (spawning a pool per call wastes worker
-        startup on every cell of a study grid); closed by :meth:`close`.
-        """
-        if self._shard_pool is None:
-            self._shard_pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            # GC guard: fleets dropped without close() must not leave worker
-            # processes behind until interpreter exit.
-            self._shard_pool_finalizer = weakref.finalize(
-                self, _shutdown_executor, self._shard_pool
-            )
-        return self._shard_pool
-
     # -- constructors ----------------------------------------------------------------
     @classmethod
     def sharded(cls, n_shards: int, base_config: TraceGenConfig,
@@ -1141,25 +1075,11 @@ class FleetSimulator:
         here and pass it to :meth:`run` via ``baselines`` instead of letting
         every run repeat it per shard.
         """
-        if traces is not None and len(traces) != len(self.shard_configs):
-            raise ValueError(
-                f"got {len(traces)} traces for {len(self.shard_configs)} shards"
-            )
-        tasks = [
-            (cfg, traces[i] if traces is not None else None,
-             self.sample_interval_s, self.stream_chunk_size)
-            for i, cfg in enumerate(self.shard_configs)
-        ]
-        if self.max_workers and self.max_workers > 1 and len(tasks) > 1:
-            try:
-                return list(self._shard_executor().map(_baseline_task, tasks))
-            except BaseException:
-                # Executor hardening: never leave a reusable pool in an
-                # unknown state after a failure -- tear it down (a later
-                # call recreates it lazily).
-                self.close()
-                raise
-        return [_baseline_task(task) for task in tasks]
+        shards, _peaks = self._run_components(
+            0, traces, factory=None, capacity=float("inf"),
+            constrain_memory=False)
+        return [shard.result.uniform_required_local_dram_gb
+                for shard in shards]
 
     def run(
         self,
@@ -1171,10 +1091,10 @@ class FleetSimulator:
         online: Optional[OnlineControlConfig] = None,
         faults: Optional[FaultSchedule] = None,
     ) -> FleetResult:
-        """Run every shard and merge the results.
+        """Run every pool-connected component and merge the results.
 
         ``traces`` optionally supplies pregenerated shard traces (aligned
-        with ``shard_configs``); otherwise each worker generates its own,
+        with ``shard_configs``); otherwise each task generates its own,
         which parallelises generation under a process pool.  ``batch``
         selects the vectorized ``decide_batch`` path (default) or forces the
         legacy per-VM callback.  ``compute_baseline`` adds a no-pooling
@@ -1182,143 +1102,114 @@ class FleetSimulator:
         on exactly when the fleet pools memory.  ``baselines`` supplies
         precomputed per-shard baselines (see :meth:`compute_baselines`) and
         skips those replays entirely.  ``online`` activates the online
-        QoS/mitigation stage in every shard's pooled replay; per-shard accounting lands on each
-        ``shard.result.online_stats`` and merges via
-        :attr:`FleetResult.online_stats`.  ``faults`` injects a seeded EMC
-        fault schedule (see :mod:`repro.cluster.faults`): on the classic
-        shardwise path each shard replays the events addressed to it via
-        ``FaultSchedule.for_shard``; on a topology run the whole schedule
-        feeds the merged cross-shard pump, where ``FaultEvent.group`` ids
-        are fleet group ids and the ``shard`` field is ignored.  Impact
-        accounting lands on each ``shard.result.fault_stats`` and merges
-        via :attr:`FleetResult.fault_stats`.
+        QoS/mitigation stage in every pooled replay; per-shard accounting
+        lands on each ``shard.result.online_stats``.  ``faults`` injects a
+        seeded EMC fault schedule (see :mod:`repro.cluster.faults`) on fleet
+        group ids; without a topology, an event names group ``group`` of
+        shard ``shard`` instead, numbered as in :meth:`PoolTopology.per_shard`
+        (an unknown one raises ``ValueError``).  Impact accounting lands on
+        each ``shard.result.fault_stats``, blast radii by fleet group id.
+        A component's shards share its replay's wall-clock evenly as
+        ``run_seconds``; under a topology that is not per-shard their
+        ``pool_peak_gb`` is ``{}`` (read ``fleet_pool_peak_gb``).
         """
-        if traces is not None and len(traces) != len(self.shard_configs):
-            raise ValueError(
-                f"got {len(traces)} traces for {len(self.shard_configs)} shards"
-            )
-        if baselines is not None and len(baselines) != len(self.shard_configs):
-            raise ValueError(
-                f"got {len(baselines)} baselines for {len(self.shard_configs)} shards"
-            )
         if compute_baseline is None:
             compute_baseline = bool(self.pool_size_sockets)
-        if self.pool_topology is not None:
-            return self._run_topology(
-                policy_factory, traces, batch, compute_baseline, baselines,
-                online, faults,
-            )
-        specs = [
-            _ShardSpec(
-                index=i,
-                config=cfg,
-                trace=traces[i] if traces is not None else None,
-                policy_factory=policy_factory,
-                batch=batch,
-                compute_baseline=compute_baseline,
-                pool_size_sockets=self.pool_size_sockets,
-                pool_capacity_gb_per_group=self.pool_capacity_gb_per_group,
-                constrain_memory=self.constrain_memory,
-                sample_interval_s=self.sample_interval_s,
-                baseline_required_dram_gb=(
-                    baselines[i] if baselines is not None else None
-                ),
-                stream_chunk_size=self.stream_chunk_size,
-                online=online,
-                faults=faults.for_shard(i) if faults is not None else None,
-            )
-            for i, cfg in enumerate(self.shard_configs)
-        ]
-        if self.max_workers and self.max_workers > 1 and len(specs) > 1:
+        topology = self.pool_topology
+        shards, peaks = self._run_components(
+            self.pool_size_sockets, traces, baselines, faults,
+            compute_baseline=compute_baseline, factory=policy_factory,
+            capacity=self.pool_capacity_gb_per_group,
+            constrain_memory=self.constrain_memory, batch=batch,
+            # Without a topology, an unpooled shard replays as a
+            # ClusterSimulator does: its policy decides nothing.
+            unpooled_policies=topology is not None, online=online,
+        )
+        if topology is not None and not topology.is_per_shard:
+            for shard in shards:
+                shard.result.pool_peak_gb = {}
+        return FleetResult(shards=shards, pool_topology=topology,
+                           fleet_pool_peak_gb=None if topology is None
+                           else dict(sorted(peaks.items())))
+
+    def _run_components(
+        self,
+        pool_size_sockets: int,
+        traces: Optional[Sequence[TraceInput]],
+        baselines: Optional[Sequence[float]] = None,
+        faults: Optional[FaultSchedule] = None,
+        **settings,
+    ) -> Tuple[List[FleetShardResult], Dict[int, float]]:
+        """:func:`_run_component` on every pool-connected component, inline
+        or on the shard pool.  Without a topology (or a pool), every shard
+        is its own component, numbered as in :meth:`PoolTopology.per_shard`
+        -- per shard, so shards of different ``ServerConfig`` keep working.
+        """
+        for name, items in (("traces", traces), ("baselines", baselines)):
+            if items is not None and len(items) != len(self.shard_configs):
+                raise ValueError(f"got {len(items)} {name} for "
+                                 f"{len(self.shard_configs)} shards")
+        topology = self.pool_topology
+        if topology is not None and pool_size_sockets:
+            parts = [(*topology.component_topology(component), component)
+                     for component in topology.components]
+            fleet_id = {g: g for g in range(topology.n_groups)}
+        else:
+            parts, fleet_id = [], {}
+            for shard, cfg in enumerate(self.shard_configs):
+                sub = PoolTopology.per_shard(
+                    [cfg.n_servers], cfg.server_config.sockets,
+                    pool_size_sockets)
+                ids = tuple(range(len(fleet_id), len(fleet_id) + sub.n_groups))
+                fleet_id.update(((shard, g), i) for g, i in enumerate(ids))
+                parts.append((sub, ids, (shard,)))
+        if faults is not None:
             try:
-                shards = list(self._shard_executor().map(_run_shard, specs))
+                settings["faults"] = FaultSchedule(
+                    [replace(e, group=fleet_id[
+                        e.group if topology is not None else (e.shard, e.group)])
+                     for e in faults],
+                    migration_retry_budget=faults.migration_retry_budget)
+            except KeyError as missing:
+                raise ValueError(f"fault schedule names pool group {missing}"
+                                 ", which this fleet does not have") from None
+        tasks = [
+            functools.partial(
+                _run_component, sub, fleet_ids, members,
+                [self.shard_configs[s] for s in members],
+                [traces[s] if traces is not None else None for s in members],
+                sample_interval_s=self.sample_interval_s,
+                stream_chunk_size=self.stream_chunk_size,
+                baselines=None if baselines is None
+                else [baselines[s] for s in members],
+                **settings,
+            )
+            for sub, fleet_ids, members in parts
+        ]
+        if self.max_workers and self.max_workers > 1 and len(tasks) > 1:
+            if self._shard_pool is None:
+                # Kept alive across calls (a pool per call would pay worker
+                # startup on every cell of a study grid); the finalizer
+                # stops fleets dropped without close() from leaking workers.
+                self._shard_pool = ProcessPoolExecutor(self.max_workers)
+                self._shard_pool_finalizer = weakref.finalize(
+                    self, _shutdown_executor, self._shard_pool)
+            try:
+                futures = [self._shard_pool.submit(task) for task in tasks]
+                outputs = [future.result() for future in futures]
             except BaseException:
+                # Executor hardening: never leave a reusable pool in an
+                # unknown state after a failure -- tear it down (a later
+                # call recreates it lazily).
                 self.close()
                 raise
         else:
-            shards = [_run_shard(spec) for spec in specs]
-        return FleetResult(shards=shards)
-
-    def _run_topology(
-        self,
-        policy_factory: Optional[PolicyFactory],
-        traces: Optional[Sequence[TraceInput]],
-        batch: bool,
-        compute_baseline: bool,
-        baselines: Optional[Sequence[float]],
-        online: Optional[OnlineControlConfig] = None,
-        faults: Optional[FaultSchedule] = None,
-    ) -> FleetResult:
-        """:meth:`run` over a cross-shard pool topology.
-
-        The shards replay as one merged time-ordered event stream against a
-        fleet-owned group ledger (:func:`replay_crossshard`), so a pool
-        group spanning cluster boundaries is drawn from and released to at
-        simulation time.  For a degenerate per-shard topology the per-shard
-        results are byte-identical to the classic shardwise path
-        (differential-tested); the no-pooling baseline replays are
-        pool-independent and reuse the shardwise helper unchanged.
-
-        Shards replay interleaved in one process, so per-shard
-        ``run_seconds`` cannot be attributed individually; the replay's
-        wall-clock is split evenly so ``FleetResult.total_run_seconds``
-        stays the fleet-level truth.
-        """
-        topology = self.pool_topology
-        n_shards = len(self.shard_configs)
-        inputs: List[TraceInput] = [
-            _shard_trace_input(
-                cfg, traces[i] if traces is not None else None,
-                self.stream_chunk_size,
-            )
-            for i, cfg in enumerate(self.shard_configs)
-        ]
-        policies = [
-            policy_factory(i) if policy_factory is not None else None
-            for i in range(n_shards)
-        ]
-        replay_policies = [
-            # Forced per-VM-callback path (differential baseline): hide
-            # decide_batch from the replay, keep the policy for stats.
-            policy.__call__
-            if (policy is not None and not batch
-                and hasattr(policy, "decide_batch"))
-            else policy
-            for policy in policies
-        ]
-        start = time.perf_counter()
-        results, ledger = replay_crossshard(
-            inputs, replay_policies,
-            [cfg.n_servers for cfg in self.shard_configs],
-            [cfg.server_config for cfg in self.shard_configs],
-            topology, self.pool_capacity_gb_per_group,
-            self.constrain_memory, self.sample_interval_s,
-            record_placements=False, online=online, faults=faults,
-        )
-        per_shard_seconds = (time.perf_counter() - start) / n_shards
-        shards: List[FleetShardResult] = []
-        for i, cfg in enumerate(self.shard_configs):
-            baseline = baselines[i] if baselines is not None else None
-            if baseline is None and compute_baseline:
-                baseline = _shard_baseline_gb(cfg, inputs[i],
-                                              self.sample_interval_s)
-            shards.append(FleetShardResult(
-                shard_id=cfg.cluster_id,
-                shard_index=i,
-                n_vms=results[i].placed_vms + results[i].rejected_vms,
-                n_servers=cfg.n_servers,
-                sockets_per_server=cfg.server_config.sockets,
-                pool_size_sockets=self.pool_size_sockets,
-                result=results[i],
-                baseline_required_dram_gb=baseline,
-                policy_stats=getattr(policies[i], "stats", None),
-                run_seconds=per_shard_seconds,
-            ))
-        return FleetResult(
-            shards=shards,
-            pool_topology=topology,
-            fleet_pool_peak_gb=dict(ledger.peak_gb),
-        )
+            outputs = [task() for task in tasks]
+        shards = sorted((shard for part, _peaks in outputs for shard in part),
+                        key=lambda shard: shard.shard_index)
+        peaks = {g: peak for _part, part_peaks in outputs
+                 for g, peak in part_peaks.items()}
+        return shards, peaks
 
     # -- fleet-level capacity search ---------------------------------------------------
     def _ensure_probe_session(

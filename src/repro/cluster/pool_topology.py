@@ -12,7 +12,7 @@ single-cluster simulator:
 * :class:`PoolTopology` maps every ``(shard, server)`` of a fleet to a
   *fleet-level* pool group id.  :meth:`PoolTopology.per_shard` reproduces
   the classic intra-shard grouping (the degenerate topology, byte-identical
-  to the shardwise path by differential test);
+  to lone per-shard cluster replays by differential test);
   :meth:`PoolTopology.spanning` blocks groups across the concatenated fleet
   server list, ignoring shard boundaries, so one group can span clusters.
 * :class:`PoolGroupLedger` owns the per-group free/used/peak accounting.
@@ -33,7 +33,7 @@ timestamps the order is departures, fault events, grid samples (each
 shard's sample followed by its QoS and evacuation-retry ticks), horizons,
 then arrivals, with deterministic shard-index tie-breaks; per shard, the
 relative event order is exactly a single cluster's, which is why the
-degenerate per-shard topology reproduces ``FleetSimulator``'s classic
+degenerate per-shard topology reproduces each shard's single-cluster
 results byte-for-byte (enforced by ``tests/test_pool_topology.py``).  A
 single cluster is the one-shard case: ``ClusterSimulator.run`` replays
 everything -- materialised traces, streams, online and faulted replays --
@@ -199,8 +199,8 @@ class PoolTopology:
 
         Reproduces ``ClusterSimulator``'s grouping inside every shard
         (``server // servers_per_group``, fleet ids offset per shard) with
-        one provisioning domain per shard -- the exact regime the shardwise
-        fleet path models, kept as the differential anchor.  With
+        one provisioning domain per shard -- the regime of a fleet without
+        a topology, whose groups ``FleetSimulator`` numbers this way.  With
         ``pool_size_sockets=0`` the topology is unpooled: every server maps
         to group ``-1``.
         """
@@ -281,8 +281,8 @@ class PoolTopology:
     def is_per_shard(self) -> bool:
         """True when no group spans shards *and* domains follow shards.
 
-        This is the degenerate regime whose results are byte-identical to the
-        classic shardwise fleet path; anything else is fleet-owned.
+        This is the degenerate regime whose results are byte-identical to
+        lone per-shard cluster replays; anything else is fleet-owned.
         """
         return all(
             len(self.group_shards[g]) == 1

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from repro.cluster import ClusterSimulator, ServerConfig
 from repro.cluster.fleet import (
     FleetSimulator,
     all_local_policy_factory,
     pond_policy_factory,
     static_policy_factory,
 )
-from repro.cluster.tracegen import TraceGenConfig, fleet_shard_configs
+from repro.cluster.tracegen import (
+    TraceGenConfig,
+    TraceGenerator,
+    fleet_shard_configs,
+)
 from repro.core.prediction.combined import CombinedOperatingPoint
 
 OPERATING_POINT = CombinedOperatingPoint(
@@ -189,6 +196,48 @@ class TestStrandingMode:
         stats = result.policy_stats
         assert stats.n_all_local == stats.n_vms == result.n_vms
         assert result.savings.required_pool_dram_gb == 0.0
+
+
+class TestMixedSkuFleet:
+    """A fleet without a topology whose shards differ in ``ServerConfig``:
+    each shard is its own component, so it replays as its own cluster."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_run_equals_per_shard_cluster_runs(self, workers):
+        small = ServerConfig(name="small", dram_per_socket_gb=96.0)
+        big = ServerConfig(name="big", dram_per_socket_gb=192.0)
+        configs = [base_config(cluster_id="sku-small", server_config=small),
+                   base_config(cluster_id="sku-big", server_config=big, seed=17)]
+        fleet = FleetSimulator(configs, pool_size_sockets=4,
+                               pool_capacity_gb_per_group=200.0,
+                               constrain_memory=True, max_workers=workers)
+        factory = static_policy_factory(fraction=0.3, seed=2)
+        with fleet:
+            result = fleet.run(factory)
+            baselines = fleet.compute_baselines()
+        for shard, cfg in enumerate(configs):
+            trace = TraceGenerator(cfg).generate_bulk()
+            ref = ClusterSimulator(
+                n_servers=cfg.n_servers, server_config=cfg.server_config,
+                pool_size_sockets=4, pool_capacity_gb_per_group=200.0,
+                constrain_memory=True, record_placements=False,
+            ).run(trace, factory(shard))
+            baseline = ClusterSimulator(
+                n_servers=cfg.n_servers, server_config=cfg.server_config,
+                constrain_memory=False,
+            ).run(trace).uniform_required_local_dram_gb
+            got = result.shards[shard]
+            assert got.shard_id == cfg.cluster_id
+            assert got.result.placed_vms == ref.placed_vms
+            assert got.result.rejected_vms == ref.rejected_vms
+            assert got.result.server_peak_local_gb == ref.server_peak_local_gb
+            assert got.result.pool_peak_gb == ref.pool_peak_gb
+            assert np.array_equal(got.result.sample_buffer.rows(),
+                                  ref.sample_buffer.rows())
+            assert got.baseline_required_dram_gb == baseline
+            assert baselines[shard] == baseline
+        assert result.shards[0].result.server_peak_local_gb \
+            != result.shards[1].result.server_peak_local_gb
 
 
 class TestProcessPoolPath:

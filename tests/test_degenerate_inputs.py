@@ -163,18 +163,26 @@ class TestFleetDegenerate:
         assert result.fleet_pool_peak_gb[0] >= 0.0
 
     def test_crossshard_degenerate_matches_legacy_on_edge_traces(self):
-        """Empty + single-record shards: topology path == shardwise path."""
+        """Empty + single-record shards: the fleet run, with or without the
+        per-shard topology, equals each shard's own cluster replay."""
         topo = PoolTopology.per_shard([3, 3], 2, 4)
         factory = static_policy_factory(fraction=0.2, seed=1)
-        legacy = FleetSimulator(self._configs(), pool_size_sockets=4)
-        reference = legacy.run(factory, traces=[EMPTY, SINGLE])
-        fleet = FleetSimulator(self._configs(), pool_topology=topo)
-        result = fleet.run(factory, traces=[EMPTY, SINGLE])
-        for got, ref in zip(result.shards, reference.shards):
-            assert got.result.placed_vms == ref.result.placed_vms
-            assert got.result.pool_peak_gb == ref.result.pool_peak_gb
-            assert np.array_equal(got.result.sample_buffer.rows(),
-                                  ref.result.sample_buffer.rows())
+        traces = [EMPTY, SINGLE]
+        reference = [
+            ClusterSimulator(n_servers=cfg.n_servers,
+                             server_config=cfg.server_config,
+                             pool_size_sockets=4, constrain_memory=False,
+                             ).run(trace, factory(shard))
+            for shard, (cfg, trace) in enumerate(zip(self._configs(), traces))
+        ]
+        for fleet in (FleetSimulator(self._configs(), pool_size_sockets=4),
+                      FleetSimulator(self._configs(), pool_topology=topo)):
+            result = fleet.run(factory, traces=traces)
+            for got, ref in zip(result.shards, reference):
+                assert got.result.placed_vms == ref.placed_vms
+                assert got.result.pool_peak_gb == ref.pool_peak_gb
+                assert np.array_equal(got.result.sample_buffer.rows(),
+                                      ref.sample_buffer.rows())
 
     def test_crossshard_stream_chunk_larger_than_trace(self):
         cfgs = self._configs()

@@ -142,18 +142,6 @@ class TestFaultSchedule:
         for e in sched:
             assert 0.0 <= e.time_s < 86400.0
 
-    def test_for_shard_filters_and_rehomes(self):
-        sched = FaultSchedule([
-            FaultEvent(1.0, "fail", 0, shard=0),
-            FaultEvent(2.0, "fail", 1, shard=1),
-            FaultEvent(3.0, "repair", 1, shard=1),
-        ], migration_retry_budget=5)
-        sub = sched.for_shard(1)
-        assert [(e.time_s, e.kind, e.group, e.shard) for e in sub] == [
-            (2.0, "fail", 1, 0), (3.0, "repair", 1, 0)]
-        assert sub.migration_retry_budget == 5
-        assert sched.for_shard(2).events == ()
-
     def test_groups_listing(self):
         sched = FaultSchedule([FaultEvent(1.0, "fail", 3),
                                FaultEvent(2.0, "fail", 1),
@@ -759,9 +747,10 @@ class TestFleetDeterminism:
                                   b.result.sample_buffer.rows())
 
     def test_shardwise_merge_keys_groups_like_per_shard_topology(self):
-        """Group 0 of two shards are two failure domains: the shardwise
-        merge keeps their blast radii apart, exactly as the per-shard
-        topology run (fleet groups 0 and 2) reports them."""
+        """Group 0 of two shards are two failure domains: a fleet without a
+        topology keys each shard's blast radius by its fleet group id,
+        exactly as the per-shard topology run (fleet groups 0 and 2)
+        reports them."""
         base = TraceGenConfig(n_servers=8, duration_days=0.5,
                               mean_lifetime_hours=2.0,
                               target_core_utilization=0.9, seed=7)
@@ -783,14 +772,18 @@ class TestFleetDeterminism:
                                  FaultEvent(20000.0, "fail", 2)]))
         blast = [s.result.fault_stats.blast_radius_by_group
                  for s in split.shards]
-        assert list(blast[0]) == list(blast[1]) == [0]
+        assert list(blast[0]) == [0]
+        assert list(blast[1]) == [2]
         assert split.fault_stats.n_fail_events == 2
         assert split.fault_stats.blast_radius_by_group == {
-            0: blast[0][0], 2: blast[1][0]}
+            0: blast[0][0], 2: blast[1][2]}
         assert split.fault_stats.as_dict() == joint.fault_stats.as_dict()
+        for got, ref in zip(split.shards, joint.shards):
+            assert got.result.fault_stats.as_dict() \
+                == ref.result.fault_stats.as_dict()
 
     def test_shardwise_fleet_matches_single_cluster(self):
-        """for_shard routing: each shard replays exactly its own events."""
+        """Routing: each shard replays exactly its own events."""
         base = TraceGenConfig(n_servers=8, duration_days=0.5,
                               mean_lifetime_hours=2.0,
                               target_core_utilization=0.9, seed=7)
@@ -804,7 +797,8 @@ class TestFleetDeterminism:
         assert shard0.n_fail_events == 0
         assert shard0.vms_affected == 0
         assert shard1.n_fail_events == 1
-        # The addressed shard replayed alone reproduces the same impact.
+        # The addressed shard replayed alone reproduces the same impact;
+        # its group 0 is fleet group 2 (two groups per shard).
         cfg = fleet.shard_configs[1]
         solo = ClusterSimulator(
             n_servers=cfg.n_servers, server_config=cfg.server_config,
@@ -812,5 +806,73 @@ class TestFleetDeterminism:
             constrain_memory=True, sample_interval_s=3600.0,
         ).run(TraceGenerator(cfg).generate_bulk(),
               StaticFractionPolicy(fraction=0.4),
-              faults=sched.for_shard(1))
-        assert solo.fault_stats.as_dict() == shard1.as_dict()
+              faults=FaultSchedule([FaultEvent(15000.0, "fail", 0)]))
+        expected = solo.fault_stats.as_dict()
+        expected["blast_radius_by_group"] = {
+            "2": expected["blast_radius_by_group"]["0"]}
+        assert shard1.as_dict() == expected
+        assert np.array_equal(solo.sample_buffer.rows(),
+                              result.shards[1].result.sample_buffer.rows())
+
+    def test_fleet_routes_each_event_to_its_shard(self):
+        """Without a topology, an event names group ``group`` of shard
+        ``shard``: it fires on that shard alone, keeps its time, kind,
+        severity and the schedule's retry budget, and never reaches a shard
+        it does not name."""
+        base = TraceGenConfig(n_servers=8, duration_days=0.5,
+                              mean_lifetime_hours=2.0,
+                              target_core_utilization=0.9, seed=7)
+        sched = FaultSchedule([
+            FaultEvent(9000.0, "fail", 0, shard=0),
+            FaultEvent(12000.0, "fail", 1, severity=0.5, shard=1),
+            FaultEvent(15000.0, "repair", 1, shard=1),
+        ], migration_retry_budget=5)
+        kwargs = dict(pool_size_sockets=8, pool_capacity_gb_per_group=500.0,
+                      constrain_memory=True, sample_interval_s=3600.0)
+        fleet = FleetSimulator.sharded(3, base, **kwargs)
+        traces = fleet.generate_traces()
+        result = fleet.run(static_policy_factory(fraction=0.4), traces=traces,
+                           compute_baseline=False, faults=sched)
+        per_shard = [
+            [FaultEvent(9000.0, "fail", 0)],
+            [FaultEvent(12000.0, "fail", 1, severity=0.5),
+             FaultEvent(15000.0, "repair", 1)],
+            [],
+        ]
+        for shard, events in enumerate(per_shard):
+            cfg = fleet.shard_configs[shard]
+            solo = ClusterSimulator(
+                n_servers=cfg.n_servers, server_config=cfg.server_config,
+                **kwargs,
+            ).run(traces[shard], StaticFractionPolicy(fraction=0.4),
+                  faults=FaultSchedule(events, migration_retry_budget=5))
+            expected = solo.fault_stats.as_dict()
+            # Two groups per shard: local group g is fleet group 2*shard+g.
+            expected["blast_radius_by_group"] = {
+                str(2 * shard + int(g)): n
+                for g, n in expected["blast_radius_by_group"].items()}
+            got = result.shards[shard].result
+            assert got.fault_stats.as_dict() == expected
+            assert np.array_equal(got.sample_buffer.rows(),
+                                  solo.sample_buffer.rows())
+        stats = [s.result.fault_stats for s in result.shards]
+        assert [(s.n_fail_events, s.n_repair_events) for s in stats] == [
+            (1, 0), (1, 1), (0, 0)]
+
+    def test_event_for_missing_shard_or_group_rejected(self):
+        """An event addressed to a shard or group the fleet does not have
+        raises, like an unknown group in a single-cluster replay."""
+        base = TraceGenConfig(n_servers=8, duration_days=0.1, seed=7)
+        fleet = FleetSimulator.sharded(2, base, pool_size_sockets=8)
+        factory = static_policy_factory(fraction=0.4)
+        with pytest.raises(ValueError, match="does not have"):
+            fleet.run(factory, compute_baseline=False, faults=FaultSchedule(
+                [FaultEvent(3600.0, "fail", 0, 1.0, shard=5)]))
+        with pytest.raises(ValueError, match="does not have"):
+            fleet.run(factory, compute_baseline=False, faults=FaultSchedule(
+                [FaultEvent(3600.0, "fail", 2, shard=1)]))
+        spanning = FleetSimulator.sharded(
+            2, base, pool_topology=PoolTopology.spanning([8, 8], 2, 8))
+        with pytest.raises(ValueError, match="does not have"):
+            spanning.run(factory, compute_baseline=False,
+                         faults=FaultSchedule([FaultEvent(3600.0, "fail", 4)]))

@@ -2,8 +2,12 @@
 
 The load-bearing guarantees:
 
-* the degenerate per-shard topology reproduces the classic shardwise
-  ``FleetSimulator.run`` / ``capacity_search`` results **byte-identically**;
+* the degenerate per-shard topology reproduces each shard's own
+  ``ClusterSimulator.run`` **byte-identically** (``FleetSimulator.run``
+  with or without the topology), and ``capacity_search`` gives the same
+  result with or without it;
+* a fleet run replays one pool-connected component per task, which equals
+  one whole-fleet ``replay_crossshard``, serially and on a process pool;
 * a spanning group is genuinely fleet-owned: concurrent demand from two
   shards adds up in its peak, and its finite capacity is contended across
   shard boundaries at simulation time.
@@ -13,17 +17,20 @@ import numpy as np
 import pytest
 
 from reference_replay import reference_fleet_replay
+from repro.cluster import ClusterSimulator
+from repro.cluster.faults import FaultSchedule
 from repro.cluster.fleet import (
     FleetSimulator,
     PoolTopology,
     pond_policy_factory,
     static_policy_factory,
 )
-from repro.cluster.pool import FixedFractionPolicy
+from repro.cluster.pool import FixedFractionPolicy, uniform_pool_requirement_gb
 from repro.cluster.pool_topology import PoolGroupLedger, replay_crossshard
 from repro.cluster.server import ServerConfig
 from repro.cluster.trace import ClusterTrace, VMTraceRecord
-from repro.cluster.tracegen import TraceGenConfig
+from repro.cluster.tracegen import TraceGenConfig, TraceGenerator
+from repro.core.control_plane.online import OnlineControlConfig
 from repro.core.prediction.combined import CombinedOperatingPoint
 
 OPERATING_POINT = CombinedOperatingPoint(
@@ -130,8 +137,49 @@ def fleet_traces():
     return fleet.generate_traces()
 
 
+def cluster_reference(fleet, factory, traces):
+    """Each shard replayed on its own through ``ClusterSimulator.run``, with
+    its no-pooling baseline: ``(result, required pool GB, baseline GB)``."""
+    reference = []
+    for shard, (cfg, trace) in enumerate(zip(fleet.shard_configs, traces)):
+        result = ClusterSimulator(
+            n_servers=cfg.n_servers, server_config=cfg.server_config,
+            pool_size_sockets=fleet.pool_size_sockets,
+            pool_capacity_gb_per_group=fleet.pool_capacity_gb_per_group,
+            constrain_memory=fleet.constrain_memory,
+            sample_interval_s=fleet.sample_interval_s,
+            record_placements=False,
+        ).run(trace, factory(shard))
+        baseline = ClusterSimulator(
+            n_servers=cfg.n_servers, server_config=cfg.server_config,
+            constrain_memory=False, sample_interval_s=fleet.sample_interval_s,
+            record_placements=False,
+        ).run(trace).uniform_required_local_dram_gb
+        reference.append((result, uniform_pool_requirement_gb(
+            result, fleet.pool_size_sockets, cfg.server_config.sockets,
+            cfg.n_servers), baseline))
+    return reference
+
+
+def assert_matches_cluster_reference(fleet_result, reference):
+    for got, (ref, ref_pool_gb, ref_baseline) in zip(fleet_result.shards,
+                                                      reference):
+        assert got.result.placed_vms == ref.placed_vms
+        assert got.result.rejected_vms == ref.rejected_vms
+        assert got.result.server_peak_local_gb == ref.server_peak_local_gb
+        assert got.result.server_peak_total_gb == ref.server_peak_total_gb
+        assert got.result.pool_peak_gb == ref.pool_peak_gb
+        assert got.result.total_pool_gb_allocated \
+            == ref.total_pool_gb_allocated
+        assert np.array_equal(got.result.sample_buffer.rows(),
+                              ref.sample_buffer.rows())
+        assert got.required_local_dram_gb == ref.uniform_required_local_dram_gb
+        assert got.required_pool_dram_gb == ref_pool_gb
+        assert got.baseline_required_dram_gb == ref_baseline
+
+
 class TestDegenerateDifferential:
-    """Per-shard topology == classic shardwise path, byte for byte."""
+    """Per-shard topology == each shard's own cluster replay, byte for byte."""
 
     @pytest.mark.parametrize("factory_name", ["pond", "static"])
     def test_run_byte_identical(self, fleet_traces, factory_name):
@@ -141,45 +189,28 @@ class TestDegenerateDifferential:
             else static_policy_factory(fraction=0.25, seed=1)
         )
         legacy = FleetSimulator.sharded(3, base_config(), pool_size_sockets=4)
-        reference = legacy.run(factory, traces=fleet_traces)
+        reference = cluster_reference(legacy, factory, fleet_traces)
+        legacy_result = legacy.run(factory, traces=fleet_traces)
+        assert_matches_cluster_reference(legacy_result, reference)
 
         topo = PoolTopology.per_shard([6, 6, 6], 2, 4)
         fleet = FleetSimulator.sharded(3, base_config(), pool_topology=topo)
         result = fleet.run(factory, traces=fleet_traces)
-
-        assert result.savings == reference.savings
-        for got, ref in zip(result.shards, reference.shards):
-            assert got.result.placed_vms == ref.result.placed_vms
-            assert got.result.rejected_vms == ref.result.rejected_vms
-            assert got.result.server_peak_local_gb \
-                == ref.result.server_peak_local_gb
-            assert got.result.server_peak_total_gb \
-                == ref.result.server_peak_total_gb
-            assert got.result.pool_peak_gb == ref.result.pool_peak_gb
-            assert got.result.total_pool_gb_allocated \
-                == ref.result.total_pool_gb_allocated
-            assert got.baseline_required_dram_gb \
-                == ref.baseline_required_dram_gb
-            assert np.array_equal(got.result.sample_buffer.rows(),
-                                  ref.result.sample_buffer.rows())
-            assert got.savings == ref.savings
+        assert_matches_cluster_reference(result, reference)
+        assert result.savings == legacy_result.savings
 
     def test_run_byte_identical_streamed(self):
         factory = static_policy_factory(fraction=0.3, seed=2)
         legacy = FleetSimulator.sharded(2, base_config(), pool_size_sockets=4,
                                         stream_chunk_size=64)
-        reference = legacy.run(factory)
+        streams = [TraceGenerator(cfg).stream(64)
+                   for cfg in legacy.shard_configs]
+        reference = cluster_reference(legacy, factory, streams)
+        assert_matches_cluster_reference(legacy.run(factory), reference)
         topo = PoolTopology.per_shard([6, 6], 2, 4)
         fleet = FleetSimulator.sharded(2, base_config(), pool_topology=topo,
                                        stream_chunk_size=64)
-        result = fleet.run(factory)
-        assert result.savings == reference.savings
-        for got, ref in zip(result.shards, reference.shards):
-            assert got.result.server_peak_local_gb \
-                == ref.result.server_peak_local_gb
-            assert got.result.pool_peak_gb == ref.result.pool_peak_gb
-            assert np.array_equal(got.result.sample_buffer.rows(),
-                                  ref.result.sample_buffer.rows())
+        assert_matches_cluster_reference(fleet.run(factory), reference)
 
     def test_per_vm_callback_path_matches_batch(self, fleet_traces):
         topo = PoolTopology.per_shard([6, 6, 6], 2, 4)
@@ -211,6 +242,50 @@ class TestDegenerateDifferential:
         assert result.total_vms == reference.total_vms
         assert result.rejection_budget == reference.rejection_budget
         assert result.pool_topology is topo
+
+
+class TestComponentRuns:
+    """A fleet run replays one pool-connected component per task."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_components_equal_whole_fleet_replay(self, workers):
+        # 4-server groups over 8-server shards: every seam falls on a group
+        # boundary, so the spanning topology has 3 components.
+        sizes = [8, 8, 8]
+        topo = PoolTopology.spanning(sizes, 2, 8)
+        assert topo.components == ((0,), (1,), (2,)) and not topo.is_per_shard
+        fleet = FleetSimulator.sharded(
+            3, base_config(n_servers=8), pool_topology=topo,
+            pool_capacity_gb_per_group=300.0, constrain_memory=True,
+            max_workers=workers)
+        traces = fleet.generate_traces()
+        factory = static_policy_factory(fraction=0.5, seed=4)
+        online = OnlineControlConfig(qos_threshold_percent=5.0)
+        faults = FaultSchedule.seeded(
+            groups=range(topo.n_groups), horizon_s=0.4 * 86400.0,
+            mean_time_between_failures_s=9000.0, repair_delay_s=3000.0,
+            seed=2, migration_retry_budget=1)
+        with fleet:
+            result = fleet.run(factory, traces=traces, compute_baseline=False,
+                               online=online, faults=faults)
+        whole, ledger = replay_crossshard(
+            traces, [factory(shard) for shard in range(3)], sizes,
+            [cfg.server_config for cfg in fleet.shard_configs], topo, 300.0,
+            True, fleet.sample_interval_s, online=online, faults=faults)
+        assert result.fault_stats.n_fail_events > 0
+        assert result.online_stats.n_mitigations > 0
+        for got, ref in zip(result.shards, whole):
+            assert got.result.placed_vms == ref.placed_vms
+            assert got.result.rejected_vms == ref.rejected_vms
+            assert np.array_equal(got.result.sample_buffer.rows(),
+                                  ref.sample_buffer.rows())
+            assert got.result.online_stats == ref.online_stats
+            assert got.result.fault_stats.as_dict() \
+                == ref.fault_stats.as_dict()
+            # A seam-free component is per-shard on its own, but the fleet
+            # owns its groups: every shard reports no pool peaks.
+            assert got.result.pool_peak_gb == ref.pool_peak_gb == {}
+        assert result.fleet_pool_peak_gb == ledger.peak_gb
 
 
 def _two_shard_setup():
