@@ -79,10 +79,14 @@ PICKLE_RULES: Dict[str, Tuple[str, str]] = {
 }
 
 #: Classes shipped across process-pool boundaries today: the argument types
-#: of a fleet component task (every trace input included) and every class
-#: reachable from their fields, plus the policies factories build.
+#: of a fleet component task (every trace input included), the results a
+#: component task or capacity probe sends back (with their stats blocks)
+#: and every class reachable from their fields, plus the policies factories
+#: build.
 DEFAULT_ROOTS: Tuple[str, ...] = (
     "repro.cluster.faults.FaultSchedule",
+    "repro.cluster.fleet.CapacityProbeOutcome",
+    "repro.cluster.fleet.FleetShardResult",
     "repro.cluster.pool_topology.PoolTopology",
     "repro.cluster.trace.ClusterTrace",
     "repro.cluster.trace.MaterializedTraceStream",

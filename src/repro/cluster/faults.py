@@ -43,6 +43,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.core.counters import Counters
+
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
@@ -178,7 +180,7 @@ class FaultSchedule:
 
 
 @dataclass
-class FaultImpactStats:
+class FaultImpactStats(Counters):
     """Accounting for one faulted replay (mergeable across fleet shards).
 
     VM-level counters are attributed to the shard the VM runs in;
@@ -204,7 +206,8 @@ class FaultImpactStats:
     #: Healthy capacity removed by fail events (finite groups only).
     capacity_lost_gb: float = 0.0
     recovery_latency_s_total: float = 0.0
-    recovery_latency_s_max: float = 0.0
+    recovery_latency_s_max: float = field(
+        default=0.0, metadata={"merge": "max"})
     n_recoveries: int = 0
     #: Fail events with no matching repair by the end of the replay.
     n_unrecovered: int = 0
@@ -224,59 +227,6 @@ class FaultImpactStats:
         if not self.vms_affected:
             return 1.0
         return 1.0 - self.vms_killed / self.vms_affected
-
-    def add(self, other: "FaultImpactStats") -> "FaultImpactStats":
-        """Accumulate another stats block (e.g. merging fleet shards)."""
-        self.n_fail_events += other.n_fail_events
-        self.n_repair_events += other.n_repair_events
-        self.vms_affected += other.vms_affected
-        self.vms_migrated_local += other.vms_migrated_local
-        self.vms_live_migrated += other.vms_live_migrated
-        self.vms_killed += other.vms_killed
-        self.migrated_local_gb += other.migrated_local_gb
-        self.live_migrated_gb += other.live_migrated_gb
-        self.killed_gb += other.killed_gb
-        self.stranded_gb += other.stranded_gb
-        self.capacity_lost_gb += other.capacity_lost_gb
-        self.recovery_latency_s_total += other.recovery_latency_s_total
-        self.recovery_latency_s_max = max(
-            self.recovery_latency_s_max, other.recovery_latency_s_max)
-        self.n_recoveries += other.n_recoveries
-        self.n_unrecovered += other.n_unrecovered
-        for group, count in other.blast_radius_by_group.items():
-            self.blast_radius_by_group[group] = (
-                self.blast_radius_by_group.get(group, 0) + count)
-        self.killed_vm_ids.extend(other.killed_vm_ids)
-        return self
-
-    def as_dict(self) -> Dict[str, object]:
-        """Canonical plain-data view (determinism checks, BENCH reports).
-
-        Dict keys are emitted in sorted order so serialised comparisons are
-        independent of accumulation order (and of ``PYTHONHASHSEED``).
-        """
-        return {
-            "n_fail_events": self.n_fail_events,
-            "n_repair_events": self.n_repair_events,
-            "vms_affected": self.vms_affected,
-            "vms_migrated_local": self.vms_migrated_local,
-            "vms_live_migrated": self.vms_live_migrated,
-            "vms_killed": self.vms_killed,
-            "migrated_local_gb": self.migrated_local_gb,
-            "live_migrated_gb": self.live_migrated_gb,
-            "killed_gb": self.killed_gb,
-            "stranded_gb": self.stranded_gb,
-            "capacity_lost_gb": self.capacity_lost_gb,
-            "recovery_latency_s_total": self.recovery_latency_s_total,
-            "recovery_latency_s_max": self.recovery_latency_s_max,
-            "n_recoveries": self.n_recoveries,
-            "n_unrecovered": self.n_unrecovered,
-            "blast_radius_by_group": {
-                str(g): self.blast_radius_by_group[g]
-                for g in sorted(self.blast_radius_by_group)
-            },
-            "killed_vm_ids": list(self.killed_vm_ids),
-        }
 
 
 class FaultInjector:

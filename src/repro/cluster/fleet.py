@@ -285,11 +285,7 @@ class FleetResult:
     @property
     def policy_stats(self) -> PolicyStats:
         """Policy accounting merged across shards."""
-        merged = PolicyStats()
-        for shard in self.shards:
-            if shard.policy_stats is not None:
-                merged.add(shard.policy_stats)
-        return merged
+        return PolicyStats.merged(shard.policy_stats for shard in self.shards)
 
     @property
     def online_stats(self) -> OnlineControlStats:
@@ -298,12 +294,8 @@ class FleetResult:
         All zeros when the fleet ran without ``online=...`` (shards then
         carry no stats) or with mitigation disabled.
         """
-        merged = OnlineControlStats()
-        for shard in self.shards:
-            stats = shard.result.online_stats
-            if stats is not None:
-                merged.add(stats)
-        return merged
+        return OnlineControlStats.merged(
+            shard.result.online_stats for shard in self.shards)
 
     @property
     def fault_stats(self) -> FaultImpactStats:
@@ -313,11 +305,8 @@ class FleetResult:
         carry no stats) or when no scheduled event fired.  Blast radii are
         keyed by fleet group id, so two shards' failure domains stay apart.
         """
-        merged = FaultImpactStats()
-        for shard in self.shards:
-            if shard.result.fault_stats is not None:
-                merged.add(shard.result.fault_stats)
-        return merged
+        return FaultImpactStats.merged(
+            shard.result.fault_stats for shard in self.shards)
 
     @property
     def savings(self) -> PoolSavings:
@@ -410,7 +399,6 @@ def _run_component(
     constrain_memory: bool,
     sample_interval_s: float,
     batch: bool = True,
-    unpooled_policies: bool = True,
     online: Optional[OnlineControlConfig] = None,
     faults: Optional[FaultSchedule] = None,
     stream_chunk_size: Optional[int] = None,
@@ -424,17 +412,13 @@ def _run_component(
     replay.  ``topology`` is the component's own (groups ``0 .. k-1``);
     ``fleet_ids`` maps them to the fleet ids that a ``capacity`` dict,
     ``faults``, the returned pool peaks and the blast radii use.
-    ``unpooled_policies=False`` hands an unpooled replay no policy, as
-    ``ClusterSimulator`` does (otherwise its pool requests are rejected).
     """
     inputs = [_shard_trace_input(cfg, trace, stream_chunk_size)
               for cfg, trace in zip(configs, traces)]
     policies = [factory(shard) if factory is not None else None
                 for shard in shards]
-    consult = topology.pool_size_sockets or unpooled_policies
     replay_policies = [
-        None if not consult
-        else policy.__call__
+        policy.__call__
         if not batch and hasattr(policy, "decide_batch") else policy
         for policy in policies
     ]
@@ -840,12 +824,8 @@ class _ProbeSession:
         earlier call contributed its stats to *that* call's result and is
         not counted again.
         """
-        merged = PolicyStats()
-        token = self._token(factory)
-        if token is not None:
-            for stats in self._pending_stats.pop(token, []):
-                merged.add(stats)
-        return merged
+        return PolicyStats.merged(
+            self._pending_stats.pop(self._token(factory), []))
 
     def drain_speculation_stats(self) -> SpeculationStats:
         """Pop (once) the speculation counters accumulated since the last
@@ -1121,9 +1101,7 @@ class FleetSimulator:
             compute_baseline=compute_baseline, factory=policy_factory,
             capacity=self.pool_capacity_gb_per_group,
             constrain_memory=self.constrain_memory, batch=batch,
-            # Without a topology, an unpooled shard replays as a
-            # ClusterSimulator does: its policy decides nothing.
-            unpooled_policies=topology is not None, online=online,
+            online=online,
         )
         if topology is not None and not topology.is_per_shard:
             for shard in shards:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import functools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ import numpy as np
 from repro.cluster.simulator import ClusterSimulator, PoolPolicy, SimulationResult
 from repro.cluster.server import ServerConfig
 from repro.cluster.trace import ClusterTrace, TraceColumns, VMTraceRecord
+from repro.core.counters import Counters
 
 __all__ = [
     "PoolSavings",
@@ -145,7 +146,7 @@ class PoolSavings:
 
 
 @dataclass
-class SpeculationStats:
+class SpeculationStats(Counters):
     """Speculative-probe accounting for one capacity-search call.
 
     Probes submitted by the search's speculative prefetch are *issued*; an
@@ -165,17 +166,11 @@ class SpeculationStats:
     #: Issued probes not consumed by the end of the call.
     wasted: int = 0
     #: The adaptive controller's depth when the call finished.
-    final_depth: int = 0
+    final_depth: int = field(default=0, metadata={"merge": "last"})
 
     @property
     def hit_rate(self) -> float:
         return self.hits / self.issued if self.issued else 0.0
-
-    def add(self, other: "SpeculationStats") -> None:
-        self.issued += other.issued
-        self.hits += other.hits
-        self.wasted += other.wasted
-        self.final_depth = other.final_depth
 
 
 def _caller_policy(policy: PoolPolicy, shard_index: int) -> PoolPolicy:

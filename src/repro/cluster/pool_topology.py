@@ -502,8 +502,9 @@ def replay_crossshard(
     static or controlled -- runs on one loop,
     :func:`_replay_crossshard_inlined`.  ``ClusterSimulator.run`` calls
     this function as a one-shard fleet (``PoolTopology.per_shard([n_servers],
-    ...)``, unpooled when the cluster has no pool, with ``None`` policies
-    for unpooled shards).
+    ...)``, unpooled when the cluster has no pool).  An unpooled topology
+    (``pool_size_sockets == 0``) consults no policy: every VM runs on local
+    DRAM, as on a cluster without a pool.
 
     ``online`` activates the online QoS/mitigation stage (DESIGN.md section
     10): after each shard's grid sample a QoS tick migrates that shard's
@@ -530,6 +531,8 @@ def replay_crossshard(
     """
     _validate_crossshard_args(
         inputs, policies, n_servers_per_shard, server_configs, topology)
+    if not topology.pool_size_sockets:
+        policies = [None] * len(policies)
     run_online, run_faults = active_controls(online, faults)
     results, ledger = _replay_crossshard_inlined(
         inputs, policies, n_servers_per_shard, server_configs, topology,

@@ -523,7 +523,7 @@ class ClusterSimulator:
             [self.n_servers], self.server_config.sockets,
             self.pool_size_sockets)
         results, _ledger = replay_crossshard(
-            [trace], [policy if self.pool_size_sockets else None],
+            [trace], [policy],
             [self.n_servers], [self.server_config], topology,
             self.pool_capacity_gb_per_group, self.constrain_memory,
             self.sample_interval_s, self.record_placements,

@@ -26,6 +26,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.counters import Counters
+
 __all__ = [
     "OnlineControlConfig",
     "OnlineControlStats",
@@ -72,7 +74,7 @@ class OnlineControlConfig:
 
 
 @dataclass
-class OnlineControlStats:
+class OnlineControlStats(Counters):
     """Accounting for one online replay (mergeable across fleet shards)."""
 
     n_ticks: int = 0
@@ -89,17 +91,6 @@ class OnlineControlStats:
         if not self.n_mitigations:
             return 0.0
         return self.migration_time_s / self.n_mitigations
-
-    def add(self, other: "OnlineControlStats") -> "OnlineControlStats":
-        """Accumulate another stats block (e.g. merging fleet shards)."""
-        self.n_ticks += other.n_ticks
-        self.n_checks += other.n_checks
-        self.n_mitigations += other.n_mitigations
-        self.n_failed_mitigations += other.n_failed_mitigations
-        self.migrated_gb += other.migrated_gb
-        self.migration_time_s += other.migration_time_s
-        self.mitigated_vm_ids.extend(other.mitigated_vm_ids)
-        return self
 
 
 def _trace_memory_untouched(trace):

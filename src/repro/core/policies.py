@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.cluster.rng import GOLDEN, splitmix64, splitmix64_array
 from repro.cluster.trace import ClusterTrace, TraceColumns, VMTraceRecord
+from repro.core.counters import Counters
 from repro.core.prediction.combined import CombinedOperatingPoint
 
 __all__ = [
@@ -122,7 +123,7 @@ def keyed_uniforms(digests: np.ndarray, n_streams: int) -> np.ndarray:
 
 
 @dataclass
-class PolicyStats:
+class PolicyStats(Counters):
     """Per-policy accounting of decisions and mispredictions."""
 
     n_vms: int = 0
@@ -140,17 +141,6 @@ class PolicyStats:
     @property
     def pool_fraction_percent(self) -> float:
         return 100.0 * self.pool_gb / self.total_gb if self.total_gb else 0.0
-
-    def add(self, other: "PolicyStats") -> "PolicyStats":
-        """Accumulate another stats block (e.g. merging fleet shards)."""
-        self.n_vms += other.n_vms
-        self.n_fully_pool_backed += other.n_fully_pool_backed
-        self.n_znuma += other.n_znuma
-        self.n_all_local += other.n_all_local
-        self.n_mispredictions += other.n_mispredictions
-        self.pool_gb += other.pool_gb
-        self.total_gb += other.total_gb
-        return self
 
 
 class _BatchPolicy:

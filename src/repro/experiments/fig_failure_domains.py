@@ -172,9 +172,8 @@ def run_failure_domain_study(
                     pool_capacity_gb_per_group, True, 3600.0,
                     faults=schedule,
                 )
-                merged = FaultImpactStats()
-                for result in results:
-                    merged.add(result.fault_stats)
+                merged = FaultImpactStats.merged(
+                    result.fault_stats for result in results)
                 blast = merged.blast_radius_by_group
                 rows.append(FailureDomainRow(
                     pool_size_sockets=pool_size,

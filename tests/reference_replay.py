@@ -59,7 +59,7 @@ def reference_replay(trace, policy=None, **cluster):
     topology = PoolTopology.per_shard(
         [sim.n_servers], sim.server_config.sockets, sim.pool_size_sockets)
     (result,), _ = reference_fleet_replay(
-        [trace], [policy if sim.pool_size_sockets else None],
+        [trace], [policy],
         [sim.n_servers], [sim.server_config], topology,
         sim.pool_capacity_gb_per_group, sim.constrain_memory,
         sim.sample_interval_s, sim.record_placements)
@@ -97,8 +97,11 @@ def reference_fleet_replay(inputs, policies, n_servers_per_shard,
                            record_placements=False):
     """Replay a fleet; takes ``replay_crossshard``'s static arguments.
 
-    Returns ``(results, ledger)`` like ``replay_crossshard``.
+    Returns ``(results, ledger)`` like ``replay_crossshard``.  An unpooled
+    topology consults no policy.
     """
+    if not topology.pool_size_sockets:
+        policies = [None] * len(policies)
     base = server_configs[0]
     cfg = effective_server_config(base, constrain_memory)
     sockets = cfg.sockets

@@ -17,6 +17,7 @@ Lock-down for the project-specific static analysis (DESIGN.md section 12):
 """
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -314,6 +315,29 @@ class TestPickleSafety:
 
     def test_real_pool_boundary_closure_is_clean(self):
         assert check_pickle_safety(SRC) == []
+
+    def test_default_roots_reach_task_result_stats(self, tmp_path):
+        """Worker results carry stats blocks back across the pool, so the
+        default roots reach the counter base and the replay stats."""
+        root = tmp_path / "src"
+        shutil.copytree(SRC / "repro", root / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        planted = {
+            "core/counters.py": "class Counters:",
+            "core/control_plane/online.py": "class OnlineControlStats(Counters):",
+            "cluster/faults.py": "class FaultImpactStats(Counters):",
+        }
+        for relative, header in planted.items():
+            path = root / "repro" / relative
+            source = path.read_text()
+            assert header in source
+            path.write_text(source.replace(header, header + (
+                "\n    def _probe(self):\n"
+                "        self.lock = threading.Lock()\n"), 1))
+        flagged = {f.message.split(".")[0]
+                   for f in check_pickle_safety(root) if f.rule == "PCK002"}
+        assert flagged == {"Counters", "OnlineControlStats",
+                           "FaultImpactStats"}
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from repro.cluster.fleet import (
     pond_policy_factory,
     static_policy_factory,
 )
+from repro.cluster.pool_topology import PoolTopology
 from repro.cluster.tracegen import (
     TraceGenConfig,
     TraceGenerator,
@@ -196,6 +197,25 @@ class TestStrandingMode:
         stats = result.policy_stats
         assert stats.n_all_local == stats.n_vms == result.n_vms
         assert result.savings.required_pool_dram_gb == 0.0
+
+    def test_unpooled_topology_equals_no_topology(self):
+        """An unpooled topology hands no policy a pool: a fleet with
+        ``PoolTopology.per_shard(sizes, s, 0)`` replays exactly as the same
+        fleet without a topology, which ignores the policy's pool shares."""
+        config = base_config(n_servers=4)
+        sizes = [config.n_servers] * 2
+        topology = PoolTopology.per_shard(
+            sizes, config.server_config.sockets, 0)
+        factory = static_policy_factory(fraction=0.5, seed=2)
+        plain = FleetSimulator.sharded(2, config).run(factory)
+        unpooled = FleetSimulator.sharded(
+            2, config, pool_topology=topology).run(factory)
+        assert unpooled.placed_vms == plain.placed_vms > 0
+        assert unpooled.rejected_vms == plain.rejected_vms
+        for got, ref in zip(unpooled.shards, plain.shards):
+            assert np.array_equal(got.result.sample_buffer.rows(),
+                                  ref.result.sample_buffer.rows())
+        assert unpooled.policy_stats == plain.policy_stats
 
 
 class TestMixedSkuFleet:
