@@ -287,6 +287,9 @@ class FaultInjector:
         self._pending: Dict[int, int] = {}
         #: group -> earliest unrepaired fail time (recovery latency).
         self._open_failures: Dict[int, float] = {}
+        #: Whether a ladder rung of the running hook released pool memory;
+        #: the hook then re-clamps the degraded groups once, at its end.
+        self._released = False
 
     # -- schedule cursor ---------------------------------------------------------
     @property
@@ -325,9 +328,11 @@ class FaultInjector:
 
         The engines' unmediated ``pool_free += released`` on departures and
         pool->local migrations can overshoot a degraded group's surviving
-        capacity; the injector and the QoS tick call this after any engine
-        operation that releases pool memory.  A no-op while nothing is degraded, so the
-        empty-schedule replay's arithmetic is untouched.
+        capacity; a departure and the QoS tick call this after releasing
+        pool memory, and :meth:`fire_next` and :meth:`retry_tick` once at
+        their end if their ladder released any (:meth:`_resync_released`).
+        A no-op while nothing is degraded, so the empty-schedule replay's
+        arithmetic is untouched.
         """
         ledger = self.ledger
         for group in ledger.degraded_groups:
@@ -347,6 +352,20 @@ class FaultInjector:
             self._fire_fail(event)
         else:
             self._fire_repair(event)
+        self._resync_released()
+
+    def _resync_released(self) -> None:
+        """End of a hook: re-clamp degraded groups if its ladder released.
+
+        Once per hook equals once per released VM: :meth:`resync_degraded`
+        sets ``free = max(0, capacity - used)`` whatever ``free`` held, and
+        nothing in a hook reads a degraded group's ``free`` between VMs (a
+        live migration places with no pool share).  A hook that released
+        nothing leaves ``free`` as it was, as it always has.
+        """
+        if self._released:
+            self._released = False
+            self.resync_degraded()
 
     def _fire_fail(self, event: FaultEvent) -> None:
         ledger = self.ledger
@@ -414,6 +433,7 @@ class FaultInjector:
                 self._pending.pop(token, None)
                 continue
             self._touch(token, first=False)
+        self._resync_released()
 
     def _touch(self, token: int, first: bool) -> None:
         """One ladder attempt; books keeping for affected/pending/kill."""
@@ -452,7 +472,7 @@ class FaultInjector:
             stats.migrated_local_gb += moved
             self.at_risk[shard].pop(handle, None)
             self._drop_pool_vm(token)
-            self.resync_degraded()
+            self._released = True
             return True
         # No NUMA-node headroom in place: live-migrate to any server that
         # fits the VM all-local (pre-copy model: the new placement commits
@@ -469,7 +489,7 @@ class FaultInjector:
         stats.vms_live_migrated += 1
         stats.live_migrated_gb += total_gb
         self._drop_pool_vm(token)
-        self.resync_degraded()
+        self._released = True
         return True
 
     def _kill(self, token: int) -> None:
@@ -488,7 +508,7 @@ class FaultInjector:
         stats.vms_killed += 1
         stats.killed_gb += gb
         stats.killed_vm_ids.append(vm_id)
-        self.resync_degraded()
+        self._released = True
 
     def _drop_pool_vm(self, token: int) -> None:
         group = self._token_group.pop(token, None)

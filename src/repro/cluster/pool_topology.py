@@ -1201,7 +1201,8 @@ def _replay_crossshard_inlined(
                                     tg = token_group.pop(entry, None)
                                     if tg is not None:
                                         pool_vms[tg].pop(entry, None)
-                                    retrying.pop(entry, None)
+                                    if retrying:
+                                        retrying.pop(entry, None)
                                     (free_h, v_srv, v_node, v_cores, v_local,
                                      v_pool) = vm_lists[ds]
                                     sidx = v_srv[handle]

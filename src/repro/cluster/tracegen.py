@@ -27,6 +27,7 @@ and streaming holds at most one window plus one chunk in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,7 +47,8 @@ from repro.cluster.vm_types import (
     CATALOG_MEMORY_GB,
     DEFAULT_FAMILY_WEIGHTS,
     VM_TYPE_CATALOG,
-    family_probabilities,
+    choice_cdf,
+    family_sampling_tables,
     family_size_distribution,
     sample_vm_type_indices,
 )
@@ -205,9 +207,10 @@ class TraceGenerator:
 
     # -- arrival-rate calibration ---------------------------------------------------
     def _expected_cores_per_vm(self) -> float:
-        rng = np.random.default_rng(self.config.seed + 7)
-        types = sample_vm_type_indices(rng, 500, self.config.family_weights)
-        return float(np.mean(CATALOG_CORES[types]))
+        weights = self.config.family_weights
+        return _calibrated_mean_cores(
+            self.config.seed,
+            tuple(sorted(weights.items())) if weights else None)
 
     def arrival_rate_per_s(self) -> float:
         """Poisson arrival rate achieving the target utilisation (Little's law).
@@ -229,13 +232,6 @@ class TraceGenerator:
         weights.update(cfg.family_weights or {})
         weights["memory_optimized"] *= cfg.shift_memory_factor
         return weights
-
-    def _customer_popularity(self) -> np.ndarray:
-        """Zipf-like popularity: a few customers create most VMs."""
-        ranks = np.arange(1, self.config.n_customers + 1, dtype=float)
-        probs = 1.0 / ranks
-        probs /= probs.sum()
-        return probs
 
     # -- bulk (vectorized) generation --------------------------------------------------
     def _window_arrival_times(self, rate: float, window_len: float,
@@ -280,8 +276,10 @@ class TraceGenerator:
             count = int(mask.sum())
             if not count:
                 continue
-            families, probs = family_probabilities(family_weights)
-            family_draw = rng.choice(len(families), size=count, p=probs)
+            families, family_cdf, sizes = family_sampling_tables(family_weights)
+            # rng.choice(len(families), size=count, p=probs), bit for bit.
+            family_draw = family_cdf.searchsorted(rng.random(count),
+                                                  side="right")
             # Per-family size popularity follows the same power law as
             # sample_vm_type (both share family_size_distribution).
             slot_indices = np.flatnonzero(mask)
@@ -290,16 +288,23 @@ class TraceGenerator:
                 n_family = int(family_mask.sum())
                 if not n_family:
                     continue
-                candidates, size_weights = family_size_distribution(family)
-                picks = rng.choice(len(candidates), size=n_family, p=size_weights)
-                type_indices[slot_indices[family_mask]] = np.asarray(candidates)[picks]
+                # ``None`` re-raises the family's KeyError (no catalog
+                # entries).
+                candidates, size_cdf = (sizes[family_idx]
+                                        or family_size_distribution(family))
+                picks = size_cdf.searchsorted(rng.random(n_family),
+                                              side="right")
+                type_indices[slot_indices[family_mask]] = candidates[picks]
         return type_indices
 
     def _bulk_customers(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Customer draw for ``n`` VMs (indices into the pool), in bulk."""
-        idx = rng.choice(
-            self.config.n_customers, size=n, p=self._customer_popularity()
-        )
+        """Customer draw for ``n`` VMs (indices into the pool), in bulk.
+
+        Zipf-like popularity (a few customers create most VMs), drawn as
+        ``rng.choice(n_customers, size=n, p=popularity)`` would.
+        """
+        idx = _customer_cdf(self.config.n_customers).searchsorted(
+            rng.random(n), side="right")
         return idx % len(self.memory_model.customer_ids)
 
     def _window_block(self, arrivals: np.ndarray, lifetimes: np.ndarray,
@@ -492,6 +497,26 @@ def _concat_rows(parts: Sequence[Tuple[TraceColumns, int, int]]) -> TraceColumns
         record_source=replace(parts[0][0].record_source, **{
             name: record_column(name) for name in _RecordColumns.ROW_FIELDS}),
     )
+
+
+@lru_cache(maxsize=1024)
+def _calibrated_mean_cores(seed: int, weights) -> float:
+    """Mean cores of the 500 calibration VM types drawn for ``seed`` under
+    the family-weight override ``weights`` (sorted items, or ``None``):
+    the one random term of :meth:`TraceGenerator.arrival_rate_per_s`,
+    drawn once per distinct pair."""
+    rng = np.random.default_rng(seed + 7)
+    types = sample_vm_type_indices(rng, 500, dict(weights) if weights else None)
+    return float(np.mean(CATALOG_CORES[types]))
+
+
+@lru_cache(maxsize=16)
+def _customer_cdf(n_customers: int) -> np.ndarray:
+    """CDF of the Zipf-like customer popularity ``1 / rank``, built once
+    per population size."""
+    probs = 1.0 / np.arange(1, n_customers + 1, dtype=float)
+    probs /= probs.sum()
+    return choice_cdf(probs)
 
 
 def fleet_shard_configs(

@@ -10,6 +10,7 @@ optimised ~2 GB/core) across several core counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +22,8 @@ __all__ = [
     "CATALOG_MEMORY_GB",
     "family_probabilities",
     "family_size_distribution",
+    "family_sampling_tables",
+    "choice_cdf",
     "sample_vm_type",
     "sample_vm_type_indices",
     "vm_mix_dram_per_core",
@@ -143,30 +146,72 @@ def sample_vm_type_indices(
 
     Bit for bit the same types, and the same generator state afterwards.
     A scalar ``rng.choice(k, p=p)`` draws one ``rng.random()`` double ``u``
-    and returns ``cdf.searchsorted(u, side="right")`` with ``cdf =
-    p.cumsum(); cdf /= cdf[-1]``.  Each :func:`sample_vm_type` call makes
-    two such draws (family, then size), so the even doubles of one
-    ``rng.random(2 * n)`` pick families and the odd ones pick sizes.
+    and returns ``cdf.searchsorted(u, side="right")`` over the
+    :func:`family_sampling_tables` CDF of ``p``.  Each
+    :func:`sample_vm_type` call makes two such draws (family, then size),
+    so the even doubles of one ``rng.random(2 * n)`` pick families and the
+    odd ones pick sizes.
     """
-    families, probs = family_probabilities(family_weights)
+    families, family_cdf, sizes = family_sampling_tables(family_weights)
     draws = rng.random(2 * n)
-    family_draw = _cdf(probs).searchsorted(draws[0::2], side="right")
+    family_draw = family_cdf.searchsorted(draws[0::2], side="right")
     size_draws = draws[1::2]
     indices = np.empty(n, dtype=np.int64)
     for family_idx, family in enumerate(families):
         mask = family_draw == family_idx
         if mask.any():
-            candidates, size_weights = family_size_distribution(family)
-            picks = _cdf(size_weights).searchsorted(size_draws[mask], side="right")
-            indices[mask] = np.asarray(candidates)[picks]
+            # ``None`` re-raises the family's KeyError (no catalog entries).
+            candidates, size_cdf = (sizes[family_idx]
+                                    or family_size_distribution(family))
+            picks = size_cdf.searchsorted(size_draws[mask], side="right")
+            indices[mask] = candidates[picks]
     return indices
 
 
-def _cdf(probs: np.ndarray) -> np.ndarray:
-    """The cumulative distribution ``Generator.choice`` searches."""
-    cdf = probs.cumsum()
+def family_sampling_tables(
+    family_weights: Optional[Dict[str, float]] = None,
+) -> Tuple[Tuple[str, ...], np.ndarray, tuple]:
+    """``(families, family CDF, size tables)`` for one family-weight override.
+
+    ``families`` and the family CDF follow :func:`family_probabilities`;
+    entry ``i`` of the size tables is ``(catalog indices, size CDF)`` of
+    ``families[i]`` from :func:`family_size_distribution` (``None`` for a
+    family with no catalog entries, whose ``KeyError`` is raised only
+    once that family is drawn).  Each CDF is the one
+    ``Generator.choice(k, p=p)`` searches (:func:`choice_cdf`), so
+    ``cdf.searchsorted(rng.random(m), side="right")`` is bit for bit
+    ``rng.choice(k, size=m, p=p)``, generator state included.  The tables
+    are built once per distinct override and are read-only.
+    """
+    key = tuple(sorted(family_weights.items())) if family_weights else None
+    return _sampling_tables(key)
+
+
+@lru_cache(maxsize=64)
+def _sampling_tables(key) -> Tuple[Tuple[str, ...], np.ndarray, tuple]:
+    families, probs = family_probabilities(dict(key) if key else None)
+    sizes = []
+    for family in families:
+        try:
+            candidates, size_weights = family_size_distribution(family)
+        except KeyError:
+            sizes.append(None)
+            continue
+        sizes.append((_read_only(np.asarray(candidates)),
+                      choice_cdf(size_weights)))
+    return tuple(families), choice_cdf(probs), tuple(sizes)
+
+
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The read-only cumulative distribution ``Generator.choice`` searches."""
+    cdf = np.asarray(probs, dtype=np.float64).cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return _read_only(cdf)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def vm_mix_dram_per_core(

@@ -86,6 +86,24 @@ _STREAM_SALTS = tuple(np.uint64(_mix64_int(k + 1)) for k in range(8))
 #: their traces, and being a pure memo it needs no pickling support.
 _DIGEST_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
+#: The latency forest's scores for the last block a
+#: :class:`PredictionPolicy` decided: ``[digests ref, latency model ref,
+#: scores]``.  The online loop estimates slowdowns for each block right
+#: after deciding it, so the next ``predict_slowdown_batch`` takes the
+#: scores when both the block's digests array (the one ``_DIGEST_MEMO``
+#: hands out per trace) and the model are the same objects; any other
+#: block re-scores.  The first estimate empties the memo either way, so a
+#: later estimate never reads scores older than the decide just before it.
+#: Held at module level, never on the policy, so a decide leaves the
+#: policy's pickle bytes untouched.
+_LAST_SCORES: list = [None, None, None]
+
+
+def _forget_scores(digests_ref: "weakref.ref") -> None:
+    """Drop the memo's scores once their block's digests are gone."""
+    if _LAST_SCORES[0] is digests_ref:
+        _LAST_SCORES[:] = (None, None, None)
+
 
 def stable_vm_digests(vm_ids: Sequence[str], tag: str, seed: int) -> np.ndarray:
     """Stable per-VM digests: CRC32 over ``tag:seed:vm_id``.
@@ -537,6 +555,8 @@ class PredictionPolicy(_BatchPolicy):
         znuma_gb = np.minimum(znuma_gb, memory_gb)
 
         scores = self.latency_model.insensitivity_score(tma)
+        _LAST_SCORES[:] = (weakref.ref(digests, _forget_scores),
+                           weakref.ref(self.latency_model), scores)
         fully_backed = scores >= self.latency_model.threshold_
         has_znuma = ~fully_backed & (znuma_gb > 0)
         all_local = ~fully_backed & ~has_znuma
@@ -576,12 +596,17 @@ class PredictionPolicy(_BatchPolicy):
         beyond the actual untouched set, i.e. the untouched-fraction
         telemetry column) for a zNUMA VM.  A pure function of the digests
         and the fitted models, so every engine and shard count computes the
-        same estimates.
+        same estimates.  The scores of a block this policy's model has just
+        decided are reused (:data:`_LAST_SCORES`), bit for bit.
         """
         memory_gb, untouched_fraction, digests = self._trace_arrays(trace)
         pool_gb = np.asarray(pool_gb, dtype=np.float64)
-        tma, _ = self._tma_features(digests)
-        scores = self.latency_model.insensitivity_score(tma)
+        digests_ref, model_ref, scores = _LAST_SCORES
+        _LAST_SCORES[:] = (None, None, None)
+        if (digests_ref is None or digests_ref() is not digests
+                or model_ref() is not self.latency_model):
+            tma, _ = self._tma_features(digests)
+            scores = self.latency_model.insensitivity_score(tma)
         spilled_gb = np.maximum(
             pool_gb - untouched_fraction * memory_gb, 0.0
         )

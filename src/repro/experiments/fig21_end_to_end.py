@@ -115,8 +115,8 @@ def run_end_to_end_study(
     pregenerate and reuse materialised shard traces across the grid.  That
     is faster when the fleet fits in memory, since streams regenerate on
     every replay: a 4 x 12-server, 1-day study (seed 0, one call per fresh
-    interpreter, median of 7) took 0.23 s streamed and 0.17 s materialised
-    on a 2-vCPU host, with identical savings.
+    interpreter, median of 5) took 0.155 s streamed and 0.114 s
+    materialised on a 2-vCPU host, with identical savings.
 
     ``provisioning`` selects the savings model: ``"peaks"`` (default) uses
     uniform peak-observation provisioning; ``"capacity"`` runs the

@@ -70,24 +70,42 @@ class UntouchedMemoryModel:
             raise ValueError("need at least one customer")
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self.customers: Dict[str, CustomerProfile] = {}
-        for i in range(n_customers):
-            customer_id = f"customer-{i:04d}"
-            # Beta(1.6, 1.6) has median 0.5 and substantial spread.  (The
-            # scalar min/max clip equals np.clip on these finite draws.)
-            mean_untouched = float(min(max(self._rng.beta(1.6, 1.6), 0.02), 0.95))
-            # Customers are fairly consistent across their VMs -- the paper's
-            # justification for using customer history as the dominant feature.
-            consistency = float(min(max(self._rng.beta(6.0, 1.8), 0.2), 0.98))
-            self.customers[customer_id] = CustomerProfile(
-                customer_id=customer_id,
-                mean_untouched_fraction=mean_untouched,
-                consistency=consistency,
-            )
-        self._customer_ids = sorted(self.customers)
-        profiles = [self.customers[c] for c in self._customer_ids]
-        self._means = np.array([p.mean_untouched_fraction for p in profiles])
-        self._consistency = np.array([p.consistency for p in profiles])
+        # Customer i draws Beta(1.6, 1.6) for its mean untouched fraction
+        # (median 0.5, substantial spread), then Beta(6.0, 1.8) for its
+        # consistency: customers are fairly consistent across their VMs --
+        # the paper's justification for using customer history as the
+        # dominant feature.  One broadcast draw makes the same beta calls,
+        # in the same order, as a per-customer scalar loop.
+        draws = self._rng.beta(np.tile([1.6, 6.0], n_customers),
+                               np.tile([1.6, 1.8], n_customers))
+        ids = [f"customer-{i:04d}" for i in range(n_customers)]
+        # Sorted-id order, which leaves index order at 10,000 customers
+        # ("customer-10000" < "customer-1001").
+        order = sorted(range(n_customers), key=ids.__getitem__)
+        self._order = order
+        self._customer_ids = [ids[i] for i in order]
+        self._means = np.clip(draws[0::2], 0.02, 0.95)[order]
+        self._consistency = np.clip(draws[1::2], 0.2, 0.98)[order]
+        self._customers: Optional[Dict[str, CustomerProfile]] = None
+
+    @property
+    def customers(self) -> Dict[str, CustomerProfile]:
+        """Every customer's profile, in index order (built on first read)."""
+        if self._customers is None:
+            ids = self._customer_ids
+            means = self._means.tolist()
+            consistency = self._consistency.tolist()
+            # Position k holds customer self._order[k].
+            by_index = np.argsort(self._order).tolist()
+            self._customers = {
+                ids[k]: CustomerProfile(
+                    customer_id=ids[k],
+                    mean_untouched_fraction=means[k],
+                    consistency=consistency[k],
+                )
+                for k in by_index
+            }
+        return self._customers
 
     @property
     def customer_ids(self) -> List[str]:
